@@ -12,34 +12,30 @@ that reachability breadth-first under explicit bounds, reporting
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .presentations import Presentation, deficiency
-from .words import Word, check_generator_name, gen, inverse, normalize, parse_word, product
+from .words import (
+    Word,
+    check_generator_name,
+    cyclic_letters,
+    cyclic_variants,
+    gen,
+    inverse,
+    parse_word,
+    product,
+)
 
 
 @dataclass(frozen=True)
-class ACPresentation:
+class ACPresentation(Presentation):
     """Balanced presentation: equally many generators and relators."""
-
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
         if len(self.generators) != len(self.relators):
             raise ValueError("presentation is not balanced")
-        seen = set()
-        for g in self.generators:
-            check_generator_name(g)
-            if g in seen:
-                raise ValueError(f"duplicate generator {g!r}")
-            seen.add(g)
-        for r in self.relators:
-            unknown = r.generators() - seen
-            if unknown:
-                raise ValueError(f"relator uses unknown generators {sorted(unknown)}")
+        super().__post_init__()
 
     def is_empty(self) -> bool:
         return not self.generators
@@ -175,34 +171,13 @@ def apply_moves(p: ACPresentation, moves: Sequence[ACMove]) -> ACPresentation:
 def canonical_form(p: ACPresentation) -> tuple:
     """Hashable key invariant under relator inversion, cyclic rotation,
     relator reordering, and generator renaming."""
-    reduced = sorted(_least_cyclic(r) for r in p.relators)
+    reduced = sorted(min(cyclic_variants(cyclic_letters(r)), default=()) for r in p.relators)
     rename: dict[str, int] = {}
     keyed = tuple(
         tuple((rename.setdefault(g, len(rename)), s) for g, s in letters)
         for letters in reduced
     )
     return (len(p.generators), keyed)
-
-
-def _least_cyclic(r: Word) -> tuple[tuple[str, int], ...]:
-    letters = _cyclic_letters(r)
-    n = len(letters)
-    if n == 0:
-        return ()
-    best = None
-    for cand in (letters, [(g, -s) for g, s in reversed(letters)]):
-        for shift in range(n):
-            rot = tuple(cand[shift:] + cand[:shift])
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
-def _cyclic_letters(r: Word) -> list[tuple[str, int]]:
-    letters = list(r.letters())
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    return letters
 
 
 @dataclass(frozen=True)
@@ -310,7 +285,6 @@ def ac_trivialize_search(
     p: ACPresentation,
     max_total_length: int,
     max_depth: int,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Bounded breadth-first search for an AC trivialization.
 
@@ -318,12 +292,10 @@ def ac_trivialize_search(
     is returned.  Conjugations are enumerated by single letters only
     (longer conjugations compose); ``AddPair`` is never enumerated, so
     exhaustion is relative to this restricted alphabet.  Deterministic
-    and independent of ``workers`` (fixed expansion order).
+    (fixed expansion order).
     """
     if max_total_length < 1 or max_depth < 1:
         raise ValueError("bounds must be positive")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if p.total_length() > max_total_length:
         return Budget()
 
@@ -338,15 +310,9 @@ def ac_trivialize_search(
     for _depth in range(max_depth):
         if not frontier:
             break
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expansions = list(
-                    pool.map(lambda node: _successors(node[0], max_total_length), frontier)
-                )
-        else:
-            expansions = [_successors(node, max_total_length) for node, _ in frontier]
         next_frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = []
-        for (node, path), (succs, pruned) in zip(frontier, expansions):
+        for node, path in frontier:
+            succs, pruned = _successors(node, max_total_length)
             truncated = truncated or pruned
             for moves, q in succs:
                 key = canonical_form(q)

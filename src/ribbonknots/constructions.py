@@ -34,6 +34,7 @@ from .laurent import (
     LambdaMatrix,
     LaurentPoly,
     ONE,
+    ZERO,
     augmentation,
     div_exact_t_minus_1,
     lambda_matrix,
@@ -43,15 +44,14 @@ from .laurent import (
 from .presentations import Presentation
 from .words import (
     FreeEndo,
-    IDENTITY,
     Word,
     compose_endo,
     gen,
     identity_endo,
     inverse,
     normalize,
-    power,
     product,
+    substitute,
 )
 
 
@@ -73,52 +73,31 @@ class KnotModuleSpec:
 
     def presentation_matrix(self) -> LambdaMatrix:
         """The square matrix presenting the module over Z[t, 1/t]."""
-        if self.kind == "cyclic":
-            return lambda_matrix([[self.polys[0]]])
-        if self.kind == "sum":
+        if self.kind in ("cyclic", "sum"):
             n = len(self.polys)
             return lambda_matrix(
-                [
-                    [self.polys[i] if i == j else laurent({}) for j in range(n)]
-                    for i in range(n)
-                ]
+                [[self.polys[i] if i == j else ZERO for j in range(n)] for i in range(n)]
             )
+        if self.kind not in _PENCILS:
+            raise ValueError(f"unknown module kind {self.kind!r}")
+        (a_m, a_i), (b_m, b_i) = _PENCILS[self.kind]
         m = self.matrix
         assert m is not None
-        if self.kind == "trotter":
-            # t M + (I - M)
-            return lambda_matrix(
-                [
-                    [
-                        laurent({1: m[i, j], 0: (1 if i == j else 0) - m[i, j]})
-                        for j in range(m.cols)
-                    ]
-                    for i in range(m.rows)
-                ]
-            )
-        if self.kind == "tminus1":
-            # t I - (I + M): t acts by I + M.
-            return lambda_matrix(
-                [
-                    [
-                        laurent({1: 1 if i == j else 0, 0: -((1 if i == j else 0) + m[i, j])})
-                        for j in range(m.cols)
-                    ]
-                    for i in range(m.rows)
-                ]
-            )
-        if self.kind == "taction":
-            # t I - T
-            return lambda_matrix(
-                [
-                    [
-                        laurent({1: 1 if i == j else 0, 0: -m[i, j]})
-                        for j in range(m.cols)
-                    ]
-                    for i in range(m.rows)
-                ]
-            )
-        raise ValueError(f"unknown module kind {self.kind!r}")
+
+        def entry(i: int, j: int) -> LaurentPoly:
+            d = int(i == j)
+            return laurent({1: a_m * m[i, j] + a_i * d, 0: b_m * m[i, j] + b_i * d})
+
+        return lambda_matrix([[entry(i, j) for j in range(m.cols)] for i in range(m.rows)])
+
+
+# Matrix kinds as a pencil t A + B, with A and B given as the
+# coefficients (of M, of I).
+_PENCILS = {
+    "trotter": ((1, 0), (-1, 1)),  # t M + (I - M)
+    "tminus1": ((0, 1), (-1, -1)),  # t I - (I + M): t acts by I + M
+    "taction": ((0, 1), (-1, 0)),  # t I - T
+}
 
 
 def cyclic_module(alpha: LaurentPoly) -> KnotModuleSpec:
@@ -142,35 +121,31 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
 
 def trotter_module(m: IntMatrix) -> KnotModuleSpec:
     _require_square(m)
-    d = det_int(m)
-    if d == 0:
+    if det_int(m) == 0:
         raise AdmissibilityError("det(M) = 0")
-    d1 = det_int(_minus_identity(m))
-    if d1 == 0:
+    if det_int(_shift_identity(m, -1)) == 0:
         raise AdmissibilityError("det(M - I) = 0")
     return KnotModuleSpec("trotter", matrix=m)
 
 
 def tminus1_module(m: IntMatrix) -> KnotModuleSpec:
-    _require_square(m)
-    d = det_int(m)
-    if abs(d) != 1:
-        raise AdmissibilityError(f"|det(M)| = {abs(d)}, must be 1")
-    d1 = det_int(_plus_identity(m))
-    if abs(d1) != 1:
-        raise AdmissibilityError(f"|det(I + M)| = {abs(d1)}, must be 1")
-    return KnotModuleSpec("tminus1", matrix=m)
+    return _unimodular_pair("tminus1", m, ("M", "I + M"), 1)
 
 
 def taction_module(t: IntMatrix) -> KnotModuleSpec:
-    _require_square(t)
-    d = det_int(t)
-    if abs(d) != 1:
-        raise AdmissibilityError(f"|det(T)| = {abs(d)}, must be 1")
-    d1 = det_int(_minus_identity(t))
-    if abs(d1) != 1:
-        raise AdmissibilityError(f"|det(T - I)| = {abs(d1)}, must be 1")
-    return KnotModuleSpec("taction", matrix=t)
+    return _unimodular_pair("taction", t, ("T", "T - I"), -1)
+
+
+def _unimodular_pair(
+    kind: str, m: IntMatrix, labels: tuple[str, str], c: int
+) -> KnotModuleSpec:
+    """Spec of ``kind`` when both ``m`` and ``m + c I`` are unimodular."""
+    _require_square(m)
+    for label, a in zip(labels, (m, _shift_identity(m, c))):
+        d = abs(det_int(a))
+        if d != 1:
+            raise AdmissibilityError(f"|det({label})| = {d}, must be 1")
+    return KnotModuleSpec(kind, matrix=m)
 
 
 def _require_square(m: IntMatrix) -> None:
@@ -178,21 +153,10 @@ def _require_square(m: IntMatrix) -> None:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
 
 
-def _minus_identity(m: IntMatrix) -> IntMatrix:
+def _shift_identity(m: IntMatrix, c: int) -> IntMatrix:
+    """``M + c I``."""
     return int_matrix(
-        [
-            [m[i, j] - (1 if i == j else 0) for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
-    )
-
-
-def _plus_identity(m: IntMatrix) -> IntMatrix:
-    return int_matrix(
-        [
-            [m[i, j] + (1 if i == j else 0) for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
+        [[m[i, j] + c * (i == j) for j in range(m.cols)] for i in range(m.rows)]
     )
 
 
@@ -228,43 +192,7 @@ def realize_cyclic(alpha: LaurentPoly) -> RealizationResult:
     the one-relator Wirtinger rewriting ``< t, u | u = W t W^-1 >``
     obtained from ``u = x t``.
     """
-    spec = cyclic_module(alpha)
-    alpha = spec.polys[0]
-    x, u, w, fg = _cyclic_data(alpha, "x", "u")
-    primary_rel = product(gen(x, -1), w, gen("t"), inverse(w), gen("t", -1))
-    primary = Presentation(("t", x), (primary_rel,))
-    w_sub = _substitute_xt(w, x, u)
-    wirt_rel = product(gen(u, -1), w_sub, gen("t"), inverse(w_sub))
-    wirtinger = Presentation(("t", u), (wirt_rel,))
-    return RealizationResult(primary, wirtinger, "t", spec, fg_commutator=fg)
-
-
-def _cyclic_data(alpha: LaurentPoly, x: str, u: str) -> tuple[str, str, Word, bool]:
-    """The commutator word w and the finite-generation flag for alpha."""
-    beta = div_exact_t_minus_1(alpha - ONE)
-    pieces = []
-    for i, b in beta.terms():
-        pieces.append(product(gen("t", i) if i else IDENTITY, gen(x, b), gen("t", -i) if i else IDENTITY))
-    w = product(*pieces) if pieces else IDENTITY
-    # Finitely generated commutator subgroup needs extremal coefficients
-    # of alpha equal to +-1.
-    fg = abs(alpha.coeffs[0]) == 1 and abs(alpha.coeffs[-1]) == 1
-    return x, u, w, fg
-
-
-def _substitute_xt(w: Word, x: str, u: str) -> Word:
-    """Rewrite w under x = u t^-1."""
-    out: list[tuple[str, int]] = []
-    for g, e in w.syllables:
-        if g == x:
-            img = product(gen(u), gen("t", -1))
-            if e < 0:
-                img = inverse(img)
-            for _ in range(abs(e)):
-                out.extend(img.syllables)
-        else:
-            out.append((g, e))
-    return normalize(out)
+    return _realize_summands(cyclic_module(alpha), [("x", "u")])
 
 
 def realize_sum(polys: Sequence[LaurentPoly]) -> RealizationResult:
@@ -274,22 +202,31 @@ def realize_sum(polys: Sequence[LaurentPoly]) -> RealizationResult:
     primary presentation uses commutator generators ``x<k>``.
     """
     spec = sum_module(polys)
-    primary_gens: list[str] = ["t"]
-    wirt_gens: list[str] = ["t"]
+    names = [(f"x{k}", f"u{k}") for k in range(1, len(spec.polys) + 1)]
+    return _realize_summands(spec, names)
+
+
+def _realize_summands(
+    spec: KnotModuleSpec, names: Sequence[tuple[str, str]]
+) -> RealizationResult:
+    """One cyclic summand per polynomial of ``spec``, named ``(x, u)``:
+    the relator of :func:`realize_cyclic` and its Wirtinger rewriting."""
     primary_rels: list[Word] = []
     wirt_rels: list[Word] = []
     fg_all = True
-    for k, alpha in enumerate(spec.polys, start=1):
-        x, u = f"x{k}", f"u{k}"
-        _, _, w, fg = _cyclic_data(alpha, x, u)
-        fg_all = fg_all and fg
-        primary_gens.append(x)
-        wirt_gens.append(u)
+    for alpha, (x, u) in zip(spec.polys, names):
+        beta = div_exact_t_minus_1(alpha - ONE)
+        w = normalize(
+            syl for i, b in beta.terms() for syl in (("t", i), (x, b), ("t", -i))
+        )
+        # Finitely generated commutator subgroup needs extremal coefficients
+        # of alpha equal to +-1.
+        fg_all = fg_all and abs(alpha.coeffs[0]) == 1 and abs(alpha.coeffs[-1]) == 1
         primary_rels.append(product(gen(x, -1), w, gen("t"), inverse(w), gen("t", -1)))
-        w_sub = _substitute_xt(w, x, u)
+        w_sub = substitute(w, {x: product(gen(u), gen("t", -1))})
         wirt_rels.append(product(gen(u, -1), w_sub, gen("t"), inverse(w_sub)))
-    primary = Presentation(tuple(primary_gens), tuple(primary_rels))
-    wirtinger = Presentation(tuple(wirt_gens), tuple(wirt_rels))
+    primary = Presentation(("t", *(x for x, _ in names)), tuple(primary_rels))
+    wirtinger = Presentation(("t", *(u for _, u in names)), tuple(wirt_rels))
     return RealizationResult(primary, wirtinger, "t", spec, fg_commutator=fg_all)
 
 
@@ -307,20 +244,17 @@ def realize_trotter(m: IntMatrix) -> RealizationResult:
     xs = [f"x{i}" for i in range(1, r + 1)]
     ys = [f"y{i}" for i in range(1, r + 1)]
     ss = [f"s{i}" for i in range(1, r + 1)]
-    primary_rels: list[Word] = []
-    for i in range(r):
-        prod_x = product(*(gen(xs[j], m[i, j]) for j in range(r) if m[i, j]))
-        primary_rels.append(product(gen(ys[i], -1), prod_x))
+    prod_x = [normalize((xs[j], m[i, j]) for j in range(r)) for i in range(r)]
+    primary_rels = [product(gen(ys[i], -1), prod_x[i]) for i in range(r)]
     for i in range(r):
         primary_rels.append(
             product(gen("t"), gen(ys[i]), gen("t", -1), gen(ys[i], -1), gen(xs[i]))
         )
     primary = Presentation(("t", *xs, *ys), tuple(primary_rels))
+    to_s = {xs[j]: product(gen(ss[j]), gen("t", -1)) for j in range(r)}
     wirt_rels = []
     for i in range(r):
-        y_i = product(
-            *(power(product(gen(ss[j]), gen("t", -1)), m[i, j]) for j in range(r) if m[i, j])
-        )
+        y_i = substitute(prod_x[i], to_s)
         wirt_rels.append(product(gen(ss[i], -1), y_i, gen("t"), inverse(y_i)))
     wirtinger = Presentation(("t", *ss), tuple(wirt_rels))
     return RealizationResult(primary, wirtinger, "t", spec)
@@ -390,20 +324,10 @@ def realize_lemma4(m: IntMatrix) -> RealizationResult:
     primary = Presentation(("t", *xs), primary_rels)
     ss = [f"s{i}" for i in range(1, r + 1)]
     # x_j = nu(x_j) evaluated at x_k -> mu(x_k) = s_k t^-1.
-    def to_s(word: Word) -> Word:
-        out: list[tuple[str, int]] = []
-        for g, e in word.syllables:
-            k = xs.index(g)
-            img = product(gen(ss[k]), gen("t", -1))
-            if e < 0:
-                img = inverse(img)
-            for _ in range(abs(e)):
-                out.extend(img.syllables)
-        return normalize(out)
-
+    to_s = {xs[k]: product(gen(ss[k]), gen("t", -1)) for k in range(r)}
     wirt_rels = []
     for i in range(r):
-        x_i = to_s(nu.images[i])
+        x_i = substitute(nu.images[i], to_s)
         wirt_rels.append(
             product(gen(ss[i], -1), inverse(x_i), gen("t"), x_i)
         )

@@ -8,14 +8,12 @@ Alexander matrix of a presentation with infinite cyclic abelianization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .laurent import (
     LambdaMatrix,
     LaurentPoly,
-    ZERO,
     det_lambda,
-    gcd_zt,
     lambda_matrix,
     laurent,
     normalize_unit,
@@ -133,37 +131,24 @@ def alexander_matrix(p: Presentation) -> LambdaMatrix:
     )
 
 
-def alexander_polynomial(p: Presentation) -> LaurentPoly:
+def alexander_polynomial(p: Presentation, drop: Optional[int] = None) -> LaurentPoly:
     """Alexander polynomial of a deficiency-1 presentation with infinite
     cyclic abelianization, normalized up to units.
 
-    Deletes the column of the first generator of weight +-1 and takes
-    the gcd of the maximal minors of the remaining matrix.
+    Deletes column ``drop`` (default: the first generator of weight +-1)
+    and takes the determinant of the remaining square matrix.
     """
     if deficiency(p) != 1:
         raise ValueError(f"deficiency is {deficiency(p)}, not 1")
     weights = weight_vector(p)
-    try:
-        drop = next(j for j, w in enumerate(weights) if abs(w) == 1)
-    except StopIteration:
-        raise ValueError("no generator of weight +-1")
+    if drop is None:
+        drop = next((j for j, w in enumerate(weights) if abs(w) == 1), None)
+        if drop is None:
+            raise ValueError("no generator of weight +-1")
+    elif abs(weights[drop]) != 1:
+        raise ValueError("deleted column must have weight +-1")
     if not p.relators:
         return t_power(0)  # free group of rank 1: unknot module
-    m = alexander_matrix(p)
-    reduced = [
-        [entry for j, entry in enumerate(row) if j != drop] for row in m.entries
-    ]
-    return normalize_unit(det_lambda(lambda_matrix(reduced)))
-
-
-def alexander_polynomial_dropping(p: Presentation, drop: int) -> LaurentPoly:
-    """Like :func:`alexander_polynomial` but with an explicit deleted
-    column (used to test column-choice independence)."""
-    if deficiency(p) != 1 or not p.relators:
-        raise ValueError("needs deficiency 1 and at least one relator")
-    weights = weight_vector(p)
-    if abs(weights[drop]) != 1:
-        raise ValueError("deleted column must have weight +-1")
     m = alexander_matrix(p)
     reduced = [
         [entry for j, entry in enumerate(row) if j != drop] for row in m.entries

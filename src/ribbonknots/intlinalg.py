@@ -37,11 +37,6 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
-    def transpose(self) -> "IntMatrix":
-        if not self.entries:
-            return IntMatrix(tuple(() for _ in range(self.empty_cols)))
-        return IntMatrix(tuple(zip(*self.entries)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")

@@ -8,9 +8,7 @@ an empty run.  Everything here is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -134,18 +132,6 @@ def div_exact_t_minus_1(p: LaurentPoly) -> LaurentPoly:
     return from_coeffs(out, p.low)
 
 
-def evaluate_at_int(p: LaurentPoly, k: int) -> Union[int, Fraction]:
-    """Exact value of ``p`` at ``t = k`` (a Fraction when low < 0)."""
-    if k == 0 and p.low < 0:
-        raise ValueError("cannot evaluate negative powers at t = 0")
-    total: Union[int, Fraction] = 0
-    for e, c in p.terms():
-        total += c * (Fraction(1, k) ** (-e) if e < 0 else k**e)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
-
-
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     """Multiply by a unit (+-t^k) so low = 0 and the constant term is
     positive; fixes the printed form of Alexander polynomials."""
@@ -157,61 +143,6 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
 
 def eq_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
     return normalize_unit(p) == normalize_unit(q)
-
-
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g
-
-
-def _primitive(p: LaurentPoly) -> LaurentPoly:
-    c = _content(p.coeffs)
-    if c <= 1:
-        return normalize_unit(p)
-    return normalize_unit(LaurentPoly(p.low, tuple(x // c for x in p.coeffs)))
-
-
-def _pseudo_rem(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Pseudo-remainder of a by b in Z[t] (lows shifted to 0)."""
-    a, b = normalize_unit(a), normalize_unit(b)
-    lead = b.coeffs[-1]
-    db = len(b.coeffs) - 1
-    while not a.is_zero() and len(a.coeffs) - 1 >= db:
-        da = len(a.coeffs) - 1
-        a = poly_mul(a, t_power(0, lead)) - poly_mul(b, t_power(da - db, a.coeffs[-1]))
-        a = LaurentPoly(0, a.coeffs) if not a.is_zero() else ZERO
-    return a
-
-
-def gcd_zt(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Gcd in Z[t] up to units, via content and a primitive remainder
-    sequence (Gauss's lemma); result is unit-normalized."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials")
-    if p.is_zero():
-        return normalize_unit(q)
-    if q.is_zero():
-        return normalize_unit(p)
-    content = gcd(_content(p.coeffs), _content(q.coeffs))
-    a, b = _primitive(p), _primitive(q)
-    while not b.is_zero():
-        a, b = b, _pseudo_rem(a, b)
-        if not b.is_zero():
-            b = _primitive(b)
-    return normalize_unit(poly_mul(a, t_power(0, content)))
-
-
-def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """Whether p divides q in Z[t, t^-1]."""
-    if q.is_zero():
-        return True
-    if p.is_zero():
-        return False
-    quotient, rem = _divmod_zt(normalize_unit(q), normalize_unit(p))
-    del quotient
-    return rem is not None and rem.is_zero()
 
 
 def _divmod_zt(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly | None]:
@@ -333,12 +264,6 @@ def _det_bareiss(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
     if sign < 0:
         det = poly_neg(det)
     return poly_mul(det, t_power(shift))
-
-
-def identity_lambda(n: int) -> LambdaMatrix:
-    return lambda_matrix(
-        [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
 
 
 def parse_poly_line(text: str) -> LaurentPoly:

@@ -21,13 +21,15 @@ from .intlinalg import (
 from .words import (
     Word,
     check_generator_name,
-    cyclic_reduce,
+    cyclic_letters,
+    cyclic_variants,
     exponent_sums,
     gen,
     inverse,
     normalize,
     parse_word,
     product,
+    substitute,
 )
 
 
@@ -116,12 +118,7 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _cyclic_letters(r: Word) -> list[tuple[str, int]]:
-    core, _ = cyclic_reduce(r)
-    return list(core.letters())
-
-
-def _match_wirtinger(letters: list[tuple[str, int]]) -> Optional[tuple[str, str, Word]]:
+def _match_wirtinger(letters: Sequence[tuple[str, int]]) -> Optional[tuple[str, str, Word]]:
     """Find the pattern g_j . w . g_i^-1 . w^-1 in a cyclic word.
 
     Returns the lexicographically least (origin, terminus, label-text)
@@ -132,20 +129,16 @@ def _match_wirtinger(letters: list[tuple[str, int]]) -> Optional[tuple[str, str,
         return None
     half = (n - 2) // 2
     best = None
-    for oriented in (letters, [(g, -s) for g, s in reversed(letters)]):
-        for shift in range(n):
-            rot = oriented[shift:] + oriented[:shift]
-            if rot[0][1] != 1 or rot[half + 1][1] != -1:
-                continue
-            w = rot[1 : half + 1]
-            w_inv = [(g, -s) for g, s in reversed(w)]
-            if rot[half + 2 :] != w_inv:
-                continue
-            terminus, origin = rot[0][0], rot[half + 1][0]
-            label = normalize(w)
-            key = (origin, terminus, str(label))
-            if best is None or key < best:
-                best = key
+    for rot in cyclic_variants(letters):
+        if rot[0][1] != 1 or rot[half + 1][1] != -1:
+            continue
+        w = rot[1 : half + 1]
+        if rot[half + 2 :] != tuple((g, -s) for g, s in reversed(w)):
+            continue
+        terminus, origin = rot[0][0], rot[half + 1][0]
+        key = (origin, terminus, str(normalize(w)))
+        if best is None or key < best:
+            best = key
     if best is None:
         return None
     origin, terminus, label_text = best
@@ -160,8 +153,7 @@ def is_wirtinger(p: Presentation) -> Union[LOG, NotWirtinger]:
     """
     edges = []
     for idx, r in enumerate(p.relators):
-        letters = _cyclic_letters(r)
-        match = _match_wirtinger(letters)
+        match = _match_wirtinger(cyclic_letters(r))
         if match is None:
             return NotWirtinger(f"relator {idx} ({r}) is not a conjugation relation")
         origin, terminus, label = match
@@ -250,18 +242,6 @@ def introduce_generator(p: Presentation, name: str, defining: Word) -> Presentat
     return Presentation(p.generators + (name,), p.relators + (relator,))
 
 
-def substitute(w: Word, target: str, replacement: Word) -> Word:
-    out: list[tuple[str, int]] = []
-    for g, e in w.syllables:
-        if g == target:
-            img = replacement if e > 0 else inverse(replacement)
-            for _ in range(abs(e)):
-                out.extend(img.syllables)
-        else:
-            out.append((g, e))
-    return normalize(out)
-
-
 def eliminate_generator(
     p: Presentation, target: str, replacement: Word, relator_index: int
 ) -> Presentation:
@@ -283,27 +263,11 @@ def eliminate_generator(
         raise ValueError(f"replacement uses unknown generators {sorted(unknown)}")
     generators = tuple(g for g in p.generators if g != target)
     relators = tuple(
-        substitute(r, target, replacement)
+        substitute(r, {target: replacement})
         for i, r in enumerate(p.relators)
         if i != relator_index
     )
     return Presentation(generators, relators)
-
-
-def defining_relator_matches(p: Presentation, target: str, replacement: Word, relator_index: int) -> bool:
-    """Whether the designated relator is freely equal, up to cyclic
-    rotation and inversion, to ``target . replacement^-1``."""
-    wanted, _ = cyclic_reduce(product(gen(target), inverse(replacement)))
-    got, _ = cyclic_reduce(p.relators[relator_index])
-    for candidate in (got, inverse(got)):
-        letters = list(candidate.letters())
-        if len(letters) != len(list(wanted.letters())):
-            continue
-        for shift in range(max(1, len(letters))):
-            rotated = normalize(letters[shift:] + letters[:shift])
-            if rotated == wanted:
-                return True
-    return False
 
 
 def dot_export(g: LOG) -> str:

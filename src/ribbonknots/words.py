@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -115,10 +115,7 @@ def inverse(a: Word) -> Word:
 def power(a: Word, n: int) -> Word:
     if n < 0:
         return power(inverse(a), -n)
-    out = IDENTITY
-    for _ in range(n):
-        out = product(out, a)
-    return out
+    return normalize(a.syllables * n)
 
 
 def conjugate(a: Word, by: Word) -> Word:
@@ -141,6 +138,28 @@ def cyclic_reduce(a: Word) -> tuple[Word, Word]:
             prefix.append((g, -e1))
             core = normalize([(g, e0 + e1)] + list(core.syllables[1:-1]))
     return core, normalize(prefix)
+
+
+def cyclic_letters(w: Word) -> tuple[tuple[str, int], ...]:
+    """Letters of a cyclically reduced conjugate of ``w``: matching
+    inverse letters are peeled off both ends."""
+    letters = tuple(w.letters())
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == (letters[j - 1][0], -letters[j - 1][1]):
+        i += 1
+        j -= 1
+    return letters[i:j]
+
+
+def cyclic_variants(
+    letters: Sequence[tuple[str, int]],
+) -> Iterator[tuple[tuple[str, int], ...]]:
+    """Every rotation of the cyclic word ``letters``, then every rotation
+    of its inverse."""
+    forward = tuple(letters)
+    for cand in (forward, tuple((g, -s) for g, s in reversed(forward))):
+        for shift in range(len(cand)):
+            yield cand[shift:] + cand[:shift]
 
 
 def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
@@ -169,16 +188,6 @@ class FreeEndo:
         for g in self.domain:
             check_generator_name(g)
 
-    @property
-    def rank(self) -> int:
-        return len(self.domain)
-
-    def image_of(self, name: str) -> Word:
-        try:
-            return self.images[self.domain.index(name)]
-        except ValueError:
-            raise ValueError(f"generator {name!r} not in endomorphism domain")
-
     def abelianization_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Row i = exponent sums of the image of the i-th generator."""
         return tuple(exponent_sums(img, self.domain) for img in self.images)
@@ -188,15 +197,16 @@ def identity_endo(domain: Sequence[str]) -> FreeEndo:
     return FreeEndo(tuple(domain), tuple(gen(g) for g in domain))
 
 
-def apply_endo(f: FreeEndo, w: Word) -> Word:
-    """Substitute generator images and freely reduce."""
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """Replace each generator by its image and freely reduce; generators
+    missing from ``images`` stay as they are."""
     out: list[tuple[str, int]] = []
     for g, e in w.syllables:
-        img = f.image_of(g)
-        if e < 0:
-            img = inverse(img)
-        for _ in range(abs(e)):
-            out.extend(img.syllables)
+        img = images.get(g)
+        if img is None:
+            out.append((g, e))
+        else:
+            out.extend((img if e > 0 else inverse(img)).syllables * abs(e))
     return normalize(out)
 
 
@@ -204,7 +214,8 @@ def compose_endo(f: FreeEndo, g: FreeEndo) -> FreeEndo:
     """The endomorphism ``x -> f(g(x))`` on a common domain."""
     if f.domain != g.domain:
         raise ValueError("endomorphism domains differ")
-    return FreeEndo(f.domain, tuple(apply_endo(f, img) for img in g.images))
+    images = dict(zip(f.domain, f.images))
+    return FreeEndo(f.domain, tuple(substitute(img, images) for img in g.images))
 
 
 def parse_word(text: str) -> Word:

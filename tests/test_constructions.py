@@ -38,7 +38,7 @@ from ribbonknots.laurent import (
     normalize_unit,
 )
 from ribbonknots.presentations import abelianization, deficiency, is_wirtinger, LOG
-from ribbonknots.words import apply_endo, compose_endo, gen
+from ribbonknots.words import compose_endo, gen
 
 
 def test_admissibility_checks():

@@ -8,7 +8,6 @@ from ribbonknots.fox import (
     abelianize_to_lambda,
     alexander_matrix,
     alexander_polynomial,
-    alexander_polynomial_dropping,
     fox_derivative,
     fundamental_identity_holds,
     ring_elem,
@@ -73,7 +72,7 @@ def test_alexander_matrix_shape_and_columns():
     w = weight_vector(p)
     # column-choice independence across weight +-1 generators
     polys = [
-        alexander_polynomial_dropping(p, j) for j, wt in enumerate(w) if abs(wt) == 1
+        alexander_polynomial(p, drop=j) for j, wt in enumerate(w) if abs(wt) == 1
     ]
     for q in polys[1:]:
         assert eq_up_to_unit(polys[0], q)

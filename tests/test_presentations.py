@@ -8,7 +8,6 @@ from ribbonknots.presentations import (
     abelianization,
     apply_tietze_script,
     deficiency,
-    defining_relator_matches,
     dot_export,
     eliminate_generator,
     expand_length1,
@@ -127,12 +126,6 @@ def test_tietze_preserves_coset_enumeration():
         killed = Presentation(q.generators, q.relators + (parse_word("a"),))
         t = todd_coxeter(killed, (), 100)
         assert t.closed and t.n_cosets == 1
-
-
-def test_defining_relator_matches():
-    p = parse_presentation("gens x y\nrel y x^-2")
-    assert defining_relator_matches(p, "y", parse_word("x^2"), 0)
-    assert not defining_relator_matches(p, "y", parse_word("x"), 0)
 
 
 def test_parse_format_roundtrip():

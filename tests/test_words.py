@@ -6,7 +6,6 @@ from ribbonknots.words import (
     FreeEndo,
     IDENTITY,
     Word,
-    apply_endo,
     compose_endo,
     conjugate,
     cyclic_reduce,
@@ -18,6 +17,7 @@ from ribbonknots.words import (
     parse_word,
     power,
     product,
+    substitute,
     word,
 )
 
@@ -94,7 +94,9 @@ def test_exponent_sums():
 def test_endo_apply_and_compose():
     f = FreeEndo(("x", "y"), (parse_word("x y"), gen("y")))
     g = FreeEndo(("x", "y"), (gen("y"), gen("x")))
-    assert apply_endo(f, parse_word("x^-1")) == parse_word("y^-1 x^-1")
+    assert substitute(parse_word("x^-1"), dict(zip(f.domain, f.images))) == parse_word("y^-1 x^-1")
+    # generators without an image stay as they are
+    assert substitute(parse_word("x z^2 x^-1"), {"x": parse_word("y")}) == parse_word("y z^2 y^-1")
     fg = compose_endo(f, g)  # x -> f(g(x))
     assert fg.images == (gen("y"), parse_word("x y"))
     assert compose_endo(f, identity_endo(("x", "y"))).images == f.images
