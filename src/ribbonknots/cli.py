@@ -9,6 +9,7 @@ diagnostics go to stderr; artifacts go to stdout or to files.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -46,8 +47,20 @@ class CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Read negative coefficient lists such as "-1,1,1" or
+        # "-1,1;2,-1" as option values, the way argparse reads "-1".
+        self._negative_number_matcher = re.compile(r"^-\d+([,;]-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CLIError(message)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -72,7 +85,7 @@ def _load_module_spec(path: str) -> constructions.KnotModuleSpec:
 
     try:
         return constructions.parse_module_spec(_read(path), read_file)
-    except (ValueError, constructions.AdmissibilityError) as exc:
+    except ValueError as exc:  # AdmissibilityError included
         raise CLIError(f"{path}: {exc}")
 
 
@@ -89,8 +102,11 @@ def _parse_orders(text: str) -> list[int]:
 def _write_or_stdout(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}")
 
 
 def build_parser() -> _Parser:
@@ -129,7 +145,7 @@ def build_parser() -> _Parser:
     p_tc.add_argument(
         "--subgroup", default="", help="subgroup generator words, ';'-separated"
     )
-    p_tc.add_argument("--max-cosets", type=int, default=10_000)
+    p_tc.add_argument("--max-cosets", type=_positive_int, default=10_000)
 
     p_ac = sub.add_parser("ac-search", help="bounded Andrews-Curtis trivialization search")
     p_ac.add_argument("presentation")
@@ -153,7 +169,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--module", required=True, help="module-spec file")
     p_verify.add_argument("-N", "--orders", required=True, help="e.g. 2,3,4")
     p_verify.add_argument("--meridian", required=True)
-    p_verify.add_argument("--max-cosets", type=int, default=10_000)
+    p_verify.add_argument("--max-cosets", type=_positive_int, default=10_000)
 
     return parser
 
@@ -162,27 +178,23 @@ def _cmd_realize(args) -> int:
     if args.construction in ("cyclic", "sum"):
         if not args.coeffs:
             raise CLIError(f"realize {args.construction} needs --coeffs")
-        try:
-            if args.construction == "cyclic":
-                result = constructions.realize_cyclic(parse_coeffs(args.coeffs))
-            else:
-                polys = [parse_coeffs(part) for part in args.coeffs.split(";")]
-                result = constructions.realize_sum(polys)
-        except (ValueError, constructions.AdmissibilityError) as exc:
-            raise CLIError(str(exc))
-    else:
-        if not args.matrix:
-            raise CLIError(f"realize {args.construction} needs --matrix")
-        try:
-            m = parse_matrix(_read(args.matrix))
+    elif not args.matrix:
+        raise CLIError(f"realize {args.construction} needs --matrix")
+    try:
+        if args.construction == "cyclic":
+            result = constructions.realize_cyclic(parse_coeffs(args.coeffs))
+        elif args.construction == "sum":
+            polys = [parse_coeffs(part) for part in args.coeffs.split(";")]
+            result = constructions.realize_sum(polys)
+        else:
             builder = {
                 "trotter": constructions.realize_trotter,
                 "lemma4": constructions.realize_lemma4,
                 "lemma3": constructions.realize_lemma3_group,
             }[args.construction]
-            result = builder(m)
-        except (ValueError, constructions.AdmissibilityError) as exc:
-            raise CLIError(str(exc))
+            result = builder(parse_matrix(_read(args.matrix)))
+    except ValueError as exc:  # AdmissibilityError included
+        raise CLIError(str(exc))
 
     want_wirtinger = args.emit in ("wirtinger", "both")
     if want_wirtinger and not result.wirtinger_available:
@@ -203,7 +215,7 @@ def _cmd_realize(args) -> int:
         log = is_wirtinger(result.wirtinger_presentation)
         if isinstance(log, NotWirtinger):
             raise CLIError(f"emitted presentation not recognized: {log.reason}")
-        Path(args.dot).write_text(dot_export(log))
+        _write_or_stdout(dot_export(log), args.dot)
     return EXIT_OK
 
 

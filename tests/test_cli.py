@@ -176,3 +176,38 @@ def test_emitted_presentations_reparse(capsys, corpus):
         code, out, _ = run(capsys, "realize", name, "--coeffs", "2,-3,2", "--emit", "wirtinger")
         assert code == 0
         parse_presentation(out)
+
+
+def test_realize_negative_coeffs(capsys):
+    # A leading "-" in the value must not be read as an option.
+    code, out, _ = run(capsys, "realize", "cyclic", "--coeffs", "-1,1,1", "--emit", "hnn")
+    assert (code, out) == run(capsys, "realize", "cyclic", "--coeffs=-1,1,1", "--emit", "hnn")[:2]
+    assert code == 0 and "gens t x" in out
+    code, out, _ = run(capsys, "realize", "sum", "--coeffs", "-1,1,1;1,-1,1", "--emit", "wirtinger")
+    assert code == 0 and "gens t u1 u2" in out
+
+
+def test_max_cosets_must_be_positive(capsys, corpus):
+    pres = str(corpus / "spun_trefoil.pres")
+    for value in ("0", "-3", "x"):
+        code, out, err = run(
+            capsys, "verify", pres, "--module", str(corpus / "spun_trefoil.module"),
+            "-N", "2", "--meridian", "t", "--max-cosets", value,
+        )
+        assert code == 3 and out == "" and err.startswith("error: argument --max-cosets")
+        code, _, err = run(capsys, "tc", pres, "--max-cosets", value)
+        assert code == 3 and err.count("\n") == 1
+
+
+def test_unwritable_output_path(capsys, corpus, tmp_path):
+    target = str(tmp_path / "missing-dir" / "out.txt")
+    pres = str(corpus / "spun_trefoil.pres")
+    for argv in (
+        ("realize", "cyclic", "--coeffs", "1,-1,1", "--dot", target),
+        ("lot", pres, "--dot", target),
+        ("ac-search", pres, "--kill", "t", "--max-len", "32", "--max-depth", "12",
+         "--emit-moves", target),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
