@@ -309,10 +309,15 @@ def diagonal_of(s: IntMatrix) -> tuple[int, ...]:
 def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
     """Invariants of ``Z^cols / row-span(m)`` (rows are relations)."""
     _, s, _ = smith_normal_form(m)
-    diag = diagonal_of(s)
+    return diagonal_invariants(diagonal_of(s), m.cols)
+
+
+def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:
+    """Invariants of the cokernel of a Smith normal form with diagonal
+    ``diag`` and ``cols`` columns."""
     nonzero = [d for d in diag if d != 0]
     return AbelianGroupInvariants(
-        free_rank=m.cols - len(nonzero),
+        free_rank=cols - len(nonzero),
         torsion=tuple(d for d in nonzero if d >= 2),
     )
 

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
+    diagonal_invariants,
     diagonal_of,
     int_matrix,
     smith_normal_form,
@@ -101,12 +102,12 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
     Sign-normalized so the first generator with nonzero weight maps
     to +1.
     """
-    inv = abelianization(p)
-    if inv != AbelianGroupInvariants(1):
-        raise ValueError(f"abelianization is {inv}, not Z")
     e = exponent_matrix(p)
     _, s, v = smith_normal_form(e)
     diag = diagonal_of(s)
+    inv = diagonal_invariants(diag, e.cols)
+    if inv != AbelianGroupInvariants(1):
+        raise ValueError(f"abelianization is {inv}, not Z")
     # The free coordinate of Z^gens / rowspan, in the V-changed basis.
     free = [j for j in range(e.cols) if j >= len(diag) or diag[j] == 0]
     assert len(free) == 1

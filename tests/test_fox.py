@@ -13,6 +13,7 @@ from ribbonknots.fox import (
     ring_elem,
     word_elem,
 )
+from ribbonknots.constructions import realize_cyclic
 from ribbonknots.laurent import eq_up_to_unit, from_coeffs, laurent
 from ribbonknots.presentations import parse_presentation, weight_vector
 from ribbonknots.words import IDENTITY, gen, normalize, parse_word
@@ -76,6 +77,17 @@ def test_alexander_matrix_shape_and_columns():
     ]
     for q in polys[1:]:
         assert eq_up_to_unit(polys[0], q)
+
+
+def test_alexander_degree_40_cyclic():
+    # A 1,630-letter Wirtinger relator; the group-ring Fox path took
+    # over a minute on relators of this length.
+    rng = random.Random(0)
+    b = [rng.choice((-1, 1)) * rng.randint(6, 14) for _ in range(40)]
+    alpha = from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, 40)] + [b[-1]])
+    p = realize_cyclic(alpha).wirtinger_presentation
+    assert sum(len(r) for r in p.relators) > 1500
+    assert eq_up_to_unit(alexander_polynomial(p), alpha)
 
 
 def test_alexander_unknot_and_errors():

@@ -51,7 +51,7 @@ def test_weight_vector():
         "gens b t\nrel b^-3 t^-1 b^4 t b^-3 t^-1 b^4 t b^-3"
     )
     assert weight_vector(yoshikawa) == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^abelianization is Z \+ Z/2, not Z$"):
         weight_vector(parse_presentation("gens a b\nrel a b a b^-1"))
 
 

@@ -1,4 +1,5 @@
-"""Property tests of the word kernel and of the consumers of cyclic words."""
+"""Property tests of the word kernel, of the consumers of cyclic words
+and of the one-pass Alexander matrix."""
 
 import pytest
 
@@ -6,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ribbonknots.acmoves import ACPresentation, canonical_form  # noqa: E402
+from ribbonknots.fox import abelianize_to_lambda, alexander_matrix, fox_derivative  # noqa: E402
 from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
 from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
 
@@ -69,3 +71,21 @@ def test_is_wirtinger_invariant_under_rotation_and_inversion(rels, k, invert):
     assert isinstance(after, LOG) == isinstance(before, LOG)
     if isinstance(before, LOG):
         assert after == before
+
+
+def powered_words():
+    """Words whose syllables have exponents of magnitude 2 to 5 (before
+    free reduction merges neighbours)."""
+    syllable = st.tuples(st.sampled_from(GENS), st.integers(-5, 5).filter(lambda e: abs(e) >= 2))
+    return st.lists(syllable, max_size=8).map(normalize)
+
+
+@PROPERTY
+@given(st.lists(powered_words(), min_size=1, max_size=3),
+       st.tuples(*[st.sampled_from((-2, -1, 0, 1, 2))] * len(GENS)))
+def test_alexander_matrix_matches_group_ring_fox(rels, weights):
+    m = alexander_matrix(Presentation(GENS, tuple(rels)), weights)
+    named = dict(zip(GENS, weights))
+    for r, row in zip(rels, m.entries):
+        for g, entry in zip(GENS, row):
+            assert entry == abelianize_to_lambda(fox_derivative(r, g), named)
