@@ -169,8 +169,14 @@ def apply_moves(p: ACPresentation, moves: Sequence[ACMove]) -> ACPresentation:
 
 
 def canonical_form(p: ACPresentation) -> tuple:
-    """Hashable key invariant under relator inversion, cyclic rotation,
-    relator reordering, and generator renaming."""
+    """Hashable key invariant under relator inversion, cyclic rotation
+    and relator reordering.
+
+    Generators are numbered in order of first appearance in the sorted
+    least rotations, which are compared by name first.  So the key is
+    not invariant under renaming generators: ``(a b^2, b)`` and its
+    a <-> b renaming ``(b a^2, a)`` get different keys.
+    """
     reduced = sorted(min(cyclic_variants(cyclic_letters(r)), default=()) for r in p.relators)
     rename: dict[str, int] = {}
     keyed = tuple(

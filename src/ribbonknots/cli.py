@@ -208,14 +208,15 @@ def _cmd_realize(args) -> int:
         chunks.append(
             "# wirtinger\n" + format_presentation(result.wirtinger_presentation)
         )
-    sys.stdout.write("".join(chunks))
     if args.dot:
+        # Validate and write the DOT file first, so a failure leaves stdout empty.
         if not result.wirtinger_available:
             raise CLIError("--dot needs a Wirtinger form")
         log = is_wirtinger(result.wirtinger_presentation)
         if isinstance(log, NotWirtinger):
             raise CLIError(f"emitted presentation not recognized: {log.reason}")
         _write_or_stdout(dot_export(log), args.dot)
+    sys.stdout.write("".join(chunks))
     return EXIT_OK
 
 

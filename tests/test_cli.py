@@ -208,6 +208,6 @@ def test_unwritable_output_path(capsys, corpus, tmp_path):
         ("ac-search", pres, "--kill", "t", "--max-len", "32", "--max-depth", "12",
          "--emit-moves", target),
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 3, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
