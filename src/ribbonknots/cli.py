@@ -33,6 +33,7 @@ from .presentations import (
     is_wirtinger,
     parse_presentation,
     parse_tietze_script,
+    weight_vector,
 )
 from .words import parse_word
 
@@ -234,12 +235,13 @@ def _cmd_covers(args) -> int:
     p = _load_presentation(args.presentation)
     orders = _parse_orders(args.orders)
     spec = _load_module_spec(args.module) if args.module else None
+    try:
+        weights = weight_vector(p)
+    except ValueError as exc:
+        raise CLIError(str(exc))
     code = EXIT_OK
     for n in orders:
-        try:
-            inv = covers.cover_homology(p, n)
-        except ValueError as exc:
-            raise CLIError(str(exc))
+        inv = covers.cover_homology(p, n, weights)
         if spec is None:
             print(f"N={n}: {inv}")
         else:
@@ -336,9 +338,10 @@ def _cmd_verify(args) -> int:
             )
         except ValueError as exc:
             rows.append(("alexander", "FAIL", str(exc)))
+        weights = weight_vector(p)  # cannot fail: the abelianization is Z
         for n in orders:
             report = covers.CoverReport(
-                n, covers.cover_homology(p, n), covers.module_cover_homology(spec, n)
+                n, covers.cover_homology(p, n, weights), covers.module_cover_homology(spec, n)
             )
             rows.append(
                 (f"covers-N{n}", "PASS" if report.agrees else "FAIL",

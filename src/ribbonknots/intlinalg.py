@@ -11,6 +11,7 @@ generators.  Row indices in elementary operations are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence, Union
 
 
@@ -307,9 +308,85 @@ def diagonal_of(s: IntMatrix) -> tuple[int, ...]:
 
 
 def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
-    """Invariants of ``Z^cols / row-span(m)`` (rows are relations)."""
-    _, s, _ = smith_normal_form(m)
-    return diagonal_invariants(diagonal_of(s), m.cols)
+    """Invariants of ``Z^cols / row-span(m)`` (rows are relations).
+
+    Invariants-only Smith form by sparse elimination, without the
+    transforms of :func:`smith_normal_form`.  Rows are ``{col: value}``
+    dicts, with a column -> rows index.  Each step takes a nonzero of
+    least absolute value (ties: least Markowitz cost
+    ``(row nnz - 1) * (col nnz - 1)``, then least ``(row, col)``), clears
+    its column by floor-quotient row operations, then reduces the rest of
+    its row mod the pivot; that column operation touches only the pivot
+    row, because the pivot column is already clear.  Any remainder is
+    smaller than the pivot and becomes the next pivot search's bound.  An
+    isolated pivot is recorded and its row and column dropped.  The
+    recorded pivots become a divisor chain by one gcd/lcm pass.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, entries in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(entries) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    nonunits: list[int] = []
+    while rows:
+        least = min(abs(x) for row in rows.values() for x in row.values())
+        cost = i0 = j0 = -1
+        for i, row in rows.items():
+            row_cost = len(row) - 1
+            for j, x in row.items():
+                if x == least or x == -least:
+                    c = row_cost * (len(cols[j]) - 1)
+                    if cost < 0 or c < cost or (c == cost and i == i0 and j < j0):
+                        cost, i0, j0 = c, i, j
+            if cost == 0:
+                break  # rows come in increasing order: no later key is less
+        pivot_row = rows[i0]
+        p = pivot_row[j0]
+        dirty = False
+        for i in [i for i in cols[j0] if i != i0]:
+            row = rows[i]
+            q = row[j0] // p
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if j0 in row:
+                dirty = True
+            elif not row:
+                del rows[i]
+        if dirty:
+            continue
+        for j in [j for j in pivot_row if j != j0]:
+            r = pivot_row[j] % p
+            if r:
+                pivot_row[j] = r
+                dirty = True
+            else:
+                del pivot_row[j]
+                cols[j].discard(i0)
+        if dirty:
+            continue
+        del rows[i0], cols[j0]
+        if p in (1, -1):
+            units += 1
+        else:
+            nonunits.append(abs(p))
+    # (a, b) -> (gcd, lcm) keeps the group; after position a has met every
+    # later entry it divides all of them.
+    for a in range(len(nonunits)):
+        for b in range(a + 1, len(nonunits)):
+            g = gcd(nonunits[a], nonunits[b])
+            nonunits[a], nonunits[b] = g, nonunits[a] // g * nonunits[b]
+    return diagonal_invariants([1] * units + nonunits, m.cols)
 
 
 def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:

@@ -2,6 +2,7 @@ import pytest
 
 from ribbonknots.constructions import (
     cyclic_module,
+    parse_module_spec,
     realize_cyclic,
     realize_trotter,
     trotter_module,
@@ -77,3 +78,20 @@ def test_explicit_weights_and_errors():
         cyclic_cover_presentation(SPUN_TREFOIL, 0)
     with pytest.raises(ValueError):
         cyclic_cover_presentation(SPUN_TREFOIL, 2, weights=(1,))
+
+
+def test_rank3_trotter_n64_sides_agree():
+    # 192 x 192 module matrix; the group side is a 192 x 193 exponent
+    # matrix.  Each side took seconds with the dense, transform-tracking SNF.
+    res = realize_trotter(int_matrix([[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]))
+    group = cover_homology(res.verification_presentation(), 64)
+    assert group == module_cover_homology(res.module_spec, 64)
+
+
+def test_corpus_spun_trefoil_n6_singular_module_side(corpus):
+    # 1 - t + t^2 divides t^6 - 1, so the 6 x 6 module matrix is singular.
+    p = parse_presentation((corpus / "spun_trefoil.pres").read_text())
+    spec = parse_module_spec(
+        (corpus / "spun_trefoil.module").read_text(), lambda rel: (corpus / rel).read_text()
+    )
+    assert cover_homology(p, 6) == module_cover_homology(spec, 6) == AbelianGroupInvariants(3)

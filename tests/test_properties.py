@@ -1,5 +1,5 @@
-"""Property tests of the word kernel, of the consumers of cyclic words
-and of the one-pass Alexander matrix."""
+"""Property tests of the word kernel, of the consumers of cyclic words,
+of the one-pass Alexander matrix and of the sparse cokernel invariants."""
 
 import pytest
 
@@ -8,6 +8,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ribbonknots.acmoves import ACPresentation, canonical_form  # noqa: E402
 from ribbonknots.fox import abelianize_to_lambda, alexander_matrix, fox_derivative  # noqa: E402
+from ribbonknots.intlinalg import (  # noqa: E402
+    AbelianGroupInvariants,
+    IntMatrix,
+    cokernel_invariants,
+    diagonal_invariants,
+    diagonal_of,
+    int_matrix,
+    smith_normal_form,
+)
 from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
 from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
 
@@ -89,3 +98,86 @@ def test_alexander_matrix_matches_group_ring_fox(rels, weights):
     for r, row in zip(rels, m.entries):
         for g, entry in zip(GENS, row):
             assert entry == abelianize_to_lambda(fox_derivative(r, g), named)
+
+
+def dense_matrices(max_dim=6, bound=50):
+    """Any shape from 0 x 0 to 6 x 6, about half the entries zero, so
+    zero rows and columns occur."""
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entry, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        ).map(lambda grid: int_matrix(grid, cols=shape[1]))
+    )
+
+
+def low_rank_matrices(max_dim=6):
+    """Products ``A @ B`` of an r x k and a k x c matrix with k < r, c:
+    singular, with torsion from the factors' entries."""
+    def factor(rows, cols):
+        return st.lists(
+            st.lists(st.integers(-7, 7), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows,
+        ).map(int_matrix)
+
+    def product_of(shape):
+        r, k, c = shape
+        return st.tuples(factor(r, k), factor(k, c)).map(lambda ab: ab[0] @ ab[1])
+
+    return st.tuples(
+        st.integers(2, max_dim), st.integers(1, 2), st.integers(2, max_dim)
+    ).filter(lambda s: s[1] < min(s[0], s[2])).flatmap(product_of)
+
+
+def block_circulant_matrices(max_rank=3, max_order=8):
+    """The Kronecker substitution t -> (N x N cyclic shift) applied to an
+    r x r matrix of sparse Laurent polynomials, as the module side of the
+    cover-homology oracle builds it."""
+    term = st.tuples(st.integers(-2, 2), st.integers(-3, 3).filter(bool))
+    entry = st.one_of(st.just(()), st.lists(term, max_size=2))
+
+    def substitute(args):
+        r, n, polys = args
+        grid = [[0] * (r * n) for _ in range(r * n)]
+        for i in range(r):
+            for j in range(r):
+                for e, c in polys[i * r + j]:
+                    for a in range(n):
+                        grid[i * n + a][j * n + (a + e) % n] += c
+        return int_matrix(grid, cols=r * n)
+
+    return st.tuples(st.integers(1, max_rank), st.integers(1, max_order)).flatmap(
+        lambda rn: st.tuples(
+            st.just(rn[0]), st.just(rn[1]),
+            st.lists(entry, min_size=rn[0] ** 2, max_size=rn[0] ** 2),
+        )
+    ).map(substitute)
+
+
+def check_against_sympy(m: IntMatrix) -> None:
+    """``cokernel_invariants`` agrees with sympy's invariant factors over
+    ZZ and with the diagonal of this package's transform-tracking SNF."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    flat = [x for row in m.entries for x in row]
+    factors = invariant_factors(sympy.Matrix(m.rows, m.cols, flat), domain=sympy.ZZ)
+    nonzero = [abs(int(d)) for d in factors if d != 0]
+    expected = AbelianGroupInvariants(m.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+    got = cokernel_invariants(m)
+    assert got == expected
+    _, s, _ = smith_normal_form(m)
+    assert got == diagonal_invariants(diagonal_of(s), m.cols)
+
+
+@PROPERTY
+@given(st.one_of(dense_matrices(), low_rank_matrices()))
+def test_cokernel_invariants_match_sympy_snf(m):
+    check_against_sympy(m)
+
+
+@PROPERTY
+@given(block_circulant_matrices())
+def test_cokernel_invariants_match_sympy_snf_block_circulant(m):
+    check_against_sympy(m)
