@@ -207,17 +207,38 @@ def lambda_matrix(
 def det_lambda(m: LambdaMatrix) -> LaurentPoly:
     """Exact determinant over Z[t, t^-1].
 
-    Cofactor expansion for small sizes, fraction-free Bareiss (exact
-    divisions in Z[t]) above that.
+    While some row or column holds at most one nonzero entry, expand
+    along it: a zero row or column gives 0, a lone entry a_ij multiplies
+    a running factor by (-1)^(i+j) a_ij and its row and column go.  The
+    core that is left takes cofactor expansion for size <= 4 and
+    fraction-free Bareiss (exact divisions in Z[t]) above that.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows <= 4:
-        return _det_cofactor(m.entries)
-    return _det_bareiss(m.entries)
+    rows: Sequence[Sequence[LaurentPoly]] = m.entries
+    factor = ONE
+    while len(rows) > 1:
+        row_nz = [[j for j, p in enumerate(row) if p.coeffs] for row in rows]
+        col_nz: list[list[int]] = [[] for _ in rows]
+        for i, js in enumerate(row_nz):
+            for j in js:
+                col_nz[j].append(i)
+        if not all(row_nz) or not all(col_nz):
+            return ZERO
+        lone = [(i, js[0]) for i, js in enumerate(row_nz) if len(js) == 1] + [
+            (ii[0], j) for j, ii in enumerate(col_nz) if len(ii) == 1
+        ]
+        if not lone:
+            break
+        i, j = lone[0]
+        entry = rows[i][j]
+        factor = poly_mul(factor, entry if (i + j) % 2 == 0 else poly_neg(entry))
+        rows = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+    det = _det_cofactor(rows) if len(rows) <= 4 else _det_bareiss(rows)
+    return det if factor == ONE else poly_mul(factor, det)
 
 
-def _det_cofactor(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
+def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -231,7 +252,7 @@ def _det_cofactor(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
     return total
 
 
-def _det_bareiss(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
+def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     # Shift every entry to Z[t]; track the total unit shift.
     n = len(rows)
     shift = 0
@@ -253,10 +274,11 @@ def _det_bareiss(rows: tuple[tuple[LaurentPoly, ...], ...]) -> LaurentPoly:
             grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
             sign = -sign
         for i in range(k + 1, n):
+            lead = grid[i][k]
             for j in range(k + 1, n):
-                num = poly_mul(grid[k][k], grid[i][j]) - poly_mul(
-                    grid[i][k], grid[k][j]
-                )
+                if lead.is_zero() and grid[i][j].is_zero():
+                    continue  # the new entry is zero as well
+                num = poly_mul(grid[k][k], grid[i][j]) - poly_mul(lead, grid[k][j])
                 grid[i][j] = div_exact(num, prev)
             grid[i][k] = ZERO
         prev = grid[k][k]

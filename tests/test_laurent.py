@@ -117,6 +117,24 @@ def test_det_identity_and_permutation():
     assert det_lambda(m) == -ONE
 
 
+def test_det_lambda_diagonal_30():
+    # Peeling takes one product per diagonal entry; no Bareiss division runs.
+    rng = random.Random(30)
+    ends = (-2, -1, 1, 2)
+    diag = [
+        from_coeffs(
+            [rng.choice(ends), *(rng.randint(-3, 3) for _ in range(5)), rng.choice(ends)],
+            low=rng.randint(-3, 3),
+        )
+        for _ in range(30)
+    ]
+    m = lambda_matrix([[p if i == j else ZERO for j in range(30)] for i, p in enumerate(diag)])
+    expected = ONE
+    for p in diag:
+        expected = expected * p
+    assert det_lambda(m) == expected
+
+
 def test_poly_line_roundtrip():
     for p in (ZERO, ONE, laurent({-2: 3, 1: -4})):
         assert parse_poly_line(format_poly_line(p)) == p

@@ -1,5 +1,6 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
-of the one-pass Alexander matrix and of the sparse cokernel invariants."""
+of the one-pass Alexander matrix, of the sparse cokernel invariants and
+of the peeling determinant over Z[t, t^-1]."""
 
 import pytest
 
@@ -17,6 +18,7 @@ from ribbonknots.intlinalg import (  # noqa: E402
     int_matrix,
     smith_normal_form,
 )
+from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, lambda_matrix, laurent  # noqa: E402
 from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
 from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
 
@@ -181,3 +183,108 @@ def test_cokernel_invariants_match_sympy_snf(m):
 @given(block_circulant_matrices())
 def test_cokernel_invariants_match_sympy_snf_block_circulant(m):
     check_against_sympy(m)
+
+
+# Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
+SHIFT = 2
+
+
+def polys(nonzero=False):
+    """Laurent polynomials of up to three terms from t^-SHIFT on; about
+    half are zero unless ``nonzero``."""
+    lead = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    poly = st.tuples(st.integers(-SHIFT, 0), lead, st.lists(st.integers(-3, 3), max_size=2)).map(
+        lambda a: from_coeffs([a[1], *a[2]], a[0])
+    )
+    return poly if nonzero else st.one_of(st.just(ZERO), poly)
+
+
+def squares(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def permuted(draw, grid):
+    """``grid`` with its rows and its columns each permuted at random."""
+    n = len(grid)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    return [[grid[i][j] for j in cols] for i in rows]
+
+
+@st.composite
+def block_diagonal(draw):
+    """Blocks of size 1 to 3 on the diagonal, rows and columns permuted."""
+    blocks = draw(st.lists(st.integers(1, 3).flatmap(lambda k: squares(k, polys())),
+                           min_size=1, max_size=5))
+    n = sum(len(b) for b in blocks)
+    grid = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            grid[start + i][start:start + len(row)] = row
+        start += len(block)
+    return draw(permuted(grid))
+
+
+@st.composite
+def with_zero_line(draw):
+    """A matrix with one row or one column of zeros."""
+    grid = draw(st.integers(1, 6).flatmap(lambda n: squares(n, polys())))
+    k = draw(st.integers(0, len(grid) - 1))
+    if draw(st.booleans()):
+        grid[k] = [ZERO] * len(grid)
+    else:
+        for row in grid:
+            row[k] = ZERO
+    return grid
+
+
+@st.composite
+def bordered_core(draw):
+    """A dense core of size 5 to 7 bordered by rows and columns that hold
+    one nonzero entry each, permuted; peeling leaves the core to Bareiss."""
+    grid = draw(st.integers(5, 7).flatmap(lambda k: squares(k, polys(nonzero=True))))
+    for _ in range(draw(st.integers(1, 3))):
+        n = len(grid)
+        lone = draw(polys(nonzero=True))
+        other = draw(st.lists(polys(), min_size=n, max_size=n))
+        if draw(st.booleans()):  # new row (0, ..., 0, lone), new column arbitrary
+            grid = [row + [x] for row, x in zip(grid, other)] + [[ZERO] * n + [lone]]
+        else:  # new column (0, ..., 0, lone)^T, new row arbitrary
+            grid = [row + [ZERO] for row in grid] + [other + [lone]]
+    return draw(permuted(grid))
+
+
+def sympy_det(grid):
+    """The determinant from sympy's ``DomainMatrix`` over Z[t], after
+    multiplying every entry by t^SHIFT, shifted back."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.ZZ[sympy.Symbol("t")]
+    n = len(grid)
+    cells = [
+        [ring.ring.from_dict({(k + SHIFT,): c for k, c in p.terms()}) for p in row]
+        for row in grid
+    ]
+    det = DomainMatrix(cells, (n, n), ring).det()
+    return laurent({k - SHIFT * n: int(c) for (k,), c in det.terms()})
+
+
+@PROPERTY
+@given(block_diagonal())
+def test_det_lambda_matches_sympy_block_diagonal(grid):
+    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid)
+
+
+@PROPERTY
+@given(with_zero_line())
+def test_det_lambda_matches_sympy_zero_line(grid):
+    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid) == ZERO
+
+
+@settings(PROPERTY, max_examples=40)  # each example runs two 6x6 to 10x10 determinants
+@given(bordered_core())
+def test_det_lambda_matches_sympy_bordered_core(grid):
+    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid)
