@@ -330,15 +330,15 @@ def _cmd_verify(args) -> int:
 
     if ab_ok:
         target = normalize_unit(det_lambda(spec.presentation_matrix()))
-        weights = weight_vector(p)  # cannot fail: the abelianization is Z
         try:
-            alex = fox.alexander_polynomial(p, weights=weights)
+            alex = fox.alexander_polynomial(p)
             ok = eq_up_to_unit(alex, target)
             rows.append(
                 ("alexander", "PASS" if ok else "FAIL", f"{alex} vs {target}")
             )
         except ValueError as exc:
             rows.append(("alexander", "FAIL", str(exc)))
+        weights = weight_vector(p)  # cannot fail: the abelianization is Z
         for n in orders:
             report = covers.CoverReport(
                 n, covers.cover_homology(p, n, weights), covers.module_cover_homology(spec, n)

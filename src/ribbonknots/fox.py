@@ -151,25 +151,16 @@ def alexander_matrix(
     return lambda_matrix(rows, cols=len(p.generators))
 
 
-def alexander_polynomial(
-    p: Presentation,
-    drop: Optional[int] = None,
-    weights: Optional[Sequence[int]] = None,
-) -> LaurentPoly:
+def alexander_polynomial(p: Presentation, drop: Optional[int] = None) -> LaurentPoly:
     """Alexander polynomial of a deficiency-1 presentation with infinite
     cyclic abelianization, normalized up to units.
 
     Deletes column ``drop`` (default: the first generator of weight +-1)
     and takes the determinant of the remaining square matrix.
-    ``weights`` lists the generators' weights in order; by default it is
-    ``weight_vector(p)``.
     """
     if deficiency(p) != 1:
         raise ValueError(f"deficiency is {deficiency(p)}, not 1")
-    if weights is None:
-        weights = weight_vector(p)
-    if len(weights) != len(p.generators):
-        raise ValueError("one weight per generator required")
+    weights = weight_vector(p)
     if drop is None:
         drop = next((j for j, w in enumerate(weights) if abs(w) == 1), None)
         if drop is None:

@@ -209,9 +209,10 @@ def det_lambda(m: LambdaMatrix) -> LaurentPoly:
 
     While some row or column holds at most one nonzero entry, expand
     along it: a zero row or column gives 0, a lone entry a_ij multiplies
-    a running factor by (-1)^(i+j) a_ij and its row and column go.  The
-    core that is left takes cofactor expansion for size <= 4 and
-    fraction-free Bareiss (exact divisions in Z[t]) above that.
+    a running factor by (-1)^(i+j) a_ij and its row and column go.  One
+    scan peels every lone entry it finds.  The core that is left takes
+    cofactor expansion for size <= 4 and fraction-free Bareiss (exact
+    divisions in Z[t]) above that; the empty matrix has determinant 1.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -225,15 +226,30 @@ def det_lambda(m: LambdaMatrix) -> LaurentPoly:
                 col_nz[j].append(i)
         if not all(row_nz) or not all(col_nz):
             return ZERO
-        lone = [(i, js[0]) for i, js in enumerate(row_nz) if len(js) == 1] + [
-            (ii[0], j) for j, ii in enumerate(col_nz) if len(ii) == 1
-        ]
+        lone = {(i, js[0]) for i, js in enumerate(row_nz) if len(js) == 1}
+        lone |= {(ii[0], j) for j, ii in enumerate(col_nz) if len(ii) == 1}
         if not lone:
             break
-        i, j = lone[0]
-        entry = rows[i][j]
-        factor = poly_mul(factor, entry if (i + j) % 2 == 0 else poly_neg(entry))
-        rows = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        gone_rows = {i for i, _ in lone}
+        gone_cols = {j for _, j in lone}
+        if len(gone_rows) < len(lone) or len(gone_cols) < len(lone):
+            return ZERO  # two lone rows on one column, or two lone columns on one row
+        # Expand from the bottom row up: a row's index stays put, a
+        # column's index drops by the peeled columns left of it.
+        peeled: list[int] = []
+        for i, j in sorted(lone, reverse=True):
+            entry = rows[i][j]
+            if (i + j - sum(c < j for c in peeled)) % 2:
+                entry = poly_neg(entry)
+            factor = poly_mul(factor, entry)
+            peeled.append(j)
+        rows = [
+            [p for j, p in enumerate(row) if j not in gone_cols]
+            for i, row in enumerate(rows)
+            if i not in gone_rows
+        ]
+    if not rows:
+        return factor
     det = _det_cofactor(rows) if len(rows) <= 4 else _det_bareiss(rows)
     return det if factor == ONE else poly_mul(factor, det)
 
@@ -274,11 +290,10 @@ def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
             grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
             sign = -sign
         for i in range(k + 1, n):
-            lead = grid[i][k]
             for j in range(k + 1, n):
-                if lead.is_zero() and grid[i][j].is_zero():
-                    continue  # the new entry is zero as well
-                num = poly_mul(grid[k][k], grid[i][j]) - poly_mul(lead, grid[k][j])
+                num = poly_mul(grid[k][k], grid[i][j]) - poly_mul(
+                    grid[i][k], grid[k][j]
+                )
                 grid[i][j] = div_exact(num, prev)
             grid[i][k] = ZERO
         prev = grid[k][k]

@@ -135,6 +135,10 @@ def test_det_lambda_diagonal_30():
     assert det_lambda(m) == expected
 
 
+def test_det_lambda_empty_matrix_is_one():
+    assert det_lambda(lambda_matrix([], cols=0)) == ONE
+
+
 def test_poly_line_roundtrip():
     for p in (ZERO, ONE, laurent({-2: 3, 1: -4})):
         assert parse_poly_line(format_poly_line(p)) == p
