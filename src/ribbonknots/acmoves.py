@@ -23,7 +23,6 @@ from .words import (
     cyclic_variants,
     gen,
     inverse,
-    parse_word,
     product,
 )
 
@@ -374,29 +373,3 @@ def format_moves(moves: Sequence[ACMove]) -> str:
         else:
             raise TypeError(f"unknown move {m!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_moves(text: str) -> tuple[ACMove, ...]:
-    moves: list[ACMove] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind = tokens[0]
-        try:
-            if kind == "inv" and len(tokens) == 2:
-                moves.append(Invert(int(tokens[1]) - 1))
-            elif kind == "conj" and len(tokens) == 4:
-                moves.append(Conjugate(int(tokens[1]) - 1, tokens[2], int(tokens[3])))
-            elif kind == "mul" and len(tokens) == 3:
-                moves.append(Multiply(int(tokens[1]) - 1, int(tokens[2]) - 1))
-            elif kind == "add" and len(tokens) >= 2:
-                moves.append(AddPair(tokens[1], parse_word(" ".join(tokens[2:]))))
-            elif kind == "rm" and len(tokens) == 2:
-                moves.append(RemovePair(tokens[1]))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"bad move line {line!r}")
-    return tuple(moves)

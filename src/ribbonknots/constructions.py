@@ -355,25 +355,6 @@ def realize_lemma3_group(t_matrix: IntMatrix) -> RealizationResult:
     return RealizationResult(primary, None, "t", spec)
 
 
-def is_ascending_hnn_shape(p: Presentation, stable: str = "t") -> bool:
-    """Syntactic check: every relator is
-    ``t x_i t^-1 . (word in the x's)^-1``."""
-    base = set(p.generators) - {stable}
-    for r in p.relators:
-        syl = r.syllables
-        if len(syl) < 3:
-            return False
-        if syl[0] != (stable, 1):
-            return False
-        if syl[1][0] not in base or syl[1][1] != 1:
-            return False
-        if syl[2] != (stable, -1):
-            return False
-        if any(g == stable for g, _ in syl[3:]):
-            return False
-    return True
-
-
 def parse_module_spec(text: str, read_file) -> KnotModuleSpec:
     """Parse a module-spec file.
 

@@ -30,19 +30,6 @@ class CosetTable:
     limit: int
     action: Optional[tuple[tuple[int, ...], ...]] = None  # [coset][2*gen + dir]
 
-    def act(self, coset: int, generator: str, exponent: int = 1) -> int:
-        if self.action is None:
-            raise ValueError("overflowed table has no total action")
-        g = self.generators.index(generator)
-        for _ in range(abs(exponent)):
-            coset = self.action[coset][2 * g + (0 if exponent > 0 else 1)]
-        return coset
-
-    def trace(self, coset: int, w: Word) -> int:
-        for g, s in w.letters():
-            coset = self.act(coset, g, s)
-        return coset
-
 
 def _flip(letter: int) -> int:
     return letter ^ 1

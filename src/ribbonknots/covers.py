@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .constructions import KnotModuleSpec, RealizationResult
+from .constructions import KnotModuleSpec
 from .intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
@@ -133,15 +133,3 @@ class CoverReport:
             f"N={self.order}: group {self.group_invariants} | "
             f"module {self.module_invariants} [{verdict}]"
         )
-
-
-def compare_realization(
-    result: RealizationResult, orders: Sequence[int]
-) -> list[CoverReport]:
-    """Cross-check a realization against its module for several cover
-    orders."""
-    p = result.verification_presentation()
-    return [
-        CoverReport(n, cover_homology(p, n), module_cover_homology(result.module_spec, n))
-        for n in orders
-    ]

@@ -62,10 +62,6 @@ def int_matrix(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMat
     return IntMatrix(grid)
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
 @dataclass(frozen=True)
 class AddMultiple:
     """Row op ``row i += c * row j`` (i != j, c != 0)."""
@@ -421,9 +417,3 @@ def parse_matrix(text: str) -> IntMatrix:
             raise ValueError(f"expected {cols} entries in row {ln!r}")
         grid.append(row)
     return int_matrix(grid, cols=cols)
-
-
-def format_matrix(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(str(x) for x in row) for row in m.entries)
-    return "\n".join(lines) + "\n"

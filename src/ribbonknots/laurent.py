@@ -25,17 +25,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def high(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        if self.is_zero() or not self.low <= k <= self.high:
-            return 0
-        return self.coeffs[k - self.low]
-
     def terms(self) -> Iterable[tuple[int, int]]:
         """Yield (exponent, coefficient) pairs with nonzero coefficient."""
         for i, c in enumerate(self.coeffs):
@@ -210,9 +199,9 @@ def det_lambda(m: LambdaMatrix) -> LaurentPoly:
     While some row or column holds at most one nonzero entry, expand
     along it: a zero row or column gives 0, a lone entry a_ij multiplies
     a running factor by (-1)^(i+j) a_ij and its row and column go.  One
-    scan peels every lone entry it finds.  The core that is left takes
-    cofactor expansion for size <= 4 and fraction-free Bareiss (exact
-    divisions in Z[t]) above that; the empty matrix has determinant 1.
+    scan peels every lone entry it finds.  A 1 x 1 core is its entry; a
+    larger core takes fraction-free Bareiss (exact divisions in Z[t]).
+    The empty matrix has determinant 1.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -250,22 +239,8 @@ def det_lambda(m: LambdaMatrix) -> LaurentPoly:
         ]
     if not rows:
         return factor
-    det = _det_cofactor(rows) if len(rows) <= 4 else _det_bareiss(rows)
+    det = rows[0][0] if len(rows) == 1 else _det_bareiss(rows)
     return det if factor == ONE else poly_mul(factor, det)
-
-
-def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
-        term = poly_mul(rows[0][j], _det_cofactor(minor))
-        total = total + (term if j % 2 == 0 else poly_neg(term))
-    return total
 
 
 def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:

@@ -52,10 +52,6 @@ class Presentation:
                 raise ValueError(f"relator uses unknown generators {sorted(unknown)}")
 
 
-def presentation(generators: Sequence[str], relators: Sequence[Word]) -> Presentation:
-    return Presentation(tuple(generators), tuple(relators))
-
-
 @dataclass(frozen=True)
 class LOGEdge:
     origin: str
@@ -271,13 +267,21 @@ def eliminate_generator(
     return Presentation(generators, relators)
 
 
+# DOT keywords (case-insensitive); a node ID spelled like one must be quoted.
+_DOT_KEYWORDS = {"digraph", "edge", "graph", "node", "strict", "subgraph"}
+
+
+def _dot_id(name: str) -> str:
+    return f'"{name}"' if name.lower() in _DOT_KEYWORDS else name
+
+
 def dot_export(g: LOG) -> str:
     """Render the LOG as a DOT digraph; edge labels are word text."""
     lines = ["digraph {"]
     for v in g.vertices:
-        lines.append(f"  {v};")
+        lines.append(f"  {_dot_id(v)};")
     for e in g.edges:
-        lines.append(f'  {e.origin} -> {e.terminus} [label="{e.label}"];')
+        lines.append(f'  {_dot_id(e.origin)} -> {_dot_id(e.terminus)} [label="{e.label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -329,7 +333,7 @@ class TietzeStep:
 
 def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
     """Parse Tietze script lines: ``intro <name> <word>`` and
-    ``elim <name> <word> <relator-index>``."""
+    ``elim <name> <word> <relator-index>``; an empty word is 1."""
     steps = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -341,7 +345,7 @@ def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
                 raise ValueError(f"bad intro line {line!r}")
             steps.append(TietzeStep("intro", tokens[1], parse_word(" ".join(tokens[2:]))))
         elif tokens[0] == "elim":
-            if len(tokens) < 4:
+            if len(tokens) < 3:
                 raise ValueError(f"bad elim line {line!r}")
             try:
                 index = int(tokens[-1])

@@ -37,9 +37,6 @@ class Word:
                 raise ValueError("adjacent syllables share a generator")
             prev = gen
 
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def __len__(self) -> int:
         """Letter length (sum of |exponents|)."""
         return sum(abs(e) for _, e in self.syllables)
@@ -118,28 +115,6 @@ def power(a: Word, n: int) -> Word:
     return normalize(a.syllables * n)
 
 
-def conjugate(a: Word, by: Word) -> Word:
-    """``by . a . by^-1``, freely reduced."""
-    return product(by, a, inverse(by))
-
-
-def cyclic_reduce(a: Word) -> tuple[Word, Word]:
-    """Split ``a = conjugator . core . conjugator^-1`` with a cyclically
-    reduced core (first and last syllables do not cancel)."""
-    core = a
-    prefix: list[tuple[str, int]] = []
-    while len(core.syllables) >= 2 and core.syllables[0][0] == core.syllables[-1][0]:
-        (g, e0), (_, e1) = core.syllables[0], core.syllables[-1]
-        if e0 + e1 == 0:
-            prefix.append((g, e0))
-            core = normalize(core.syllables[1:-1])
-        else:
-            # Merge the wrap-around syllable into the front, peeling the tail.
-            prefix.append((g, -e1))
-            core = normalize([(g, e0 + e1)] + list(core.syllables[1:-1]))
-    return core, normalize(prefix)
-
-
 def cyclic_letters(w: Word) -> tuple[tuple[str, int], ...]:
     """Letters of a cyclically reduced conjugate of ``w``: matching
     inverse letters are peeled off both ends."""
@@ -187,10 +162,6 @@ class FreeEndo:
             raise ValueError("duplicate domain generator")
         for g in self.domain:
             check_generator_name(g)
-
-    def abelianization_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Row i = exponent sums of the image of the i-th generator."""
-        return tuple(exponent_sums(img, self.domain) for img in self.images)
 
 
 def identity_endo(domain: Sequence[str]) -> FreeEndo:

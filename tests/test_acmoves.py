@@ -18,13 +18,13 @@ from ribbonknots.acmoves import (
     canonical_form,
     format_moves,
     kill_meridian,
-    parse_moves,
     removal_plan,
     verify_move_sequence,
 )
 from ribbonknots.intlinalg import cokernel_invariants, int_matrix
 from ribbonknots.presentations import parse_presentation
 from ribbonknots.words import exponent_sums, gen, normalize, parse_word
+from reference import parse_moves
 
 SPUN = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 

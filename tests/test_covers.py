@@ -9,7 +9,6 @@ from ribbonknots.constructions import (
 )
 from ribbonknots.covers import (
     CoverReport,
-    compare_realization,
     cover_homology,
     cyclic_cover_presentation,
     module_cover_homology,
@@ -17,6 +16,7 @@ from ribbonknots.covers import (
 from ribbonknots.intlinalg import AbelianGroupInvariants, int_matrix
 from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import abelianization, parse_presentation
+from reference import compare_realization
 
 SPUN_TREFOIL = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 

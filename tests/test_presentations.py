@@ -18,7 +18,7 @@ from ribbonknots.presentations import (
     parse_tietze_script,
     weight_vector,
 )
-from ribbonknots.words import gen, parse_word
+from ribbonknots.words import IDENTITY, gen, parse_word
 
 TREFOIL = parse_presentation(
     """
@@ -93,7 +93,7 @@ def test_expand_handles_negative_single_letter_labels():
     assert isinstance(qlog, LOG)
     assert all(len(e.label) <= 1 for e in qlog.edges)
     assert all(
-        e.label.is_identity() or e.label.syllables[0][1] == 1 for e in qlog.edges
+        e.label == IDENTITY or e.label.syllables[0][1] == 1 for e in qlog.edges
     )
     assert abelianization(q) == abelianization(p)
 
@@ -142,6 +142,19 @@ def test_dot_export():
     dot = dot_export(log)
     assert dot.startswith("digraph {")
     assert "->" in dot
+    # Generator names spelled like DOT keywords (any case) are quoted.
+    p = parse_presentation(
+        "gens t graph Node\nrel graph^-1 t graph t^-1\nrel Node^-1 t Node t^-1"
+    )
+    assert dot_export(is_wirtinger(p)) == (
+        "digraph {\n"
+        "  t;\n"
+        '  "graph";\n'
+        '  "Node";\n'
+        '  "graph" -> "graph" [label="t"];\n'
+        '  "Node" -> "Node" [label="t"];\n'
+        "}\n"
+    )
 
 
 def test_tietze_script_parsing():
@@ -151,3 +164,10 @@ def test_tietze_script_parsing():
     assert "d" in p.generators
     with pytest.raises(ValueError):
         parse_tietze_script("elim d a\n")
+    with pytest.raises(ValueError):
+        parse_tietze_script("elim d\n")
+    # An empty word is the identity: eliminate a generator set to 1.
+    (step,) = parse_tietze_script("elim t 1\n")
+    assert step.word == IDENTITY and step.relator_index == 1
+    p = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1\nrel t")
+    assert apply_tietze_script(p, [step]) == parse_presentation("gens u\nrel u^-1")
