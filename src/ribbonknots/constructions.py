@@ -22,22 +22,20 @@ from typing import Optional, Sequence
 from .intlinalg import (
     AddMultiple,
     ElementaryOp,
-    IntMatrix,
+    Matrix,
     Negate,
     Swap,
     det_int,
     factor_glnz,
-    int_matrix,
+    matrix,
     parse_matrix,
 )
 from .laurent import (
-    LambdaMatrix,
     LaurentPoly,
     ONE,
     ZERO,
     augmentation,
     div_exact_t_minus_1,
-    lambda_matrix,
     laurent,
     parse_poly_line,
 )
@@ -69,13 +67,13 @@ class KnotModuleSpec:
 
     kind: str
     polys: tuple[LaurentPoly, ...] = ()
-    matrix: Optional[IntMatrix] = None
+    matrix: Optional[Matrix] = None
 
-    def presentation_matrix(self) -> LambdaMatrix:
+    def presentation_matrix(self) -> Matrix:
         """The square matrix presenting the module over Z[t, 1/t]."""
         if self.kind in ("cyclic", "sum"):
             n = len(self.polys)
-            return lambda_matrix(
+            return matrix(
                 [[self.polys[i] if i == j else ZERO for j in range(n)] for i in range(n)]
             )
         if self.kind not in _PENCILS:
@@ -88,7 +86,7 @@ class KnotModuleSpec:
             d = int(i == j)
             return laurent({1: a_m * m[i, j] + a_i * d, 0: b_m * m[i, j] + b_i * d})
 
-        return lambda_matrix([[entry(i, j) for j in range(m.cols)] for i in range(m.rows)])
+        return matrix([[entry(i, j) for j in range(m.cols)] for i in range(m.rows)])
 
 
 # Matrix kinds as a pencil t A + B, with A and B given as the
@@ -119,7 +117,7 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
     return KnotModuleSpec("sum", polys=shifted)
 
 
-def trotter_module(m: IntMatrix) -> KnotModuleSpec:
+def trotter_module(m: Matrix) -> KnotModuleSpec:
     _require_square(m)
     if det_int(m) == 0:
         raise AdmissibilityError("det(M) = 0")
@@ -128,16 +126,16 @@ def trotter_module(m: IntMatrix) -> KnotModuleSpec:
     return KnotModuleSpec("trotter", matrix=m)
 
 
-def tminus1_module(m: IntMatrix) -> KnotModuleSpec:
+def tminus1_module(m: Matrix) -> KnotModuleSpec:
     return _unimodular_pair("tminus1", m, ("M", "I + M"), 1)
 
 
-def taction_module(t: IntMatrix) -> KnotModuleSpec:
+def taction_module(t: Matrix) -> KnotModuleSpec:
     return _unimodular_pair("taction", t, ("T", "T - I"), -1)
 
 
 def _unimodular_pair(
-    kind: str, m: IntMatrix, labels: tuple[str, str], c: int
+    kind: str, m: Matrix, labels: tuple[str, str], c: int
 ) -> KnotModuleSpec:
     """Spec of ``kind`` when both ``m`` and ``m + c I`` are unimodular."""
     _require_square(m)
@@ -148,14 +146,14 @@ def _unimodular_pair(
     return KnotModuleSpec(kind, matrix=m)
 
 
-def _require_square(m: IntMatrix) -> None:
+def _require_square(m: Matrix) -> None:
     if m.rows != m.cols or m.rows == 0:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
 
 
-def _shift_identity(m: IntMatrix, c: int) -> IntMatrix:
+def _shift_identity(m: Matrix, c: int) -> Matrix:
     """``M + c I``."""
-    return int_matrix(
+    return matrix(
         [[m[i, j] + c * (i == j) for j in range(m.cols)] for i in range(m.rows)]
     )
 
@@ -230,7 +228,7 @@ def _realize_summands(
     return RealizationResult(primary, wirtinger, "t", spec, fg_commutator=fg_all)
 
 
-def realize_trotter(m: IntMatrix) -> RealizationResult:
+def realize_trotter(m: Matrix) -> RealizationResult:
     """Realize the module with matrix t M + (I - M).
 
     Primary presentation (an HNN extension of a free group):
@@ -300,7 +298,7 @@ def _check_index(i: int, rank: int) -> None:
         raise ValueError(f"row index {i} out of range for rank {rank}")
 
 
-def realize_lemma4(m: IntMatrix) -> RealizationResult:
+def realize_lemma4(m: Matrix) -> RealizationResult:
     """Realize a module, given the matrix of the (t - 1)-action, as an
     ascending HNN extension ``< t, x_1..x_r | t x_i t^-1 = x_i mu(x_i) >``
     where mu lifts M.
@@ -337,7 +335,7 @@ def realize_lemma4(m: IntMatrix) -> RealizationResult:
     )
 
 
-def realize_lemma3_group(t_matrix: IntMatrix) -> RealizationResult:
+def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     """The free-by-cyclic group ``F(r) x|_tau Z`` for a t-action T.
 
     Presentation ``< t, x_1..x_r | t x_i t^-1 = tau(x_i) >`` with tau a

@@ -17,7 +17,7 @@ from .constructions import KnotModuleSpec
 from .intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
-    int_matrix,
+    matrix,
 )
 from .presentations import Presentation, abelianization, weight_vector
 from .words import Word, normalize
@@ -111,7 +111,7 @@ def module_cover_homology(spec: KnotModuleSpec, n: int) -> AbelianGroupInvariant
             for e, c in b.entries[i][j].terms():
                 for a in range(n):
                     grid[i * n + a][j * n + (a + e) % n] += c
-    coker = cokernel_invariants(int_matrix(grid, cols=r * n))
+    coker = cokernel_invariants(matrix(grid, cols=r * n))
     return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
 
 

@@ -12,21 +12,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .laurent import (
-    LambdaMatrix,
-    LaurentPoly,
-    det_lambda,
-    lambda_matrix,
-    laurent,
-    normalize_unit,
-    t_power,
-)
+from .intlinalg import Matrix, matrix
+from .laurent import LaurentPoly, ONE, det_lambda, laurent, normalize_unit
 from .presentations import Presentation, deficiency, weight_vector
 
 
 def alexander_matrix(
     p: Presentation, weights: Optional[Sequence[int]] = None
-) -> LambdaMatrix:
+) -> Matrix:
     """Fox Jacobian of the relators, abelianized by the weight map.
 
     Entry (i, j) is the image of d(R_i)/d(g_j) under g -> t^weight(g);
@@ -56,7 +49,7 @@ def alexander_matrix(
                 entry[k + i * w] = entry.get(k + i * w, 0) + sign
             k += e * w
         rows.append([laurent(entry) for entry in entries])
-    return lambda_matrix(rows, cols=len(p.generators))
+    return matrix(rows, cols=len(p.generators))
 
 
 def alexander_polynomial(p: Presentation) -> LaurentPoly:
@@ -73,9 +66,9 @@ def alexander_polynomial(p: Presentation) -> LaurentPoly:
     if drop is None:
         raise ValueError("no generator of weight +-1")
     if not p.relators:
-        return t_power(0)  # free group of rank 1: unknot module
+        return ONE  # free group of rank 1: unknot module
     m = alexander_matrix(p, weights)
     reduced = [
         [entry for j, entry in enumerate(row) if j != drop] for row in m.entries
     ]
-    return normalize_unit(det_lambda(lambda_matrix(reduced)))
+    return normalize_unit(det_lambda(matrix(reduced)))

@@ -1,6 +1,7 @@
-"""Exact integer linear algebra.
+"""Exact linear algebra.
 
-Determinants, Smith normal form with transform tracking, cokernel
+The matrix type and the Bareiss determinant, shared by Z and
+Z[t, t^-1]; over Z, Smith normal form with transform tracking, cokernel
 invariants of relation matrices, and factorization of unimodular
 matrices into elementary row operations.
 
@@ -12,12 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence, Union
+from typing import Sequence, TypeVar, Union
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
+class Matrix:
+    """Rectangular matrix over Z (int entries) or Z[t, t^-1]
+    (``LaurentPoly`` entries)."""
+
+    entries: tuple[tuple, ...]
     # A 0 x c matrix cannot carry its width in `entries`, so keep it aside.
     empty_cols: int = 0
 
@@ -35,13 +41,13 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else self.empty_cols
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
+    def __getitem__(self, ij: tuple[int, int]):
         return self.entries[ij[0]][ij[1]]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix(
+        return Matrix(
             tuple(
                 tuple(
                     sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
@@ -53,13 +59,13 @@ class IntMatrix:
         )
 
 
-def int_matrix(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-    grid = tuple(tuple(int(x) for x in row) for row in rows)
+def matrix(rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
+    grid = tuple(tuple(row) for row in rows)
     if not grid:
         if cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return IntMatrix((), empty_cols=cols)
-    return IntMatrix(grid)
+        return Matrix((), empty_cols=cols)
+    return Matrix(grid)
 
 
 @dataclass(frozen=True)
@@ -119,29 +125,39 @@ class AbelianGroupInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def det_int(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    grid = [list(row) for row in m.entries]
+def bareiss_det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
+    """Determinant of a square matrix over an integral domain with
+    elements ``zero`` and ``one``, by fraction-free (Bareiss) elimination.
+
+    Entries need ``+``, ``-``, ``*`` and an exact ``//``: every entry the
+    elimination writes is a minor of the row-swapped input (Bareiss,
+    Math. Comp. 22, 1968), so each division is exact and one routine
+    serves Z and Z[t, t^-1].  The last pivot is the determinant up to
+    the sign of the swaps; the empty matrix has determinant ``one``.
+    """
+    n = len(rows)
+    grid = [list(row) for row in rows]
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if grid[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if grid[i][k] != 0), None)
+    prev = one
+    for k in range(n):
+        if grid[k][k] == zero:
+            pivot = next((i for i in range(k + 1, n) if grid[i][k] != zero), None)
             if pivot is None:
-                return 0
+                return zero
             grid[k], grid[pivot] = grid[pivot], grid[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 grid[i][j] = (grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]) // prev
-            grid[i][k] = 0
         prev = grid[k][k]
-    return sign * grid[n - 1][n - 1]
+    return prev if sign > 0 else -prev
+
+
+def det_int(m: Matrix) -> int:
+    """Exact integer determinant (see :func:`bareiss_det`)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return bareiss_det(m.entries, 0, 1)
 
 
 def _apply_row_op(grid: list[list[int]], op: ElementaryOp) -> None:
@@ -153,7 +169,7 @@ def _apply_row_op(grid: list[list[int]], op: ElementaryOp) -> None:
         grid[op.i] = [-a for a in grid[op.i]]
 
 
-def replay_elementary(ops: Sequence[ElementaryOp], n: int) -> IntMatrix:
+def replay_elementary(ops: Sequence[ElementaryOp], n: int) -> Matrix:
     """Product of the elementary matrices, applied in order as left
     multiplications of the identity."""
     grid = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -162,10 +178,10 @@ def replay_elementary(ops: Sequence[ElementaryOp], n: int) -> IntMatrix:
         if any(not 0 <= k < n for k in indices):
             raise ValueError(f"row index out of range in {op}")
         _apply_row_op(grid, op)
-    return int_matrix(grid)
+    return matrix(grid)
 
 
-def factor_glnz(m: IntMatrix) -> tuple[ElementaryOp, ...]:
+def factor_glnz(m: Matrix) -> tuple[ElementaryOp, ...]:
     """Factor a unimodular matrix into elementary operations.
 
     Replaying the result (see :func:`replay_elementary`) reproduces the
@@ -211,7 +227,7 @@ def factor_glnz(m: IntMatrix) -> tuple[ElementaryOp, ...]:
     return tuple(op.inverse() for op in reversed(applied))
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Return unimodular (U, S, V) with ``U @ m @ V = S`` diagonal,
     nonnegative, and with each diagonal entry dividing the next.
 
@@ -296,14 +312,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if pivot < 0:
             row_negate(k)
         k += 1
-    return int_matrix(u, cols=rows), int_matrix(grid, cols=cols), int_matrix(v, cols=cols)
+    return matrix(u, cols=rows), matrix(grid, cols=cols), matrix(v, cols=cols)
 
 
-def diagonal_of(s: IntMatrix) -> tuple[int, ...]:
+def diagonal_of(s: Matrix) -> tuple[int, ...]:
     return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
 
 
-def cokernel_invariants(m: IntMatrix) -> AbelianGroupInvariants:
+def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
     """Invariants of ``Z^cols / row-span(m)`` (rows are relations).
 
     Invariants-only Smith form by sparse elimination, without the
@@ -395,7 +411,7 @@ def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariant
     )
 
 
-def parse_matrix(text: str) -> IntMatrix:
+def parse_matrix(text: str) -> Matrix:
     """Parse the matrix file format: ``rows cols`` header then rows of
     whitespace-separated integers; ``#`` starts a comment line."""
     lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
@@ -416,4 +432,4 @@ def parse_matrix(text: str) -> IntMatrix:
         if len(row) != cols:
             raise ValueError(f"expected {cols} entries in row {ln!r}")
         grid.append(row)
-    return int_matrix(grid, cols=cols)
+    return matrix(grid, cols=cols)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z[t, t^-1]: Laurent polynomials and matrices.
+"""Exact arithmetic over Z[t, t^-1]: Laurent polynomials and determinants.
 
 Coefficients are arbitrary-precision integers.  A polynomial is stored
 as its lowest exponent plus the coefficient run; the zero polynomial has
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .intlinalg import Matrix, bareiss_det
 
 
 @dataclass(frozen=True)
@@ -21,6 +23,8 @@ class LaurentPoly:
     def __post_init__(self) -> None:
         if self.coeffs and (self.coeffs[0] == 0 or self.coeffs[-1] == 0):
             raise ValueError("coefficient run not normalized")
+        if not self.coeffs and self.low:
+            raise ValueError("the zero polynomial has low exponent 0")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -32,16 +36,42 @@ class LaurentPoly:
                 yield self.low + i, c
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return poly_add(self, other)
+        out = dict(self.terms())
+        for k, c in other.terms():
+            out[k] = out.get(k, 0) + c
+        return laurent(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return poly_add(self, poly_neg(other))
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return poly_mul(self, other)
+        if self.is_zero() or other.is_zero():
+            return ZERO
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ca in enumerate(self.coeffs):
+            if ca:
+                for j, cb in enumerate(other.coeffs):
+                    out[i + j] += ca * cb
+        return from_coeffs(out, self.low + other.low)
 
     def __neg__(self) -> "LaurentPoly":
-        return poly_neg(self)
+        return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
+
+    def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact quotient by long division from the top term; raises
+        ValueError when ``other`` does not divide ``self``."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        quot: dict[int, int] = {}
+        rem = self
+        while not rem.is_zero():
+            if len(rem.coeffs) < len(other.coeffs) or rem.coeffs[-1] % other.coeffs[-1]:
+                raise ValueError("inexact polynomial division")
+            c = rem.coeffs[-1] // other.coeffs[-1]
+            k = (rem.low + len(rem.coeffs)) - (other.low + len(other.coeffs))
+            quot[k] = c
+            rem = rem - other * t_power(k, c)
+        return laurent(quot)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -79,28 +109,6 @@ def t_power(k: int, coeff: int = 1) -> LaurentPoly:
     return laurent({k: coeff})
 
 
-def poly_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = dict(a.terms())
-    for k, c in b.terms():
-        out[k] = out.get(k, 0) + c
-    return laurent(out)
-
-
-def poly_neg(a: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(a.low, tuple(-c for c in a.coeffs))
-
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in enumerate(b.coeffs):
-                out[i + j] += ca * cb
-    return from_coeffs(out, a.low + b.low)
-
-
 def augmentation(p: LaurentPoly) -> int:
     """Sum of coefficients (the evaluation t -> 1)."""
     return sum(p.coeffs)
@@ -134,74 +142,14 @@ def eq_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
     return normalize_unit(p) == normalize_unit(q)
 
 
-def _divmod_zt(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly | None]:
-    """Integer-coefficient long division; remainder None when a leading
-    coefficient fails to divide."""
-    quot: dict[int, int] = {}
-    while not a.is_zero() and len(a.coeffs) >= len(b.coeffs):
-        if a.coeffs[-1] % b.coeffs[-1] != 0:
-            return laurent(quot), None
-        c = a.coeffs[-1] // b.coeffs[-1]
-        k = (a.low + len(a.coeffs)) - (b.low + len(b.coeffs))
-        quot[k] = quot.get(k, 0) + c
-        a = a - poly_mul(b, t_power(k, c))
-    return laurent(quot), a
-
-
-def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a / b; raises when the division is not exact."""
-    if a.is_zero():
-        return ZERO
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient, rem = _divmod_zt(a, b)
-    if rem is None or not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    return quotient
-
-
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """Rectangular matrix over Z[t, t^-1]."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-    empty_cols: int = 0
-
-    def __post_init__(self) -> None:
-        if self.entries:
-            width = len(self.entries[0])
-            if any(len(row) != width for row in self.entries):
-                raise ValueError("ragged matrix")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else self.empty_cols
-
-
-def lambda_matrix(
-    rows: Sequence[Sequence[LaurentPoly]], cols: int | None = None
-) -> LambdaMatrix:
-    grid = tuple(tuple(row) for row in rows)
-    if not grid:
-        if cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return LambdaMatrix((), empty_cols=cols)
-    return LambdaMatrix(grid)
-
-
-def det_lambda(m: LambdaMatrix) -> LaurentPoly:
+def det_lambda(m: Matrix) -> LaurentPoly:
     """Exact determinant over Z[t, t^-1].
 
     While some row or column holds at most one nonzero entry, expand
     along it: a zero row or column gives 0, a lone entry a_ij multiplies
     a running factor by (-1)^(i+j) a_ij and its row and column go.  One
-    scan peels every lone entry it finds.  A 1 x 1 core is its entry; a
-    larger core takes fraction-free Bareiss (exact divisions in Z[t]).
-    The empty matrix has determinant 1.
+    scan peels every lone entry it finds.  The core that is left takes
+    :func:`bareiss_det`.  The empty matrix has determinant 1.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -229,53 +177,16 @@ def det_lambda(m: LambdaMatrix) -> LaurentPoly:
         for i, j in sorted(lone, reverse=True):
             entry = rows[i][j]
             if (i + j - sum(c < j for c in peeled)) % 2:
-                entry = poly_neg(entry)
-            factor = poly_mul(factor, entry)
+                entry = -entry
+            factor = factor * entry
             peeled.append(j)
         rows = [
             [p for j, p in enumerate(row) if j not in gone_cols]
             for i, row in enumerate(rows)
             if i not in gone_rows
         ]
-    if not rows:
-        return factor
-    det = rows[0][0] if len(rows) == 1 else _det_bareiss(rows)
-    return det if factor == ONE else poly_mul(factor, det)
-
-
-def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    # Shift every entry to Z[t]; track the total unit shift.
-    n = len(rows)
-    shift = 0
-    grid: list[list[LaurentPoly]] = []
-    for row in rows:
-        lows = [p.low for p in row if not p.is_zero()]
-        s = min(lows) if lows else 0
-        shift += s
-        grid.append([poly_mul(p, t_power(-s)) for p in row])
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if grid[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not grid[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return ZERO
-            grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_mul(grid[k][k], grid[i][j]) - poly_mul(
-                    grid[i][k], grid[k][j]
-                )
-                grid[i][j] = div_exact(num, prev)
-            grid[i][k] = ZERO
-        prev = grid[k][k]
-    det = grid[n - 1][n - 1]
-    if sign < 0:
-        det = poly_neg(det)
-    return poly_mul(det, t_power(shift))
+    det = bareiss_det(rows, ZERO, ONE)
+    return det if factor == ONE else factor * det
 
 
 def parse_poly_line(text: str) -> LaurentPoly:

@@ -16,7 +16,7 @@ from .intlinalg import (
     cokernel_invariants,
     diagonal_invariants,
     diagonal_of,
-    int_matrix,
+    matrix,
     smith_normal_form,
 )
 from .words import (
@@ -81,7 +81,7 @@ def deficiency(p: Presentation) -> int:
 
 def exponent_matrix(p: Presentation):
     """Relator exponent sums: rows = relators, columns = generators."""
-    return int_matrix(
+    return matrix(
         [exponent_sums(r, p.generators) for r in p.relators],
         cols=len(p.generators),
     )
@@ -118,8 +118,9 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
 def _match_wirtinger(letters: Sequence[tuple[str, int]]) -> Optional[tuple[str, str, Word]]:
     """Find the pattern g_j . w . g_i^-1 . w^-1 in a cyclic word.
 
-    Returns the lexicographically least (origin, terminus, label-text)
-    match over all rotations and both orientations, or None.
+    Returns (origin, terminus, label) of the match whose (origin,
+    terminus, label text) is lexicographically least over all rotations
+    and both orientations, or None.
     """
     n = len(letters)
     if n < 2 or n % 2 != 0:
@@ -133,13 +134,14 @@ def _match_wirtinger(letters: Sequence[tuple[str, int]]) -> Optional[tuple[str, 
         if rot[half + 2 :] != tuple((g, -s) for g, s in reversed(w)):
             continue
         terminus, origin = rot[0][0], rot[half + 1][0]
-        key = (origin, terminus, str(normalize(w)))
-        if best is None or key < best:
-            best = key
+        label = normalize(w)
+        key = (origin, terminus, str(label))
+        if best is None or key < best[0]:
+            best = key, label
     if best is None:
         return None
-    origin, terminus, label_text = best
-    return origin, terminus, parse_word(label_text)
+    (origin, terminus, _), label = best
+    return origin, terminus, label
 
 
 def is_wirtinger(p: Presentation) -> Union[LOG, NotWirtinger]:

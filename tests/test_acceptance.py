@@ -7,7 +7,6 @@ a failure surfaces as an ordinary pytest failure for that criterion.
 import random
 import time
 
-from ribbonknots import cli
 from ribbonknots.acmoves import (
     ACPresentation,
     Conjugate,
@@ -21,13 +20,10 @@ from ribbonknots.acmoves import (
 )
 from ribbonknots.cosets import weight_one_certificate
 from ribbonknots.constructions import (
-    cyclic_module,
     realize_cyclic,
     realize_lemma3_group,
     realize_lemma4,
     realize_trotter,
-    taction_module,
-    tminus1_module,
 )
 from ribbonknots.covers import cover_homology, module_cover_homology
 from ribbonknots.fox import alexander_polynomial
@@ -40,7 +36,7 @@ from ribbonknots.intlinalg import (
     det_int,
     diagonal_of,
     factor_glnz,
-    int_matrix,
+    matrix,
     replay_elementary,
     smith_normal_form,
 )
@@ -60,7 +56,6 @@ from ribbonknots.presentations import (
     is_wirtinger,
     parse_presentation,
     parse_tietze_script,
-    weight_vector,
 )
 from ribbonknots.words import exponent_sums, gen, normalize
 from reference import compare_realization, fundamental_identity_holds, is_ascending_hnn_shape
@@ -110,12 +105,12 @@ def test_criterion_2_trotter_randomized_suite():
     checked = 0
     while checked < 50:
         r = rng.randint(1, 3)
-        m = int_matrix(
+        m = matrix(
             [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
         )
         if det_int(m) == 0:
             continue
-        mi = int_matrix(
+        mi = matrix(
             [[m[i, j] - (1 if i == j else 0) for j in range(r)] for i in range(r)]
         )
         if det_int(mi) == 0:
@@ -148,7 +143,7 @@ def test_criterion_3_lemma4_suite():
     while checked < 25:
         r = rng.randint(1, 3)
         m = replay_elementary(_random_elementary_ops(rng, r, rng.randint(0, 8)), r)
-        mi = int_matrix(
+        mi = matrix(
             [[m[i, j] + (1 if i == j else 0) for j in range(r)] for i in range(r)]
         )
         if abs(det_int(mi)) != 1:
@@ -173,7 +168,7 @@ def test_criterion_4_lemma3_suite():
     while checked < 25:
         r = rng.randint(1, 3)
         t = replay_elementary(_random_elementary_ops(rng, r, rng.randint(0, 8)), r)
-        ti = int_matrix(
+        ti = matrix(
             [[t[i, j] - (1 if i == j else 0) for j in range(r)] for i in range(r)]
         )
         if abs(det_int(ti)) != 1:
@@ -196,7 +191,7 @@ def test_criterion_5_glnz_and_snf():
         assert replay_elementary(factor_glnz(m), n) == m
     for _ in range(200):
         n = rng.randint(1, 5)
-        m = int_matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        m = matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         u, s, v = smith_normal_form(m)
         assert u @ m @ v == s
         assert abs(det_int(u)) == 1 and abs(det_int(v)) == 1
@@ -236,7 +231,7 @@ def test_criterion_7_ac_engine():
         )
         p = ACPresentation(gens, rels)
         before = cokernel_invariants(
-            int_matrix([exponent_sums(r, gens) for r in p.relators], cols=3)
+            matrix([exponent_sums(r, gens) for r in p.relators], cols=3)
         )
         kind = rng.randrange(3)
         if kind == 0:
@@ -248,7 +243,7 @@ def test_criterion_7_ac_engine():
             move = Multiply(i, j)
         q = apply_moves(p, [move])
         after = cokernel_invariants(
-            int_matrix([exponent_sums(r, gens) for r in q.relators], cols=3)
+            matrix([exponent_sums(r, gens) for r in q.relators], cols=3)
         )
         assert before == after
         applied += 1

@@ -21,7 +21,7 @@ from ribbonknots.acmoves import (
     removal_plan,
     verify_move_sequence,
 )
-from ribbonknots.intlinalg import cokernel_invariants, int_matrix
+from ribbonknots.intlinalg import cokernel_invariants, matrix
 from ribbonknots.presentations import parse_presentation
 from ribbonknots.words import exponent_sums, gen, normalize, parse_word
 from reference import parse_moves
@@ -31,7 +31,7 @@ SPUN = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 
 def ab_invariants(p: ACPresentation):
     rows = [exponent_sums(r, p.generators) for r in p.relators]
-    return cokernel_invariants(int_matrix(rows, cols=len(p.generators)))
+    return cokernel_invariants(matrix(rows, cols=len(p.generators)))
 
 
 def test_balanced_invariant():

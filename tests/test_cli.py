@@ -1,5 +1,3 @@
-import pytest
-
 from ribbonknots import cli
 from ribbonknots.presentations import parse_presentation
 

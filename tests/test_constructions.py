@@ -23,9 +23,7 @@ from ribbonknots.intlinalg import (
     AddMultiple,
     Negate,
     Swap,
-    det_int,
-    factor_glnz,
-    int_matrix,
+    matrix,
     replay_elementary,
 )
 from ribbonknots.laurent import (
@@ -44,21 +42,21 @@ def test_admissibility_checks():
     with pytest.raises(AdmissibilityError):
         cyclic_module(from_coeffs([1, 1]))  # augmentation 2
     with pytest.raises(AdmissibilityError):
-        trotter_module(int_matrix([[1]]))  # det(M - I) = 0
+        trotter_module(matrix([[1]]))  # det(M - I) = 0
     with pytest.raises(AdmissibilityError):
-        trotter_module(int_matrix([[0]]))  # det(M) = 0
+        trotter_module(matrix([[0]]))  # det(M) = 0
     with pytest.raises(AdmissibilityError):
-        tminus1_module(int_matrix([[2]]))
+        tminus1_module(matrix([[2]]))
     with pytest.raises(AdmissibilityError):
-        taction_module(int_matrix([[1]]))  # det(T - I) = 0
+        taction_module(matrix([[1]]))  # det(T - I) = 0
     with pytest.raises(AdmissibilityError):
         sum_module([])
 
 
 def test_presentation_matrices():
-    spec = trotter_module(int_matrix([[2]]))
+    spec = trotter_module(matrix([[2]]))
     assert spec.presentation_matrix().entries[0][0] == laurent({0: -1, 1: 2})
-    spec = taction_module(int_matrix([[0, 1], [-1, 1]]))
+    spec = taction_module(matrix([[0, 1], [-1, 1]]))
     m = spec.presentation_matrix()
     assert m.entries[0][1] == laurent({0: -1})
     spec = cyclic_module(from_coeffs([1, -1, 1]))
@@ -82,7 +80,7 @@ def test_cyclic_fg_flag():
 
 
 def test_trotter_realization():
-    res = realize_trotter(int_matrix([[2]]))
+    res = realize_trotter(matrix([[2]]))
     assert deficiency(res.primary_presentation) == 1
     assert deficiency(res.wirtinger_presentation) == 1
     assert str(abelianization(res.wirtinger_presentation)) == "Z"
@@ -115,7 +113,7 @@ def test_lift_elementary_abelianization():
                 ops.append(Negate(rng.randrange(n)))
         m = replay_elementary(ops, n)
         endo, inv = lift_elementary(tuple(ops), n)
-        assert int_matrix([exponent_sums(img, endo.domain) for img in endo.images]) == m
+        assert matrix([exponent_sums(img, endo.domain) for img in endo.images]) == m
         both = compose_endo(endo, inv)
         assert both.images == tuple(gen(g) for g in both.domain)
         both = compose_endo(inv, endo)
@@ -123,7 +121,7 @@ def test_lift_elementary_abelianization():
 
 
 def test_lemma4_realization():
-    m = int_matrix([[0, 1], [1, 1]])
+    m = matrix([[0, 1], [1, 1]])
     res = realize_lemma4(m)
     assert res.is_ascending_hnn
     assert is_ascending_hnn_shape(res.primary_presentation)
@@ -133,7 +131,7 @@ def test_lemma4_realization():
 
 
 def test_lemma3_realization():
-    t = int_matrix([[0, 1], [-1, 1]])
+    t = matrix([[0, 1], [-1, 1]])
     res = realize_lemma3_group(t)
     assert res.wirtinger_presentation is None
     assert not res.wirtinger_available
@@ -150,7 +148,7 @@ def test_parse_module_spec(tmp_path):
     (tmp_path / "m.mat").write_text("1 1\n2\n")
     read = lambda rel: (tmp_path / rel).read_text()
     spec = parse_module_spec("module trotter m.mat\n", read)
-    assert spec.kind == "trotter" and spec.matrix == int_matrix([[2]])
+    assert spec.kind == "trotter" and spec.matrix == matrix([[2]])
     spec = parse_module_spec("module cyclic poly 0 1 -1 1\n", read)
     assert spec.polys[0] == from_coeffs([1, -1, 1])
     spec = parse_module_spec("module sum poly 0 1 -1 1 ; poly 0 2 -1\n", read)

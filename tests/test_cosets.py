@@ -1,8 +1,8 @@
 import pytest
 
-from ribbonknots.cosets import CosetTable, todd_coxeter, weight_one_certificate
+from ribbonknots.cosets import todd_coxeter, weight_one_certificate
 from ribbonknots.presentations import Presentation, parse_presentation
-from ribbonknots.words import gen, parse_word, power, product
+from ribbonknots.words import gen
 from reference import act, trace
 
 

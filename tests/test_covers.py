@@ -13,7 +13,7 @@ from ribbonknots.covers import (
     cyclic_cover_presentation,
     module_cover_homology,
 )
-from ribbonknots.intlinalg import AbelianGroupInvariants, int_matrix
+from ribbonknots.intlinalg import AbelianGroupInvariants, matrix
 from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import abelianization, parse_presentation
 from reference import compare_realization
@@ -44,7 +44,7 @@ def test_module_oracle_matches_by_hand():
     assert module_cover_homology(spec, 2) == AbelianGroupInvariants(1, (3,))
     assert module_cover_homology(spec, 3) == AbelianGroupInvariants(1, (2, 2))
     assert module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
-    spec = trotter_module(int_matrix([[2]]))
+    spec = trotter_module(matrix([[2]]))
     assert module_cover_homology(spec, 3) == AbelianGroupInvariants(1, (7,))
 
 
@@ -53,7 +53,7 @@ def test_compare_realization_agrees():
     reports = compare_realization(res, [2, 3, 6])
     assert all(r.agrees for r in reports)
     assert [r.order for r in reports] == [2, 3, 6]
-    res = realize_trotter(int_matrix([[2]]))
+    res = realize_trotter(matrix([[2]]))
     assert all(r.agrees for r in compare_realization(res, [2, 3, 4]))
 
 
@@ -83,7 +83,7 @@ def test_explicit_weights_and_errors():
 def test_rank3_trotter_n64_sides_agree():
     # 192 x 192 module matrix; the group side is a 192 x 193 exponent
     # matrix.  Each side took seconds with the dense, transform-tracking SNF.
-    res = realize_trotter(int_matrix([[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]))
+    res = realize_trotter(matrix([[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]))
     group = cover_homology(res.verification_presentation(), 64)
     assert group == module_cover_homology(res.module_spec, 64)
 

@@ -4,7 +4,8 @@ import pytest
 
 from ribbonknots.fox import alexander_matrix, alexander_polynomial
 from ribbonknots.constructions import realize_cyclic
-from ribbonknots.laurent import det_lambda, eq_up_to_unit, from_coeffs, lambda_matrix, laurent
+from ribbonknots.intlinalg import matrix
+from ribbonknots.laurent import det_lambda, eq_up_to_unit, from_coeffs, laurent
 from ribbonknots.presentations import parse_presentation, weight_vector
 from ribbonknots.words import IDENTITY, gen, normalize, parse_word
 from reference import (
@@ -72,7 +73,7 @@ def test_alexander_matrix_shape_and_columns():
     w = weight_vector(p)
     # column-choice independence across weight +-1 generators
     polys = [
-        det_lambda(lambda_matrix([row[:j] + row[j + 1 :] for row in m.entries]))
+        det_lambda(matrix([row[:j] + row[j + 1 :] for row in m.entries]))
         for j, wt in enumerate(w)
         if abs(wt) == 1
     ]

@@ -11,7 +11,7 @@ from ribbonknots.intlinalg import (
     det_int,
     diagonal_of,
     factor_glnz,
-    int_matrix,
+    matrix,
     parse_matrix,
     replay_elementary,
     smith_normal_form,
@@ -19,7 +19,7 @@ from ribbonknots.intlinalg import (
 
 
 def random_matrix(rng, rows, cols, bound=9):
-    return int_matrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+    return matrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
 
 
 def random_unimodular(rng, n, n_ops=10):
@@ -38,10 +38,10 @@ def random_unimodular(rng, n, n_ops=10):
 
 
 def test_det_int_basics():
-    assert det_int(int_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
-    assert det_int(int_matrix([[2, 0], [0, 3]])) == 6
-    assert det_int(int_matrix([[1, 2], [2, 4]])) == 0
-    assert det_int(int_matrix([], cols=0)) == 1
+    assert det_int(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+    assert det_int(matrix([[2, 0], [0, 3]])) == 6
+    assert det_int(matrix([[1, 2], [2, 4]])) == 0
+    assert det_int(matrix([], cols=0)) == 1
 
 
 def test_det_int_multiplicative():
@@ -59,7 +59,7 @@ def test_elementary_inverses():
         m = random_unimodular(rng, n)
         ops = factor_glnz(m)
         undo = tuple(op.inverse() for op in reversed(ops))
-        identity = int_matrix([[int(i == j) for j in range(n)] for i in range(n)])
+        identity = matrix([[int(i == j) for j in range(n)] for i in range(n)])
         assert replay_elementary(tuple(ops) + undo, n) == identity
 
 
@@ -70,7 +70,7 @@ def test_factor_glnz_replay_exact():
         m = random_unimodular(rng, n)
         assert replay_elementary(factor_glnz(m), n) == m
     with pytest.raises(ValueError):
-        factor_glnz(int_matrix([[2]]))
+        factor_glnz(matrix([[2]]))
 
 
 def test_snf_contract():
@@ -104,9 +104,9 @@ def test_snf_deterministic():
 
 
 def test_cokernel_invariants():
-    assert cokernel_invariants(int_matrix([[2, 0], [0, 3]])) == AbelianGroupInvariants(0, (6,))
-    assert cokernel_invariants(int_matrix([[0, 0]], cols=2)) == AbelianGroupInvariants(2)
-    assert cokernel_invariants(int_matrix([], cols=3)) == AbelianGroupInvariants(3)
+    assert cokernel_invariants(matrix([[2, 0], [0, 3]])) == AbelianGroupInvariants(0, (6,))
+    assert cokernel_invariants(matrix([[0, 0]], cols=2)) == AbelianGroupInvariants(2)
+    assert cokernel_invariants(matrix([], cols=3)) == AbelianGroupInvariants(3)
     assert str(AbelianGroupInvariants(1, (3,))) == "Z + Z/3"
     assert str(AbelianGroupInvariants(0)) == "0"
 
@@ -119,7 +119,7 @@ def test_invariants_validation():
 
 
 def test_matrix_file_roundtrip():
-    m = int_matrix([[1, -2], [0, 7]])
+    m = matrix([[1, -2], [0, 7]])
     assert parse_matrix("2 2\n1 -2\n0 7\n") == m
     assert parse_matrix("# c\n2 2\n1 -2 # tail\n0 7\n") == m
     with pytest.raises(ValueError):

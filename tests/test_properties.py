@@ -11,14 +11,15 @@ from ribbonknots.acmoves import ACPresentation, canonical_form  # noqa: E402
 from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
-    IntMatrix,
+    Matrix,
     cokernel_invariants,
+    det_int,
     diagonal_invariants,
     diagonal_of,
-    int_matrix,
+    matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, lambda_matrix, laurent  # noqa: E402
+from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
 from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
 from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
 from reference import abelianize_to_lambda, fox_derivative  # noqa: E402
@@ -111,7 +112,7 @@ def dense_matrices(max_dim=6, bound=50):
         lambda shape: st.lists(
             st.lists(entry, min_size=shape[1], max_size=shape[1]),
             min_size=shape[0], max_size=shape[0],
-        ).map(lambda grid: int_matrix(grid, cols=shape[1]))
+        ).map(lambda grid: matrix(grid, cols=shape[1]))
     )
 
 
@@ -122,7 +123,7 @@ def low_rank_matrices(max_dim=6):
         return st.lists(
             st.lists(st.integers(-7, 7), min_size=cols, max_size=cols),
             min_size=rows, max_size=rows,
-        ).map(int_matrix)
+        ).map(matrix)
 
     def product_of(shape):
         r, k, c = shape
@@ -148,7 +149,7 @@ def block_circulant_matrices(max_rank=3, max_order=8):
                 for e, c in polys[i * r + j]:
                     for a in range(n):
                         grid[i * n + a][j * n + (a + e) % n] += c
-        return int_matrix(grid, cols=r * n)
+        return matrix(grid, cols=r * n)
 
     return st.tuples(st.integers(1, max_rank), st.integers(1, max_order)).flatmap(
         lambda rn: st.tuples(
@@ -158,14 +159,18 @@ def block_circulant_matrices(max_rank=3, max_order=8):
     ).map(substitute)
 
 
-def check_against_sympy(m: IntMatrix) -> None:
+def check_against_sympy(m: Matrix) -> None:
     """``cokernel_invariants`` agrees with sympy's invariant factors over
-    ZZ and with the diagonal of this package's transform-tracking SNF."""
+    ZZ and with the diagonal of this package's transform-tracking SNF;
+    on square input ``det_int`` agrees with sympy's determinant."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
     flat = [x for row in m.entries for x in row]
-    factors = invariant_factors(sympy.Matrix(m.rows, m.cols, flat), domain=sympy.ZZ)
+    reference = sympy.Matrix(m.rows, m.cols, flat)
+    if m.rows == m.cols:
+        assert det_int(m) == reference.det()
+    factors = invariant_factors(reference, domain=sympy.ZZ)
     nonzero = [abs(int(d)) for d in factors if d != 0]
     expected = AbelianGroupInvariants(m.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
     got = cokernel_invariants(m)
@@ -276,16 +281,16 @@ def sympy_det(grid):
 @PROPERTY
 @given(block_diagonal())
 def test_det_lambda_matches_sympy_block_diagonal(grid):
-    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid)
+    assert det_lambda(matrix(grid)) == sympy_det(grid)
 
 
 @PROPERTY
 @given(with_zero_line())
 def test_det_lambda_matches_sympy_zero_line(grid):
-    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid) == ZERO
+    assert det_lambda(matrix(grid)) == sympy_det(grid) == ZERO
 
 
 @settings(PROPERTY, max_examples=40)  # each example runs two 3x3 to 10x10 determinants
 @given(bordered_core())
 def test_det_lambda_matches_sympy_bordered_core(grid):
-    assert det_lambda(lambda_matrix(grid)) == sympy_det(grid)
+    assert det_lambda(matrix(grid)) == sympy_det(grid)
