@@ -8,23 +8,21 @@ presentation of the trivial group is AC-trivial when some finite move
 sequence reaches the empty presentation; the search below explores
 that reachability breadth-first under explicit bounds, reporting
 ``Budget`` (not a refutation) when the bounds clip the search.
+
+The search runs on ``Packed`` states, relators as strings of letter
+codes in (name, sign) order with their least rotations cached, keyed as
+their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  Moves are
+spelled out, and replayed on ``Word`` relators, only for the path found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from itertools import groupby
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .presentations import Presentation, deficiency
-from .words import (
-    Word,
-    check_generator_name,
-    cyclic_letters,
-    cyclic_variants,
-    gen,
-    inverse,
-    product,
-)
+from .words import Word, check_generator_name, gen, inverse, product
 
 
 @dataclass(frozen=True)
@@ -167,22 +165,55 @@ def apply_moves(p: ACPresentation, moves: Sequence[ACMove]) -> ACPresentation:
     return p
 
 
-def canonical_form(p: ACPresentation) -> tuple:
-    """Hashable key invariant under relator inversion, cyclic rotation
-    and relator reordering.
+class Packed(NamedTuple):
+    """A search state: each relator as a string of letter codes, and the
+    least rotation of each, which ``canonical_form`` reads."""
 
-    Generators are numbered in order of first appearance in the sorted
-    least rotations, which are compared by name first.  So the key is
+    relators: tuple[str, ...]
+    least: tuple[str, ...]
+
+
+def pack(p: ACPresentation) -> Packed:
+    """``p`` in letter codes: ``g^s`` (s = +-1) is ``chr(2 r + (s > 0))``
+    for r the rank of ``g`` in sorted name order, so codes compare as
+    ``(name, sign)`` pairs do and ``c ^ 1`` inverts code ``c``."""
+    rank = {g: r for r, g in enumerate(sorted(p.generators))}
+    relators = tuple("".join(chr(2 * rank[g] + (e > 0)) * abs(e) for g, e in r.syllables)
+                     for r in p.relators)
+    inv = {c: c ^ 1 for c in range(2 * len(rank))}  # translate table inverting each code
+    return Packed(relators, tuple(_least_rotation(r, inv) for r in relators))
+
+
+def _least_rotation(s: str, inv: dict[int, int]) -> str:
+    """Least rotation of the cyclically reduced conjugate of ``s`` or of
+    its inverse.  (``min`` over slices beats Booth's algorithm in Python
+    at these lengths.)"""
+    i, j = 0, len(s)
+    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
+        i, j = i + 1, j - 1
+    n = j - i
+    forward = s[i:j] * 2
+    backward = forward[::-1].translate(inv)
+    return min((w[k : k + n] for w in (forward, backward) for k in range(n)), default="")
+
+
+def canonical_form(least: Sequence[str]) -> tuple[str, ...]:
+    """Hashable key of a state from the least rotation of every relator
+    (``Packed.least``), invariant under relator inversion, cyclic
+    rotation and relator reordering.
+
+    Generators are renumbered in order of first appearance in the sorted
+    least rotations, whose codes compare by name first.  So the key is
     not invariant under renaming generators: ``(a b^2, b)`` and its
     a <-> b renaming ``(b a^2, a)`` get different keys.
     """
-    reduced = sorted(min(cyclic_variants(cyclic_letters(r)), default=()) for r in p.relators)
-    rename: dict[str, int] = {}
-    keyed = tuple(
-        tuple((rename.setdefault(g, len(rename)), s) for g, s in letters)
-        for letters in reduced
-    )
-    return (len(p.generators), keyed)
+    ordered = sorted(least)
+    rename: dict[int, int] = {}
+    table: dict[int, int] = {}
+    for c in dict.fromkeys("".join(ordered)):
+        o = ord(c)
+        table[o] = 2 * rename.setdefault(o >> 1, len(rename)) + (o & 1)
+    return tuple(r.translate(table) for r in ordered)
 
 
 @dataclass(frozen=True)
@@ -242,97 +273,105 @@ def removal_plan(p: ACPresentation) -> Optional[tuple[ACMove, ...]]:
     return tuple(moves)
 
 
-def _successors(
-    p: ACPresentation, max_total_length: int
-) -> tuple[list[tuple[tuple[ACMove, ...], ACPresentation]], bool]:
-    """Compound successors: R_i *= c . R_j^e . c^-1 over all i != j,
-    e in {+1, -1}, and single-letter conjugators c (or none).
+def _reduced_product(a: str, b: str) -> str:
+    """Free reduction of ``a . b`` for freely reduced ``a`` and ``b``."""
+    k, m = 0, min(len(a), len(b))
+    while k < m and ord(a[-1 - k]) ^ ord(b[k]) == 1:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
-    Each successor carries the primitive move list realizing it (the
-    transformation of R_j is undone afterwards).  Returns the successor
-    list and whether any candidate was pruned by the length bound.
-    """
-    n = len(p.relators)
-    out = []
-    pruned = False
-    conjugators: list[Optional[tuple[str, int]]] = [None]
-    conjugators += [(g, s) for g in p.generators for s in (1, -1)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for invert_j in (False, True):
-                for conj in conjugators:
-                    rj = inverse(p.relators[j]) if invert_j else p.relators[j]
-                    if conj is not None:
-                        rj = product(gen(conj[0], conj[1]), rj, gen(conj[0], -conj[1]))
-                    new_ri = product(p.relators[i], rj)
-                    new_rels = p.relators[:i] + (new_ri,) + p.relators[i + 1 :]
-                    q = ACPresentation(p.generators, new_rels)
-                    if q.total_length() > max_total_length:
-                        pruned = True
-                        continue
-                    moves: list[ACMove] = []
-                    if conj is not None:
-                        moves.append(Conjugate(j, conj[0], conj[1]))
-                    if invert_j:
-                        moves.append(Invert(j))
-                    moves.append(Multiply(i, j))
-                    if invert_j:
-                        moves.append(Invert(j))
-                    if conj is not None:
-                        moves.append(Conjugate(j, conj[0], -conj[1]))
-                    out.append((tuple(moves), q))
-    return out, pruned
+
+def _compound_move(i: int, j: int, invert_j: bool, conj: tuple[str, int] | None) -> list[ACMove]:
+    """Primitive moves for R_i *= c . R_j^e . c^-1; R_j is restored."""
+    before: list[ACMove] = [] if conj is None else [Conjugate(j, conj[0], conj[1])]
+    after: list[ACMove] = [] if conj is None else [Conjugate(j, conj[0], -conj[1])]
+    if invert_j:
+        before.append(Invert(j))
+        after.insert(0, Invert(j))
+    return before + [Multiply(i, j)] + after
 
 
 def ac_trivialize_search(
-    p: ACPresentation,
-    max_total_length: int,
-    max_depth: int,
+    p: ACPresentation, max_total_length: int, max_depth: int
 ) -> SearchOutcome:
     """Bounded breadth-first search for an AC trivialization.
 
-    ``Found`` carries a primitive move list, replay-verified before it
-    is returned.  Conjugations are enumerated by single letters only
-    (longer conjugations compose); ``AddPair`` is never enumerated, so
-    exhaustion is relative to this restricted alphabet.  Deterministic
-    (fixed expansion order).
+    A step sets R_i *= c . R_j^e . c^-1, looping over i, then j != i,
+    then e = +1, -1, then c = none or a single letter (longer
+    conjugations compose).  ``AddPair`` is never enumerated, so
+    exhaustion is relative to this restricted alphabet.  Candidates
+    longer than ``max_total_length`` in total are pruned; a pruned
+    candidate or states left at ``max_depth`` give ``Budget``, not
+    ``Exhausted``.  ``Found`` carries a primitive move list,
+    replay-verified on ``Word`` relators.  Deterministic.
+
+    States are ``Packed``, so a candidate re-keys only the relator it
+    changed.  Codes order letters as ``(name, sign)`` pairs do, so
+    ``canonical_form`` partitions states as it did on ``Word`` relators,
+    and the states kept, the outcome and the moves found are those of
+    the ``Word``-based search.  Paths are ``(i, j, e, c)`` steps, spelled
+    as moves only when found; ``removal_plan`` runs only where some
+    generator occurs exactly once, as it finds no plan elsewhere.
     """
     if max_total_length < 1 or max_depth < 1:
         raise ValueError("bounds must be positive")
     if p.total_length() > max_total_length:
         return Budget()
-
-    seen = {canonical_form(p)}
-    frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = [(p, ())]
-    truncated = False
-
+    start = pack(p)
+    seen = {canonical_form(start.least)}
     plan = removal_plan(p)
     if plan is not None:
         return _verified_found(p, plan)
 
+    names = sorted(p.generators)
+    inv = {c: c ^ 1 for c in range(2 * len(names))}
+    pairs = [(chr(2 * r), chr(2 * r + 1)) for r in range(len(names))]
+    conjugators = [None] + [(g, s) for g in p.generators for s in (1, -1)]
+    rank = {g: 2 * r for r, g in enumerate(names)}
+    codes = [c and tuple(chr(rank[c[0]] + (e > 0)) for e in (c[1], -c[1])) for c in conjugators]
+    variants = [(e, c) for e in (False, True) for c in conjugators]
+    frontier: list[tuple[Packed, tuple]] = [(start, ())]
+    truncated = False
     for _depth in range(max_depth):
-        if not frontier:
-            break
-        next_frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = []
-        for node, path in frontier:
-            succs, pruned = _successors(node, max_total_length)
-            truncated = truncated or pruned
-            for moves, q in succs:
-                key = canonical_form(q)
-                if key in seen:
-                    continue
-                seen.add(key)
-                full = path + moves
-                plan = removal_plan(q)
-                if plan is not None:
-                    return _verified_found(p, full + plan)
-                next_frontier.append((q, full))
+        next_frontier: list[tuple[Packed, tuple]] = []
+        for (relators, least), path in frontier:
+            # c . R_j^e . c^-1 for each j, in ``variants`` order
+            factors = [[w if c is None else _reduced_product(_reduced_product(c[0], w), c[1])
+                        for w in (r, r[::-1].translate(inv)) for c in codes] for r in relators]
+            room = max_total_length - sum(map(len, relators))
+            for i, r_i in enumerate(relators):
+                for j, words in enumerate(factors):
+                    if i == j:
+                        continue
+                    for v, w in enumerate(words):
+                        new = _reduced_product(r_i, w)
+                        if len(new) - len(r_i) > room:
+                            truncated = True
+                            continue
+                        keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
+                        key = canonical_form(keyed)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        q = Packed(relators[:i] + (new,) + relators[i + 1 :], keyed)
+                        steps = path + ((i, j, *variants[v]),)
+                        joined = "".join(q.relators)
+                        if any(joined.count(a) + joined.count(b) == 1 for a, b in pairs):
+                            plan = removal_plan(_unpack(p, names, q.relators))
+                            if plan is not None:
+                                moves = [m for step in steps for m in _compound_move(*step)]
+                                return _verified_found(p, tuple(moves) + plan)
+                        next_frontier.append((q, steps))
         frontier = next_frontier
-    if frontier:
-        truncated = True  # depth bound hit with unexplored states
-    return Budget() if truncated else Exhausted()
+    return Budget() if truncated or frontier else Exhausted()
+
+
+def _unpack(p: ACPresentation, names: list[str], relators: tuple[str, ...]) -> ACPresentation:
+    """The presentation on the generators of ``p`` with the packed
+    ``relators``, whose codes rank the sorted ``names``."""
+    words = (((names[ord(c) >> 1], len(list(run)) * (1 if ord(c) & 1 else -1))
+              for c, run in groupby(r)) for r in relators)
+    return ACPresentation(p.generators, tuple(Word(tuple(w)) for w in words))
 
 
 def _verified_found(p: ACPresentation, moves: tuple[ACMove, ...]) -> Found:

@@ -11,28 +11,47 @@ another way:
 * ``is_ascending_hnn_shape``, the syntactic shape of a lemma-4
   presentation;
 * ``parse_moves``, the inverse of ``acmoves.format_moves``;
+* ``ac_trivialize_search_reference``, the Andrews-Curtis search on
+  ``Word`` relators, against the packed-letter
+  ``acmoves.ac_trivialize_search``;
 * ``act`` and ``trace``, the action of words on a closed coset table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ribbonknots.acmoves import (
     ACMove,
+    ACPresentation,
     AddPair,
+    Budget,
     Conjugate,
+    Exhausted,
+    Found,
     Invert,
     Multiply,
     RemovePair,
+    SearchOutcome,
+    removal_plan,
+    verify_move_sequence,
 )
 from ribbonknots.constructions import RealizationResult
 from ribbonknots.cosets import CosetTable
 from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
 from ribbonknots.laurent import LaurentPoly, laurent
 from ribbonknots.presentations import Presentation
-from ribbonknots.words import IDENTITY, Word, gen, parse_word, product
+from ribbonknots.words import (
+    IDENTITY,
+    Word,
+    cyclic_letters,
+    cyclic_variants,
+    gen,
+    inverse,
+    parse_word,
+    product,
+)
 
 
 @dataclass(frozen=True)
@@ -207,3 +226,105 @@ def trace(table: CosetTable, coset: int, w: Word) -> int:
     for g, s in w.letters():
         coset = act(table, coset, g, s)
     return coset
+
+
+def canonical_form_reference(p: ACPresentation) -> tuple:
+    """The AC ``seen`` key on ``Word`` relators: sorted least rotations
+    (over each relator and its inverse, compared by name then sign),
+    generators renumbered by first appearance."""
+    reduced = sorted(min(cyclic_variants(cyclic_letters(r)), default=()) for r in p.relators)
+    rename: dict[str, int] = {}
+    keyed = tuple(
+        tuple((rename.setdefault(g, len(rename)), s) for g, s in letters)
+        for letters in reduced
+    )
+    return (len(p.generators), keyed)
+
+
+def _successors(
+    p: ACPresentation, max_total_length: int
+) -> tuple[list[tuple[tuple[ACMove, ...], ACPresentation]], bool]:
+    """Compound successors: R_i *= c . R_j^e . c^-1 over all i != j,
+    e in {+1, -1}, and single-letter conjugators c (or none).
+
+    Each successor carries the primitive move list realizing it (the
+    transformation of R_j is undone afterwards).  Returns the successor
+    list and whether any candidate was pruned by the length bound.
+    """
+    n = len(p.relators)
+    out = []
+    pruned = False
+    conjugators: list[Optional[tuple[str, int]]] = [None]
+    conjugators += [(g, s) for g in p.generators for s in (1, -1)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for invert_j in (False, True):
+                for conj in conjugators:
+                    rj = inverse(p.relators[j]) if invert_j else p.relators[j]
+                    if conj is not None:
+                        rj = product(gen(conj[0], conj[1]), rj, gen(conj[0], -conj[1]))
+                    new_ri = product(p.relators[i], rj)
+                    new_rels = p.relators[:i] + (new_ri,) + p.relators[i + 1 :]
+                    q = ACPresentation(p.generators, new_rels)
+                    if q.total_length() > max_total_length:
+                        pruned = True
+                        continue
+                    moves: list[ACMove] = []
+                    if conj is not None:
+                        moves.append(Conjugate(j, conj[0], conj[1]))
+                    if invert_j:
+                        moves.append(Invert(j))
+                    moves.append(Multiply(i, j))
+                    if invert_j:
+                        moves.append(Invert(j))
+                    if conj is not None:
+                        moves.append(Conjugate(j, conj[0], -conj[1]))
+                    out.append((tuple(moves), q))
+    return out, pruned
+
+
+def ac_trivialize_search_reference(
+    p: ACPresentation, max_total_length: int, max_depth: int
+) -> SearchOutcome:
+    """Breadth-first AC search on ``Word`` relators, in the expansion
+    order of ``acmoves.ac_trivialize_search``: every successor is built
+    as a full presentation with its move list, keyed by
+    ``canonical_form_reference`` and tried with ``removal_plan``."""
+    if max_total_length < 1 or max_depth < 1:
+        raise ValueError("bounds must be positive")
+    if p.total_length() > max_total_length:
+        return Budget()
+
+    seen = {canonical_form_reference(p)}
+    frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = [(p, ())]
+    truncated = False
+
+    plan = removal_plan(p)
+    if plan is not None:
+        assert verify_move_sequence(p, plan)
+        return Found(plan)
+
+    for _depth in range(max_depth):
+        if not frontier:
+            break
+        next_frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = []
+        for node, path in frontier:
+            succs, pruned = _successors(node, max_total_length)
+            truncated = truncated or pruned
+            for moves, q in succs:
+                key = canonical_form_reference(q)
+                if key in seen:
+                    continue
+                seen.add(key)
+                full = path + moves
+                plan = removal_plan(q)
+                if plan is not None:
+                    assert verify_move_sequence(p, full + plan)
+                    return Found(full + plan)
+                next_frontier.append((q, full))
+        frontier = next_frontier
+    if frontier:
+        truncated = True  # depth bound hit with unexplored states
+    return Budget() if truncated else Exhausted()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,13 +19,15 @@ from ribbonknots.acmoves import (
     canonical_form,
     format_moves,
     kill_meridian,
+    pack,
     removal_plan,
     verify_move_sequence,
 )
+from ribbonknots.constructions import realize_lemma4
 from ribbonknots.intlinalg import cokernel_invariants, matrix
 from ribbonknots.presentations import parse_presentation
-from ribbonknots.words import exponent_sums, gen, normalize, parse_word
-from reference import parse_moves
+from ribbonknots.words import IDENTITY, exponent_sums, gen, normalize, parse_word
+from reference import ac_trivialize_search_reference, parse_moves
 
 SPUN = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 
@@ -131,16 +134,27 @@ def test_moves_preserve_coset_enumeration():
         assert index(q) == before
 
 
+def key(p: ACPresentation) -> tuple:
+    return canonical_form(pack(p).least)
+
+
 def test_canonical_form_invariances():
     p = ACPresentation(("x", "y"), (parse_word("x y"), gen("y")))
-    assert canonical_form(p) == canonical_form(apply_move(p, Invert(0)))
-    assert canonical_form(p) == canonical_form(apply_move(p, Conjugate(0, "y", 1)))
+    assert key(p) == key(apply_move(p, Invert(0)))
+    assert key(p) == key(apply_move(p, Conjugate(0, "y", 1)))
     a = ACPresentation(("x",), (gen("x"),))
     b = ACPresentation(("z",), (gen("z", -1),))
-    assert canonical_form(a) == canonical_form(b)
+    assert key(a) == key(b)
     rot1 = ACPresentation(("x", "y"), (parse_word("x y"), gen("x")))
     rot2 = ACPresentation(("x", "y"), (parse_word("y x"), gen("x")))
-    assert canonical_form(rot1) == canonical_form(rot2)
+    assert key(rot1) == key(rot2)
+
+
+def test_pack_codes_follow_name_then_sign():
+    p = ACPresentation(("t", "b", "a"), (parse_word("a t^2 b^-1"), IDENTITY, gen("b", -1)))
+    assert pack(p).relators == ("\x01\x05\x05\x02", "", "\x02")
+    # the least rotation comes from the inverse b t^-2 a^-1
+    assert pack(p).least == ("\x00\x03\x04\x04", "", "\x02")
 
 
 def test_removal_plan_trivial_cases():
@@ -167,12 +181,41 @@ def test_search_found_cases():
 
 
 def test_search_outcomes_budget_exhausted():
-    # Z (x with empty-ish relator x^2 gives Z/2, never trivializable):
+    # (x^2) presents Z/2: no two relators to combine, so nothing is left to expand
     stuck = ACPresentation(("x",), (gen("x", 2),))
-    out = ac_trivialize_search(stuck, 4, 3)
-    assert isinstance(out, (Budget, Exhausted))
+    assert ac_trivialize_search(stuck, 4, 3) == Exhausted()
+    # every candidate of (x^2, y^2) is longer than 4, so only pruning ends the search
+    pruned = ACPresentation(("x", "y"), (gen("x", 2), gen("y", 2)))
+    assert ac_trivialize_search(pruned, 4, 3) == Budget()
     # oversized start is a budget outcome
     assert isinstance(ac_trivialize_search(stuck, 1, 3), Budget)
+
+
+def lemma4_rank2(bound: int = 3):
+    """Every 2 x 2 matrix M with entries in [-bound, bound] such that M
+    and I + M are unimodular, in lexicographic order."""
+    for a, b, c, d in itertools.product(range(-bound, bound + 1), repeat=4):
+        if abs(a * d - b * c) == 1 and abs((a + 1) * (d + 1) - b * c) == 1:
+            yield matrix([[a, b], [c, d]])
+
+
+def test_search_matches_word_reference(corpus):
+    """The packed-letter search and the Word-based reference agree,
+    found move lists included, on every killed rank-2 lemma4 Wirtinger
+    form with entries in [-3, 3] and on the four corpus cases."""
+    cases = [realize_lemma4(m).wirtinger_presentation for m in lemma4_rank2()]
+    assert len(cases) == 36
+    cases += [
+        parse_presentation((corpus / f"{name}.pres").read_text())
+        for name in ("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion")
+    ]
+    outcomes = []
+    for p in cases:
+        killed = kill_meridian(p, "t")
+        out = ac_trivialize_search(killed, 14, 3)
+        assert out == ac_trivialize_search_reference(killed, 14, 3)
+        outcomes.append(type(out))
+    assert {Found, Budget} <= set(outcomes)
 
 
 def test_search_deterministic_and_worker_independent():

@@ -1,5 +1,6 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
-of the one-pass Alexander matrix, of the sparse cokernel invariants and
+of the packed-letter AC search against its Word-based reference, of
+the one-pass Alexander matrix, of the sparse cokernel invariants and
 of the peeling determinant over Z[t, t^-1]."""
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ribbonknots.acmoves import ACPresentation, canonical_form  # noqa: E402
+from ribbonknots.acmoves import (  # noqa: E402
+    ACPresentation,
+    ac_trivialize_search,
+    canonical_form,
+    pack,
+)
 from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
@@ -22,7 +28,12 @@ from ribbonknots.intlinalg import (  # noqa: E402
 from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
 from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
 from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
-from reference import abelianize_to_lambda, fox_derivative  # noqa: E402
+from reference import (  # noqa: E402
+    abelianize_to_lambda,
+    ac_trivialize_search_reference,
+    canonical_form_reference,
+    fox_derivative,
+)
 
 GENS = ("a", "b", "c")
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -53,6 +64,10 @@ def test_substitute_respects_products_and_inverses(u, v, imgs):
     assert substitute(u, {}) == u
 
 
+def ac_key(p: ACPresentation) -> tuple:
+    return canonical_form(pack(p).least)
+
+
 @PROPERTY
 @given(st.lists(words(("a", "b")), min_size=2, max_size=2), st.integers(0, 20),
        st.booleans(), st.booleans())
@@ -62,7 +77,33 @@ def test_canonical_form_invariant_under_rotation_and_inversion(rels, k, invert, 
     if invert:
         moved = inverse(moved)
     q_rels = (rels[1], moved) if swap else (moved, rels[1])
-    assert canonical_form(ACPresentation(("a", "b"), q_rels)) == canonical_form(p)
+    assert ac_key(ACPresentation(("a", "b"), q_rels)) == ac_key(p)
+
+
+def balanced(max_size=3):
+    """Balanced presentations on 2 or 3 of GENS with short relators."""
+    def on(n):
+        syllable = st.tuples(st.sampled_from(GENS[:n]), st.integers(-2, 2).filter(bool))
+        relator = st.lists(syllable, max_size=max_size).map(normalize)
+        return st.lists(relator, min_size=n, max_size=n).map(
+            lambda rels: ACPresentation(GENS[:n], tuple(rels)))
+    return st.integers(2, 3).flatmap(on)
+
+
+@PROPERTY
+@given(balanced())
+def test_canonical_form_spells_the_word_key(p):
+    """The packed key is the Word-based key with each (index, sign)
+    letter written as one code, chr(2 index + (sign > 0))."""
+    decoded = tuple(tuple((ord(c) >> 1, 1 if ord(c) & 1 else -1) for c in r) for r in ac_key(p))
+    assert (len(p.generators), decoded) == canonical_form_reference(p)
+
+
+@PROPERTY
+@given(balanced(), st.integers(1, 10), st.integers(1, 3))
+def test_ac_search_matches_word_reference(p, max_len, depth):
+    out = ac_trivialize_search(p, max_len, depth)
+    assert out == ac_trivialize_search_reference(p, max_len, depth)
 
 
 def conjugation_relators():
@@ -134,6 +175,19 @@ def low_rank_matrices(max_dim=6):
     ).filter(lambda s: s[1] < min(s[0], s[2])).flatmap(product_of)
 
 
+@st.composite
+def permuted_triangular(draw, max_dim=6, bound=50):
+    """Nonsingular squares: upper triangular with a nonzero diagonal,
+    rows and columns permuted, so elimination has rows to swap, an odd
+    number of times in some draws."""
+    n = draw(st.integers(1, max_dim))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    diagonal = st.integers(-bound, bound).filter(bool)
+    grid = [[draw(diagonal) if i == j else draw(entry) if j > i else 0 for j in range(n)]
+            for i in range(n)]
+    return matrix(draw(permuted(grid)))
+
+
 def block_circulant_matrices(max_rank=3, max_order=8):
     """The Kronecker substitution t -> (N x N cyclic shift) applied to an
     r x r matrix of sparse Laurent polynomials, as the module side of the
@@ -180,7 +234,7 @@ def check_against_sympy(m: Matrix) -> None:
 
 
 @PROPERTY
-@given(st.one_of(dense_matrices(), low_rank_matrices()))
+@given(st.one_of(dense_matrices(), low_rank_matrices(), permuted_triangular()))
 def test_cokernel_invariants_match_sympy_snf(m):
     check_against_sympy(m)
 
