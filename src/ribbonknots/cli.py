@@ -9,6 +9,7 @@ diagnostics go to stderr; artifacts go to stdout or to files.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -380,10 +381,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: building it takes tens of
+    times as long as a ``parse_args`` call, and parsing leaves no state
+    on it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,14 @@ Used to certify triviality of killed-meridian quotients and for small
 index sanity checks.  Enumeration is deterministic: cosets are defined
 in scan order, relators are scanned in presentation order, and
 coincidences are processed immediately.
+
+The table is flat: ``rows[c][x]`` is the coset ``c . x`` or ``-1``,
+where letter ``x = 2*g`` is generator ``g`` and ``x ^ 1`` its inverse.
+Between coincidences every live row names only live cosets, so scans
+read entries directly and coset ``c`` is live iff ``rep[c] == c``.
+Coincidences follow the COINCIDENCE and MERGE routines of Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, section 5.1, and
+keep the smaller coset number of a merged pair.
 """
 
 from __future__ import annotations
@@ -31,84 +39,6 @@ class CosetTable:
     action: Optional[tuple[tuple[int, ...], ...]] = None  # [coset][2*gen + dir]
 
 
-def _flip(letter: int) -> int:
-    return letter ^ 1
-
-
-class _Table:
-    """Coset action table with union-find coincidence handling."""
-
-    def __init__(self, n_letters: int, limit: int) -> None:
-        self.n_letters = n_letters
-        self.limit = limit
-        self.rows: list[list[Optional[int]]] = []
-        self.rep: list[int] = []
-
-    def find(self, a: int) -> int:
-        while self.rep[a] != a:
-            self.rep[a] = self.rep[self.rep[a]]
-            a = self.rep[a]
-        return a
-
-    def new_coset(self) -> Optional[int]:
-        if len(self.rows) >= self.limit:
-            return None
-        self.rows.append([None] * self.n_letters)
-        self.rep.append(len(self.rows) - 1)
-        return len(self.rows) - 1
-
-    def get(self, a: int, letter: int) -> Optional[int]:
-        v = self.rows[self.find(a)][letter]
-        return None if v is None else self.find(v)
-
-    def set(self, a: int, letter: int, b: int) -> None:
-        """Record a . letter = b (and the inverse edge), merging cosets
-        whenever the new fact contradicts an existing entry."""
-        while True:
-            a, b = self.find(a), self.find(b)
-            cur = self.get(a, letter)
-            if cur is not None and cur != b:
-                self.coincide(cur, b)
-                continue
-            self.rows[a][letter] = b
-            back = self.get(b, _flip(letter))
-            if back is None:
-                self.rows[self.find(b)][_flip(letter)] = a
-                return
-            if back == self.find(a):
-                return
-            self.coincide(back, a)
-
-    def coincide(self, a: int, b: int) -> None:
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            a, b = self.find(a), self.find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            self.rep[b] = a
-            row, self.rows[b] = self.rows[b], [None] * self.n_letters
-            for letter, v in enumerate(row):
-                if v is None:
-                    continue
-                v = self.find(v)
-                cur = self.get(a, letter)
-                if cur is None:
-                    self.rows[a][letter] = v
-                    back = self.get(v, _flip(letter))
-                    if back is None:
-                        self.rows[self.find(v)][_flip(letter)] = a
-                    elif back != a:
-                        queue.append((back, a))
-                elif cur != v:
-                    queue.append((cur, v))
-
-    def live_cosets(self) -> list[int]:
-        return [i for i in range(len(self.rows)) if self.find(i) == i]
-
-
 def _letters(w: Word, gen_index: dict[str, int]) -> list[int]:
     return [2 * gen_index[g] + (0 if s > 0 else 1) for g, s in w.letters()]
 
@@ -118,9 +48,15 @@ def todd_coxeter(
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgroup`` words.
 
+    HLT order: scan the subgroup words at coset 0, then each live coset
+    in turn through every relator with Holt's SCANANDFILL, defining
+    cosets as needed, then fill its undefined entries.
+
     Returns a closed table with the exact index, or an overflow value
-    once more than ``max_cosets`` cosets would be needed.  Overflow is a
-    result, not an error.
+    once a coset beyond the ``max_cosets``-th would have to be defined.
+    The bound counts every coset ever defined, including those later
+    merged by a coincidence, so it is not a bound on the index.
+    Overflow is a result, not an error.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -133,69 +69,96 @@ def todd_coxeter(
     relator_letters = [_letters(r, gen_index) for r in p.relators]
     subgroup_letters = [_letters(w, gen_index) for w in subgroup]
 
-    table = _Table(2 * len(gens), max_cosets)
-    table.new_coset()
+    n_letters = 2 * len(gens)
+    rows: list[list[int]] = [[-1] * n_letters]
+    rep: list[int] = [0]
     overflow = CosetTable(gens, False, 0, max_cosets)
 
-    def scan_and_fill(start: int, letters: list[int]) -> bool:
-        n = len(letters)
-        while True:
-            start = table.find(start)
-            f, fi = start, 0
-            while fi < n:
-                nxt = table.get(f, letters[fi])
-                if nxt is None:
-                    break
-                f, fi = nxt, fi + 1
-            if fi == n:
-                if f != start:
-                    table.coincide(f, start)
-                return True
-            b, bi = start, n
-            while bi > fi + 1:
-                prev = table.get(b, _flip(letters[bi - 1]))
-                if prev is None:
-                    break
-                b, bi = prev, bi - 1
-            if bi == fi + 1:
-                table.set(f, letters[fi], b)
-                return True
-            c = table.new_coset()
-            if c is None:
-                return False
-            table.set(f, letters[fi], c)
+    def find(c: int) -> int:
+        while rep[c] != c:
+            rep[c] = rep[rep[c]]
+            c = rep[c]
+        return c
 
-    for letters in subgroup_letters:
-        if letters and not scan_and_fill(0, letters):
+    def coincidence(a: int, b: int) -> None:
+        """Identify cosets ``a`` and ``b`` and every pair that forces."""
+        dead: list[int] = []
+
+        def merge(k: int, l: int) -> None:
+            k, l = find(k), find(l)
+            if k != l:
+                if k > l:
+                    k, l = l, k
+                rep[l] = k
+                dead.append(l)
+
+        merge(a, b)
+        for gamma in dead:  # grows while it is read
+            # Unlink each edge gamma . x = delta, then re-enter it between
+            # representatives or merge the pair it forces.
+            for x, delta in enumerate(rows[gamma]):
+                if delta < 0:
+                    continue
+                rows[delta][x ^ 1] = -1
+                mu, nu = find(gamma), find(delta)
+                if rows[mu][x] >= 0:
+                    merge(nu, rows[mu][x])
+                elif rows[nu][x ^ 1] >= 0:
+                    merge(mu, rows[nu][x ^ 1])
+                else:
+                    rows[mu][x] = nu
+                    rows[nu][x ^ 1] = mu
+
+    def define(f: int, x: int) -> bool:
+        """Set ``f . x`` to a new coset; False if over the budget."""
+        if len(rows) >= max_cosets:
+            return False
+        c = len(rows)
+        rows.append([-1] * n_letters)
+        rep.append(c)
+        rows[f][x] = c
+        rows[c][x ^ 1] = f
+        return True
+
+    def scan_and_fill(start: int, word: list[int]) -> bool:
+        """Holt's SCANANDFILL of ``word`` at ``start``; False on overflow."""
+        f, i, b, j = start, 0, start, len(word)
+        while True:
+            while i < j and rows[f][word[i]] >= 0:
+                f, i = rows[f][word[i]], i + 1
+            while j > i and rows[b][word[j - 1] ^ 1] >= 0:
+                b, j = rows[b][word[j - 1] ^ 1], j - 1
+            if j == i:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            x = word[i]
+            if j == i + 1:
+                rows[f][x], rows[b][x ^ 1] = b, f
+                return True
+            if not define(f, x):
+                return False
+
+    for word in subgroup_letters:
+        if not scan_and_fill(0, word):
             return overflow
 
     i = 0
-    while i < len(table.rows):
-        if table.find(i) != i:
-            i += 1
-            continue
-        for letters in relator_letters:
-            if table.find(i) != i:
+    while i < len(rows):
+        for word in relator_letters:
+            if rep[i] != i:
                 break
-            if letters and not scan_and_fill(i, letters):
+            if not scan_and_fill(i, word):
                 return overflow
-        if table.find(i) == i:
-            for letter in range(table.n_letters):
-                if table.find(i) != i:
-                    break
-                if table.get(i, letter) is None:
-                    c = table.new_coset()
-                    if c is None:
-                        return overflow
-                    table.set(i, letter, c)
+        if rep[i] == i:
+            for x in range(n_letters):
+                if rows[i][x] < 0 and not define(i, x):
+                    return overflow
         i += 1
 
-    live = table.live_cosets()
+    live = [c for c in range(len(rows)) if rep[c] == c]
     index = {c: k for k, c in enumerate(live)}
-    action = tuple(
-        tuple(index[table.get(c, letter)] for letter in range(table.n_letters))
-        for c in live
-    )
+    action = tuple(tuple(index[d] for d in rows[c]) for c in live)
     return CosetTable(gens, True, len(live), max_cosets, action)
 
 

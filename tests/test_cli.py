@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from ribbonknots import cli
 from ribbonknots.presentations import parse_presentation
 
@@ -209,3 +213,21 @@ def test_unwritable_output_path(capsys, corpus, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_reused_parser_matches_fresh_processes(capsys, corpus):
+    # main() keeps one parser per process; a failed parse and a parse with
+    # an option set must leave nothing behind for the next call.
+    verify = [
+        "verify", str(corpus / "trotter_2.pres"), "--module", str(corpus / "trotter_2.module"),
+        "-N", "2", "--meridian", "t",
+    ]
+    calls = [verify + ["--max-cosets", "0"], verify + ["--max-cosets", "5"], verify]
+    env = dict(os.environ, PYTHONPATH=str(corpus.parent.parent))
+    for argv, want_code in zip(calls, (3, 2, 0)):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ribbonknots.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == want_code

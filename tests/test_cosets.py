@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from ribbonknots.constructions import realize_cyclic
 from ribbonknots.cosets import todd_coxeter, weight_one_certificate
+from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import Presentation, parse_presentation
-from ribbonknots.words import gen
-from reference import act, trace
+from ribbonknots.words import gen, parse_word
+from reference import act, todd_coxeter_reference, trace
 
 
 def test_cyclic_group():
@@ -70,3 +74,52 @@ def test_subgroup_word_validation():
     p = Presentation(("x",), (gen("x", 3),))
     with pytest.raises(ValueError):
         todd_coxeter(p, (gen("z"),))
+
+
+# The flat-table enumerator must define the same cosets in the same order
+# as the union-find reference, so whole tables agree, overflows included
+# (random presentations: test_properties.py).
+
+SPUN_KILLED = "gens t u\nrel u^-1 t u t u^-1 t^-1\nrel t"
+A5 = "gens a b\nrel a^2\nrel b^3\nrel a b a b a b a b a b"
+
+
+@pytest.mark.parametrize("name", ["spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion"])
+def test_corpus_matches_union_find_reference(name, corpus):
+    p = parse_presentation((corpus / f"{name}.pres").read_text())
+    killed = Presentation(p.generators, p.relators + (gen("t"),))
+    for limit in (1, 2, 5, 20, 100, 1000):
+        for q, subgroup in ((p, (gen("t"),)), (killed, ())):
+            assert todd_coxeter(q, subgroup, limit) == todd_coxeter_reference(q, subgroup, limit)
+
+
+def test_killed_wirtinger_forms_match_union_find_reference():
+    # Wirtinger forms of alpha = 1 + (t - 1) beta for random beta, t killed.
+    rng = random.Random(2027)
+    closed = 0
+    for _ in range(12):
+        beta = [rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 25))]
+        alpha = [1 - beta[0]] + [beta[i - 1] - beta[i] for i in range(1, len(beta))] + [beta[-1]]
+        p = realize_cyclic(from_coeffs(alpha)).wirtinger_presentation
+        q = Presentation(p.generators, p.relators + (gen("t"),))
+        for limit in (10, 60, 300, 2000):
+            table = todd_coxeter(q, (), limit)
+            assert table == todd_coxeter_reference(q, (), limit)
+            closed += table.closed
+    assert 0 < closed < 48  # both outcomes occur
+
+
+@pytest.mark.parametrize(
+    "text, subgroup, least, index",
+    [(SPUN_KILLED, "", 9, 1), (A5, "b", 28, 20), (A5, "", 82, 60)],
+)
+def test_least_closing_limit(text, subgroup, least, index):
+    # max_cosets bounds the cosets defined, merged ones included, so the
+    # least limit that closes can exceed the index.
+    p = parse_presentation(text)
+    sub = (parse_word(subgroup),) if subgroup else ()
+    table = todd_coxeter(p, sub, least)
+    assert table.closed and table.n_cosets == index
+    assert table == todd_coxeter_reference(p, sub, least)
+    below = todd_coxeter(p, sub, least - 1)
+    assert not below.closed and below == todd_coxeter_reference(p, sub, least - 1)

@@ -1,5 +1,6 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
 of the packed-letter AC search against its Word-based reference, of
+the flat-table Todd-Coxeter enumeration against its union-find one, of
 the one-pass Alexander matrix, of the sparse cokernel invariants and
 of the peeling determinant over Z[t, t^-1]."""
 
@@ -14,6 +15,7 @@ from ribbonknots.acmoves import (  # noqa: E402
     canonical_form,
     pack,
 )
+from ribbonknots.cosets import todd_coxeter  # noqa: E402
 from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
@@ -33,6 +35,7 @@ from reference import (  # noqa: E402
     ac_trivialize_search_reference,
     canonical_form_reference,
     fox_derivative,
+    todd_coxeter_reference,
 )
 
 GENS = ("a", "b", "c")
@@ -104,6 +107,22 @@ def test_canonical_form_spells_the_word_key(p):
 def test_ac_search_matches_word_reference(p, max_len, depth):
     out = ac_trivialize_search(p, max_len, depth)
     assert out == ac_trivialize_search_reference(p, max_len, depth)
+
+
+@st.composite
+def enumerations(draw):
+    gens = GENS[: draw(st.integers(1, 3))]
+    rels = draw(st.lists(words(gens, max_size=7), max_size=4))
+    subgroup = draw(st.lists(words(gens, max_size=7), max_size=2))
+    return Presentation(gens, tuple(rels)), tuple(subgroup), draw(st.integers(1, 2000))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(enumerations())
+def test_todd_coxeter_matches_union_find_reference(case):
+    """Whole tables agree, overflows included: max_cosets counts every
+    coset defined, so both must define the same cosets in order."""
+    assert todd_coxeter(*case) == todd_coxeter_reference(*case)
 
 
 def conjugation_relators():
