@@ -324,15 +324,25 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
 
     Invariants-only Smith form by sparse elimination, without the
     transforms of :func:`smith_normal_form`.  Rows are ``{col: value}``
-    dicts, with a column -> rows index.  Each step takes a nonzero of
-    least absolute value (ties: least Markowitz cost
-    ``(row nnz - 1) * (col nnz - 1)``, then least ``(row, col)``), clears
-    its column by floor-quotient row operations, then reduces the rest of
-    its row mod the pivot; that column operation touches only the pivot
-    row, because the pivot column is already clear.  Any remainder is
-    smaller than the pivot and becomes the next pivot search's bound.  An
-    isolated pivot is recorded and its row and column dropped.  The
-    recorded pivots become a divisor chain by one gcd/lcm pass.
+    dicts, with a column -> rows index.  Each step takes the nonzero of
+    least key ``(|x|, cost, i, j)``: least absolute value, then least
+    Markowitz cost ``(row nnz - 1) * (col nnz - 1)``, then least
+    ``(row, col)``.  It clears its column by floor-quotient row
+    operations, then reduces the rest of its row mod the pivot; that
+    column operation touches only the pivot row, because the pivot column
+    is already clear.  Any remainder is smaller than the pivot and becomes
+    the next pivot.  An isolated pivot is recorded and its row and column
+    dropped.  The recorded pivots become a divisor chain by one gcd/lcm
+    pass.
+
+    The pivot search is incremental: ``best[i]`` is the least key over
+    the entries of live row ``i``, so the pivot is ``min(best.values())``.
+    After a step, the rows whose entries changed (each row a row operation
+    touched, and the pivot row once reduced) are re-keyed by a scan of the
+    row.  In any other row only the cost of an entry in a column whose
+    nonzero count changed has moved: that key replaces ``best[i]`` if it
+    is less, and the row is re-scanned if that entry was ``best[i]`` and
+    its cost rose.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -342,24 +352,23 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
             rows[i] = row
             for j in row:
                 cols.setdefault(j, set()).add(i)
+
+    def key(i: int) -> tuple[int, int, int, int]:
+        row = rows[i]
+        row_cost = len(row) - 1
+        return min([(abs(x), row_cost * (len(cols[j]) - 1), i, j) for j, x in row.items()])
+
+    best = {i: key(i) for i in rows}
     units = 0
     nonunits: list[int] = []
     while rows:
-        least = min(abs(x) for row in rows.values() for x in row.values())
-        cost = i0 = j0 = -1
-        for i, row in rows.items():
-            row_cost = len(row) - 1
-            for j, x in row.items():
-                if x == least or x == -least:
-                    c = row_cost * (len(cols[j]) - 1)
-                    if cost < 0 or c < cost or (c == cost and i == i0 and j < j0):
-                        cost, i0, j0 = c, i, j
-            if cost == 0:
-                break  # rows come in increasing order: no later key is less
+        i0, j0 = min(best.values())[2:]
         pivot_row = rows[i0]
         p = pivot_row[j0]
+        changed = [i for i in cols[j0] if i != i0]
+        counted: set[int] = set()  # columns whose nonzero count changed
         dirty = False
-        for i in [i for i in cols[j0] if i != i0]:
+        for i in changed:
             row = rows[i]
             q = row[j0] // p
             for j, x in pivot_row.items():
@@ -367,31 +376,47 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
                 if y:
                     if j not in row:
                         cols[j].add(i)
+                        counted.add(j)
                     row[j] = y
                 else:
                     del row[j]
                     cols[j].discard(i)
+                    counted.add(j)
             if j0 in row:
                 dirty = True
             elif not row:
-                del rows[i]
-        if dirty:
-            continue
-        for j in [j for j in pivot_row if j != j0]:
-            r = pivot_row[j] % p
-            if r:
-                pivot_row[j] = r
-                dirty = True
-            else:
-                del pivot_row[j]
-                cols[j].discard(i0)
-        if dirty:
-            continue
-        del rows[i0], cols[j0]
-        if p in (1, -1):
-            units += 1
-        else:
-            nonunits.append(abs(p))
+                del rows[i], best[i]
+        if not dirty:
+            changed.append(i0)
+            for j in [j for j in pivot_row if j != j0]:
+                r = pivot_row[j] % p
+                if r:
+                    pivot_row[j] = r
+                else:
+                    del pivot_row[j]
+                    cols[j].discard(i0)
+                    counted.add(j)
+            if len(pivot_row) == 1:
+                del rows[i0], best[i0], cols[j0]
+                counted.discard(j0)
+                if p in (1, -1):
+                    units += 1
+                else:
+                    nonunits.append(abs(p))
+        rekeyed = {i for i in changed if i in rows}
+        for i in rekeyed:
+            best[i] = key(i)
+        for j in counted:
+            col_cost = len(cols[j]) - 1
+            for i in cols[j]:
+                if i in rekeyed:
+                    continue
+                row = rows[i]
+                k = (abs(row[j]), (len(row) - 1) * col_cost, i, j)
+                if k < best[i]:
+                    best[i] = k
+                elif best[i][3] == j and k != best[i]:
+                    best[i] = key(i)
     # (a, b) -> (gcd, lcm) keeps the group; after position a has met every
     # later entry it divides all of them.
     for a in range(len(nonunits)):

@@ -16,12 +16,16 @@ another way:
   ``acmoves.ac_trivialize_search``;
 * ``todd_coxeter_reference``, coset enumeration on a union-find table,
   against the flat-table ``cosets.todd_coxeter``;
-* ``act`` and ``trace``, the action of words on a closed coset table.
+* ``act`` and ``trace``, the action of words on a closed coset table;
+* ``cokernel_invariants_reference``, the sparse elimination that
+  rescans every nonzero for each pivot, against the incremental pivot
+  search of ``intlinalg.cokernel_invariants``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from ribbonknots.acmoves import (
@@ -42,6 +46,7 @@ from ribbonknots.acmoves import (
 from ribbonknots.constructions import RealizationResult
 from ribbonknots.cosets import CosetTable
 from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
+from ribbonknots.intlinalg import AbelianGroupInvariants, Matrix, diagonal_invariants
 from ribbonknots.laurent import LaurentPoly, laurent
 from ribbonknots.presentations import Presentation
 from ribbonknots.words import (
@@ -492,3 +497,77 @@ def todd_coxeter_reference(
         for c in live
     )
     return CosetTable(gens, True, len(live), max_cosets, action)
+
+
+def cokernel_invariants_reference(m: Matrix) -> AbelianGroupInvariants:
+    """Invariants of ``Z^cols / row-span(m)`` by the sparse elimination
+    that ``intlinalg.cokernel_invariants`` replaced: each step rescans
+    every stored nonzero for the least ``|x|``, then again for the least
+    Markowitz cost ``(row nnz - 1) * (col nnz - 1)``, ties broken by
+    least ``(row, col)``.  The incremental search must choose the same
+    pivots and return the same invariants."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, entries in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(entries) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    nonunits: list[int] = []
+    while rows:
+        least = min(abs(x) for row in rows.values() for x in row.values())
+        cost = i0 = j0 = -1
+        for i, row in rows.items():
+            row_cost = len(row) - 1
+            for j, x in row.items():
+                if x == least or x == -least:
+                    c = row_cost * (len(cols[j]) - 1)
+                    if cost < 0 or c < cost or (c == cost and i == i0 and j < j0):
+                        cost, i0, j0 = c, i, j
+            if cost == 0:
+                break  # rows come in increasing order: no later key is less
+        pivot_row = rows[i0]
+        p = pivot_row[j0]
+        dirty = False
+        for i in [i for i in cols[j0] if i != i0]:
+            row = rows[i]
+            q = row[j0] // p
+            for j, x in pivot_row.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if j0 in row:
+                dirty = True
+            elif not row:
+                del rows[i]
+        if dirty:
+            continue
+        for j in [j for j in pivot_row if j != j0]:
+            r = pivot_row[j] % p
+            if r:
+                pivot_row[j] = r
+                dirty = True
+            else:
+                del pivot_row[j]
+                cols[j].discard(i0)
+        if dirty:
+            continue
+        del rows[i0], cols[j0]
+        if p in (1, -1):
+            units += 1
+        else:
+            nonunits.append(abs(p))
+    # (a, b) -> (gcd, lcm) keeps the group; after position a has met every
+    # later entry it divides all of them.
+    for a in range(len(nonunits)):
+        for b in range(a + 1, len(nonunits)):
+            g = gcd(nonunits[a], nonunits[b])
+            nonunits[a], nonunits[b] = g, nonunits[a] // g * nonunits[b]
+    return diagonal_invariants([1] * units + nonunits, m.cols)

@@ -1,5 +1,6 @@
 import pytest
 
+from ribbonknots import covers, presentations
 from ribbonknots.constructions import (
     cyclic_module,
     parse_module_spec,
@@ -13,12 +14,13 @@ from ribbonknots.covers import (
     cyclic_cover_presentation,
     module_cover_homology,
 )
-from ribbonknots.intlinalg import AbelianGroupInvariants, matrix
+from ribbonknots.intlinalg import AbelianGroupInvariants, cokernel_invariants, matrix
 from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import abelianization, parse_presentation
-from reference import compare_realization
+from reference import cokernel_invariants_reference, compare_realization
 
 SPUN_TREFOIL = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
+RANK3_TROTTER = [[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]
 
 
 def test_cover_presentation_counts():
@@ -83,7 +85,7 @@ def test_explicit_weights_and_errors():
 def test_rank3_trotter_n64_sides_agree():
     # 192 x 192 module matrix; the group side is a 192 x 193 exponent
     # matrix.  Each side took seconds with the dense, transform-tracking SNF.
-    res = realize_trotter(matrix([[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]))
+    res = realize_trotter(matrix(RANK3_TROTTER))
     group = cover_homology(res.verification_presentation(), 64)
     assert group == module_cover_homology(res.module_spec, 64)
 
@@ -95,3 +97,32 @@ def test_corpus_spun_trefoil_n6_singular_module_side(corpus):
         (corpus / "spun_trefoil.module").read_text(), lambda rel: (corpus / rel).read_text()
     )
     assert cover_homology(p, 6) == module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
+
+
+@pytest.mark.parametrize("n", (2, 7, 24, 64))
+def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
+    # Every cokernel both sides take, for the four corpus modules and
+    # rank-3 Trotter, against the elimination that rescans every nonzero.
+    cases = []
+    for name in ("lemma3_companion", "lemma4_companion", "spun_trefoil", "trotter_2"):
+        p = parse_presentation((corpus / f"{name}.pres").read_text())
+        spec = parse_module_spec(
+            (corpus / f"{name}.module").read_text(), lambda rel: (corpus / rel).read_text()
+        )
+        cases.append((p, spec))
+    res = realize_trotter(matrix(RANK3_TROTTER))
+    cases.append((res.verification_presentation(), res.module_spec))
+    seen = []
+
+    def record(m):
+        seen.append((m, cokernel_invariants(m)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(covers, "cokernel_invariants", record)
+    monkeypatch.setattr(presentations, "cokernel_invariants", record)
+    for p, spec in cases:
+        cover_homology(p, n)
+        module_cover_homology(spec, n)
+    assert len(seen) == 2 * len(cases)
+    for m, got in seen:
+        assert got == cokernel_invariants_reference(m)

@@ -1,8 +1,11 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
 of the packed-letter AC search against its Word-based reference, of
 the flat-table Todd-Coxeter enumeration against its union-find one, of
-the one-pass Alexander matrix, of the sparse cokernel invariants and
-of the peeling determinant over Z[t, t^-1]."""
+the one-pass Alexander matrix, of the sparse cokernel invariants
+against sympy and against their full-rescan reference, and of the
+peeling determinant over Z[t, t^-1]."""
+
+import random
 
 import pytest
 
@@ -34,6 +37,7 @@ from reference import (  # noqa: E402
     abelianize_to_lambda,
     ac_trivialize_search_reference,
     canonical_form_reference,
+    cokernel_invariants_reference,
     fox_derivative,
     todd_coxeter_reference,
 )
@@ -262,6 +266,26 @@ def test_cokernel_invariants_match_sympy_snf(m):
 @given(block_circulant_matrices())
 def test_cokernel_invariants_match_sympy_snf_block_circulant(m):
     check_against_sympy(m)
+
+
+@st.composite
+def tied_sparse_matrices(draw):
+    """Sparse matrices of up to 25 x 26 at density 5% to 80%, with
+    entries from {±1}, {±1, ±2} or a few non-units, so that many
+    nonzeros tie on |x| and on Markowitz cost, pivots can be non-units,
+    row operations fill in, and a pivot row can keep a remainder."""
+    rows, cols = draw(st.integers(1, 25)), draw(st.integers(1, 26))
+    density = draw(st.integers(5, 80)) / 100
+    values = draw(st.sampled_from(((1, -1), (1, -1, 2, -2), (2, -2, 3, 4, -6))))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per cell
+    return matrix([[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+                   for _ in range(rows)], cols=cols)
+
+
+@PROPERTY
+@given(tied_sparse_matrices())
+def test_cokernel_invariants_match_full_rescan_reference(m):
+    assert cokernel_invariants(m) == cokernel_invariants_reference(m)
 
 
 # Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
