@@ -23,7 +23,6 @@ from .words import (
     Word,
     check_generator_name,
     cyclic_letters,
-    cyclic_variants,
     exponent_sums,
     gen,
     inverse,
@@ -118,29 +117,35 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
 def _match_wirtinger(letters: Sequence[tuple[str, int]]) -> Optional[tuple[str, str, Word]]:
     """Find the pattern g_j . w . g_i^-1 . w^-1 in a cyclic word.
 
-    Returns (origin, terminus, label) of the match whose (origin,
-    terminus, label text) is lexicographically least over all rotations
-    and both orientations, or None.
+    With n letters and h = n/2 - 1, a rotation of the word or of its
+    inverse has this form iff, at some centre p, letters p and p+h+1
+    have opposite signs and letter p+d is inverse to letter p-d for
+    d = 1..h (indices mod n).  Both orientations give terminus, origin
+    and label = letter p, letter p+h+1 and letters p+1..p+h.  Each
+    centre stops at its first failed pair, and in a stretch of period P
+    no centre reaches radius P (letter p would be its own inverse).
+    Returns the match with least (origin, terminus, label text), or None.
     """
     n = len(letters)
     if n < 2 or n % 2 != 0:
         return None
-    half = (n - 2) // 2
-    best = None
-    for rot in cyclic_variants(letters):
-        if rot[0][1] != 1 or rot[half + 1][1] != -1:
+    h = n // 2 - 1
+    ring = tuple(letters) * 2
+    inverted = tuple((g, -s) for g, s in letters)
+    matches = []
+    for p in range(n):
+        if ring[p][1] == ring[p + h + 1][1]:
             continue
-        w = rot[1 : half + 1]
-        if rot[half + 2 :] != tuple((g, -s) for g, s in reversed(w)):
+        d = 1
+        while d <= h and ring[p + d] == inverted[p - d]:
+            d += 1
+        if d <= h:
             continue
-        terminus, origin = rot[0][0], rot[half + 1][0]
-        label = normalize(w)
-        key = (origin, terminus, str(label))
-        if best is None or key < best[0]:
-            best = key, label
-    if best is None:
+        label = normalize(ring[p + 1 : p + h + 1])
+        matches.append((ring[p + h + 1][0], ring[p][0], str(label), label))
+    if not matches:
         return None
-    (origin, terminus, _), label = best
+    origin, terminus, _, label = min(matches, key=lambda m: m[:3])
     return origin, terminus, label
 
 
@@ -148,7 +153,8 @@ def is_wirtinger(p: Presentation) -> Union[LOG, NotWirtinger]:
     """Recognize a Wirtinger presentation and extract its LOG.
 
     Succeeds iff every relator, up to cyclic rotation and inversion, has
-    the form ``g_j w g_i^-1 w^-1`` with g_i, g_j generators.
+    the form ``g_j w g_i^-1 w^-1`` with g_i, g_j generators; each relator
+    takes one scan over centres (:func:`_match_wirtinger`).
     """
     edges = []
     for idx, r in enumerate(p.relators):
@@ -301,7 +307,8 @@ def parse_presentation(text: str) -> Presentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head = line.split(None, 1)[0]
+        rest = line[len(head) :]
         if head == "gens":
             if generators is not None:
                 raise ValueError("multiple gens lines")

@@ -126,17 +126,6 @@ def cyclic_letters(w: Word) -> tuple[tuple[str, int], ...]:
     return letters[i:j]
 
 
-def cyclic_variants(
-    letters: Sequence[tuple[str, int]],
-) -> Iterator[tuple[tuple[str, int], ...]]:
-    """Every rotation of the cyclic word ``letters``, then every rotation
-    of its inverse."""
-    forward = tuple(letters)
-    for cand in (forward, tuple((g, -s) for g, s in reversed(forward))):
-        for shift in range(len(cand)):
-            yield cand[shift:] + cand[:shift]
-
-
 def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
     """Abelianized exponent vector of ``w`` over the listed generators."""
     index = {g: i for i, g in enumerate(over)}

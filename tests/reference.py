@@ -11,6 +11,11 @@ another way:
 * ``is_ascending_hnn_shape``, the syntactic shape of a lemma-4
   presentation;
 * ``parse_moves``, the inverse of ``acmoves.format_moves``;
+* ``cyclic_variants``, every rotation of a cyclic word and of its
+  inverse, for ``canonical_form_reference``;
+* ``match_wirtinger_reference``, the Wirtinger relator matcher that
+  tries every rotation of both orientations, against the one scan over
+  centres of ``presentations._match_wirtinger``;
 * ``ac_trivialize_search_reference``, the Andrews-Curtis search on
   ``Word`` relators, against the packed-letter
   ``acmoves.ac_trivialize_search``;
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ribbonknots.acmoves import (
     ACMove,
@@ -53,9 +58,9 @@ from ribbonknots.words import (
     IDENTITY,
     Word,
     cyclic_letters,
-    cyclic_variants,
     gen,
     inverse,
+    normalize,
     parse_word,
     product,
 )
@@ -233,6 +238,48 @@ def trace(table: CosetTable, coset: int, w: Word) -> int:
     for g, s in w.letters():
         coset = act(table, coset, g, s)
     return coset
+
+
+def cyclic_variants(
+    letters: Sequence[tuple[str, int]],
+) -> Iterator[tuple[tuple[str, int], ...]]:
+    """Every rotation of the cyclic word ``letters``, then every rotation
+    of its inverse."""
+    forward = tuple(letters)
+    for cand in (forward, tuple((g, -s) for g, s in reversed(forward))):
+        for shift in range(len(cand)):
+            yield cand[shift:] + cand[:shift]
+
+
+def match_wirtinger_reference(
+    letters: Sequence[tuple[str, int]],
+) -> Optional[tuple[str, str, Word]]:
+    """Find the pattern g_j . w . g_i^-1 . w^-1 in a cyclic word by
+    building every rotation of both orientations.
+
+    Returns (origin, terminus, label) of the match whose (origin,
+    terminus, label text) is lexicographically least, or None.
+    """
+    n = len(letters)
+    if n < 2 or n % 2 != 0:
+        return None
+    half = (n - 2) // 2
+    best = None
+    for rot in cyclic_variants(letters):
+        if rot[0][1] != 1 or rot[half + 1][1] != -1:
+            continue
+        w = rot[1 : half + 1]
+        if rot[half + 2 :] != tuple((g, -s) for g, s in reversed(w)):
+            continue
+        terminus, origin = rot[0][0], rot[half + 1][0]
+        label = normalize(w)
+        key = (origin, terminus, str(label))
+        if best is None or key < best[0]:
+            best = key, label
+    if best is None:
+        return None
+    (origin, terminus, _), label = best
+    return origin, terminus, label
 
 
 def canonical_form_reference(p: ACPresentation) -> tuple:

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from ribbonknots.constructions import realize_cyclic
 from ribbonknots.intlinalg import AbelianGroupInvariants
+from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import (
     LOG,
     NotWirtinger,
     Presentation,
+    _match_wirtinger,
     abelianization,
     apply_tietze_script,
     deficiency,
@@ -18,7 +23,8 @@ from ribbonknots.presentations import (
     parse_tietze_script,
     weight_vector,
 )
-from ribbonknots.words import IDENTITY, gen, parse_word
+from ribbonknots.words import IDENTITY, cyclic_letters, gen, parse_word, power
+from reference import match_wirtinger_reference
 
 TREFOIL = parse_presentation(
     """
@@ -72,6 +78,23 @@ def test_wirtinger_deterministic_edge_choice():
     log2 = is_wirtinger(parse_presentation("gens a b\nrel b^-1 a b a^-1"))
     assert isinstance(log1, LOG) and isinstance(log2, LOG)
     assert log1.edges == log2.edges
+
+
+def test_wirtinger_matcher_matches_reference_on_long_relators():
+    # Hypothesis's short words never reach these lengths: the 1,630-letter
+    # degree-40 form of test_fox and a 1,608-letter periodic word.
+    rng = random.Random(0)
+    b = [rng.choice((-1, 1)) * rng.randint(6, 14) for _ in range(40)]
+    alpha = from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, 40)] + [b[-1]])
+    degree_40 = realize_cyclic(alpha).wirtinger_presentation
+    periodic = power(parse_word("a x y z b^-1 z^-1 y^-1 x^-1"), 201)
+    assert sum(len(r) for r in degree_40.relators) == 1630 and len(periodic) == 1608
+    for r in degree_40.relators + (periodic,):
+        letters = cyclic_letters(r)
+        assert _match_wirtinger(letters) == match_wirtinger_reference(letters)
+    assert isinstance(is_wirtinger(degree_40), LOG)
+    periodic_p = Presentation(("a", "b", "x", "y", "z"), (periodic,))
+    assert isinstance(is_wirtinger(periodic_p), NotWirtinger)
 
 
 def test_expand_length1():
@@ -135,6 +158,11 @@ def test_parse_format_roundtrip():
         parse_presentation("rel x")
     with pytest.raises(ValueError):
         parse_presentation("gens x\nbogus y")
+
+
+def test_parse_accepts_any_whitespace_after_keyword():
+    tabbed = parse_presentation("gens\ta b c\nrel\ta = b c b^-1\nrel \t b = c a c^-1")
+    assert tabbed == TREFOIL
 
 
 def test_dot_export():

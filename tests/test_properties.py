@@ -1,9 +1,10 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
-of the packed-letter AC search against its Word-based reference, of
-the flat-table Todd-Coxeter enumeration against its union-find one, of
-the one-pass Alexander matrix, of the sparse cokernel invariants
-against sympy and against their full-rescan reference, and of the
-peeling determinant over Z[t, t^-1]."""
+of the Wirtinger matcher against its every-rotation reference, of the
+packed-letter AC search against its Word-based reference, of the
+flat-table Todd-Coxeter enumeration against its union-find one, of the
+one-pass Alexander matrix, of the sparse cokernel invariants against
+sympy and against their full-rescan reference, and of the peeling
+determinant over Z[t, t^-1]."""
 
 import random
 
@@ -31,14 +32,29 @@ from ribbonknots.intlinalg import (  # noqa: E402
     smith_normal_form,
 )
 from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
-from ribbonknots.presentations import LOG, Presentation, is_wirtinger  # noqa: E402
-from ribbonknots.words import Word, gen, inverse, normalize, product, substitute  # noqa: E402
+from ribbonknots.presentations import (  # noqa: E402
+    LOG,
+    Presentation,
+    _match_wirtinger,
+    is_wirtinger,
+)
+from ribbonknots.words import (  # noqa: E402
+    Word,
+    cyclic_letters,
+    gen,
+    inverse,
+    normalize,
+    power,
+    product,
+    substitute,
+)
 from reference import (  # noqa: E402
     abelianize_to_lambda,
     ac_trivialize_search_reference,
     canonical_form_reference,
     cokernel_invariants_reference,
     fox_derivative,
+    match_wirtinger_reference,
     todd_coxeter_reference,
 )
 
@@ -148,6 +164,34 @@ def test_is_wirtinger_invariant_under_rotation_and_inversion(rels, k, invert):
     assert isinstance(after, LOG) == isinstance(before, LOG)
     if isinstance(before, LOG):
         assert after == before
+
+
+@st.composite
+def near_wirtinger_words(draw):
+    """Random words; conjugation relators, rotated and/or inverted, with
+    or without one letter's sign flipped; powers of short words and of
+    conjugation relators."""
+    kind = draw(st.sampled_from(("random", "conjugation", "flipped", "periodic")))
+    if kind == "random":
+        return draw(words())
+    if kind == "periodic":
+        base = draw(st.one_of(words(max_size=3), conjugation_relators()))
+        return power(base, draw(st.integers(2, 5)))
+    w = rotate(draw(conjugation_relators()), draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        w = inverse(w)
+    letters = list(w.letters())
+    if kind == "flipped" and letters:
+        i = draw(st.integers(0, len(letters) - 1))
+        letters[i] = (letters[i][0], -letters[i][1])
+    return normalize(letters)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(near_wirtinger_words())
+def test_wirtinger_matcher_matches_rotation_reference(r):
+    letters = cyclic_letters(r)
+    assert _match_wirtinger(letters) == match_wirtinger_reference(letters)
 
 
 def powered_words():
