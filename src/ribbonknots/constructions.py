@@ -19,17 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intlinalg import (
-    AddMultiple,
-    ElementaryOp,
-    Matrix,
-    Negate,
-    Swap,
-    det_int,
-    factor_glnz,
-    matrix,
-    parse_matrix,
-)
+from .intlinalg import Matrix, det_int, matrix, parse_matrix
 from .laurent import (
     LaurentPoly,
     ONE,
@@ -40,17 +30,7 @@ from .laurent import (
     parse_poly_line,
 )
 from .presentations import Presentation
-from .words import (
-    FreeEndo,
-    Word,
-    compose_endo,
-    gen,
-    identity_endo,
-    inverse,
-    normalize,
-    product,
-    substitute,
-)
+from .words import Word, gen, inverse, normalize, power, product, substitute
 
 
 class AdmissibilityError(ValueError):
@@ -258,44 +238,69 @@ def realize_trotter(m: Matrix) -> RealizationResult:
     return RealizationResult(primary, wirtinger, "t", spec)
 
 
-def lift_elementary(
-    ops: Sequence[ElementaryOp], rank: int
-) -> tuple[FreeEndo, FreeEndo]:
-    """Lift elementary row operations to a free-group automorphism.
+def lift_glnz(m: Matrix) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """Lift M in GL(r, Z) to an automorphism mu of the free group on
+    ``x1..xr`` whose exponent-sum matrix is M; return the images of
+    ``x1..xr`` under mu and under its inverse nu.
 
-    Returns the lift and its inverse.  The lift's abelianization matrix
-    equals the replayed product of the operations.
+    Gauss-Jordan with a Euclidean gcd cascade down each column, pivots
+    in order, reduces M to I by row operations a_1..a_k.  Each is a
+    triple ``(i, j, c)``: row i += c * row j, or for ``c = 0`` a swap of
+    rows i and j, which is a negation of row i when ``i = j``.  Each is
+    also a Nielsen move on a tuple of words: ``w_i <- w_i w_j^c``, swap
+    or invert.  Nielsen moves generate Aut(F_r) and abelianize to the
+    elementary matrices (Lyndon-Schupp, I.4): nu applies a_1..a_k in
+    order to ``x1..xr``, and mu applies their inverses in reverse order.
+    ``|det M|`` is the product of the column pivots, so a column with
+    no nonzero entry left, or a pivot other than +-1, means M is not
+    unimodular.
     """
-    domain = tuple(f"x{i}" for i in range(1, rank + 1))
-    endo = identity_endo(domain)
-    inv = identity_endo(domain)
-    for op in ops:
-        endo = compose_endo(endo, _lift_one(op, domain))
-        inv = compose_endo(_lift_one(op.inverse(), domain), inv)
-    return endo, inv
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("only square matrices lie in GL(n, Z)")
+    grid = [list(row) for row in m.entries]
+    moves: list[tuple[int, int, int]] = []
 
+    def do(i: int, j: int, c: int) -> None:
+        if c:
+            grid[i] = [a + c * b for a, b in zip(grid[i], grid[j])]
+        elif i == j:
+            grid[i] = [-a for a in grid[i]]
+        else:
+            grid[i], grid[j] = grid[j], grid[i]
+        moves.append((i, j, c))
 
-def _lift_one(op: ElementaryOp, domain: tuple[str, ...]) -> FreeEndo:
-    images = [gen(g) for g in domain]
-    if isinstance(op, AddMultiple):
-        _check_index(op.i, len(domain))
-        _check_index(op.j, len(domain))
-        images[op.i] = product(gen(domain[op.i]), gen(domain[op.j], op.c))
-    elif isinstance(op, Swap):
-        _check_index(op.i, len(domain))
-        _check_index(op.j, len(domain))
-        images[op.i], images[op.j] = images[op.j], images[op.i]
-    elif isinstance(op, Negate):
-        _check_index(op.i, len(domain))
-        images[op.i] = gen(domain[op.i], -1)
-    else:
-        raise TypeError(f"unknown elementary operation {op!r}")
-    return FreeEndo(domain, tuple(images))
-
-
-def _check_index(i: int, rank: int) -> None:
-    if not 0 <= i < rank:
-        raise ValueError(f"row index {i} out of range for rank {rank}")
+    for k in range(n):
+        # Euclidean cascade: leave a single nonzero entry in column k at
+        # or below the diagonal.
+        live = [i for i in range(k, n) if grid[i][k] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda i: (abs(grid[i][k]), i))
+            small, other = live[0], live[1]
+            # |other| >= |small|, so the floor quotient is never 0.
+            do(other, small, -(grid[other][k] // grid[small][k]))
+            live = [i for i in range(k, n) if grid[i][k] != 0]
+        if not live or abs(grid[live[0]][k]) != 1:
+            raise ValueError("matrix is not unimodular")
+        if live[0] != k:
+            do(k, live[0], 0)
+        if grid[k][k] < 0:
+            do(k, k, 0)
+        for i in range(n):
+            if i != k and grid[i][k] != 0:
+                do(i, k, -grid[i][k])
+    images = []
+    for seq in ([(i, j, -c) for i, j, c in reversed(moves)], moves):
+        w = [gen(f"x{i}") for i in range(1, n + 1)]
+        for i, j, c in seq:
+            if c:
+                w[i] = product(w[i], power(w[j], c))
+            elif i == j:
+                w[i] = inverse(w[i])
+            else:
+                w[i], w[j] = w[j], w[i]
+        images.append(tuple(w))
+    return images[0], images[1]
 
 
 def realize_lemma4(m: Matrix) -> RealizationResult:
@@ -310,12 +315,12 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     """
     spec = tminus1_module(m)
     r = m.rows
-    mu, nu = lift_elementary(factor_glnz(m), r)
-    xs = list(mu.domain)
+    mu, nu = lift_glnz(m)
+    xs = [f"x{i}" for i in range(1, r + 1)]
     primary_rels = tuple(
         product(
             gen("t"), gen(xs[i]), gen("t", -1),
-            inverse(product(gen(xs[i]), mu.images[i])),
+            inverse(product(gen(xs[i]), mu[i])),
         )
         for i in range(r)
     )
@@ -325,7 +330,7 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     to_s = {xs[k]: product(gen(ss[k]), gen("t", -1)) for k in range(r)}
     wirt_rels = []
     for i in range(r):
-        x_i = substitute(nu.images[i], to_s)
+        x_i = substitute(nu[i], to_s)
         wirt_rels.append(
             product(gen(ss[i], -1), inverse(x_i), gen("t"), x_i)
         )
@@ -343,10 +348,10 @@ def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     """
     spec = taction_module(t_matrix)
     r = t_matrix.rows
-    tau, _ = lift_elementary(factor_glnz(t_matrix), r)
-    xs = list(tau.domain)
+    tau, _ = lift_glnz(t_matrix)
+    xs = [f"x{i}" for i in range(1, r + 1)]
     rels = tuple(
-        product(gen("t"), gen(xs[i]), gen("t", -1), inverse(tau.images[i]))
+        product(gen("t"), gen(xs[i]), gen("t", -1), inverse(tau[i]))
         for i in range(r)
     )
     primary = Presentation(("t", *xs), rels)

@@ -52,16 +52,20 @@ def alexander_matrix(
     return matrix(rows, cols=len(p.generators))
 
 
-def alexander_polynomial(p: Presentation) -> LaurentPoly:
+def alexander_polynomial(
+    p: Presentation, weights: Optional[Sequence[int]] = None
+) -> LaurentPoly:
     """Alexander polynomial of a deficiency-1 presentation with infinite
     cyclic abelianization, normalized up to units.
 
     Deletes the column of the first generator of weight +-1 and takes
-    the determinant of the remaining square matrix.
+    the determinant of the remaining square matrix.  ``weights`` is as
+    in :func:`alexander_matrix`.
     """
     if deficiency(p) != 1:
         raise ValueError(f"deficiency is {deficiency(p)}, not 1")
-    weights = weight_vector(p)
+    if weights is None:
+        weights = weight_vector(p)
     drop = next((j for j, w in enumerate(weights) if abs(w) == 1), None)
     if drop is None:
         raise ValueError("no generator of weight +-1")

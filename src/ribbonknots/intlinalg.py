@@ -1,19 +1,18 @@
 """Exact linear algebra.
 
 The matrix type and the Bareiss determinant, shared by Z and
-Z[t, t^-1]; over Z, Smith normal form with transform tracking, cokernel
-invariants of relation matrices, and factorization of unimodular
-matrices into elementary row operations.
+Z[t, t^-1]; over Z, Smith normal form with transform tracking and
+cokernel invariants of relation matrices.
 
 Convention used across the repo: rows are relators, columns are
-generators.  Row indices in elementary operations are 0-based.
+generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence, TypeVar, Union
+from typing import Sequence, TypeVar
 
 R = TypeVar("R")
 
@@ -44,20 +43,6 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]):
         return self.entries[ij[0]][ij[1]]
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return Matrix(
-            tuple(
-                tuple(
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                )
-                for i in range(self.rows)
-            ),
-            empty_cols=other.cols if self.rows == 0 else 0,
-        )
-
 
 def matrix(rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
     grid = tuple(tuple(row) for row in rows)
@@ -66,44 +51,6 @@ def matrix(rows: Sequence[Sequence], cols: int | None = None) -> Matrix:
             raise ValueError("empty matrix needs an explicit column count")
         return Matrix((), empty_cols=cols)
     return Matrix(grid)
-
-
-@dataclass(frozen=True)
-class AddMultiple:
-    """Row op ``row i += c * row j`` (i != j, c != 0)."""
-
-    i: int
-    j: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("AddMultiple needs distinct rows")
-        if self.c == 0:
-            raise ValueError("AddMultiple needs a nonzero multiplier")
-
-    def inverse(self) -> "AddMultiple":
-        return AddMultiple(self.i, self.j, -self.c)
-
-
-@dataclass(frozen=True)
-class Swap:
-    i: int
-    j: int
-
-    def inverse(self) -> "Swap":
-        return self
-
-
-@dataclass(frozen=True)
-class Negate:
-    i: int
-
-    def inverse(self) -> "Negate":
-        return self
-
-
-ElementaryOp = Union[AddMultiple, Swap, Negate]
 
 
 @dataclass(frozen=True)
@@ -160,75 +107,8 @@ def det_int(m: Matrix) -> int:
     return bareiss_det(m.entries, 0, 1)
 
 
-def _apply_row_op(grid: list[list[int]], op: ElementaryOp) -> None:
-    if isinstance(op, AddMultiple):
-        grid[op.i] = [a + op.c * b for a, b in zip(grid[op.i], grid[op.j])]
-    elif isinstance(op, Swap):
-        grid[op.i], grid[op.j] = grid[op.j], grid[op.i]
-    else:
-        grid[op.i] = [-a for a in grid[op.i]]
-
-
-def replay_elementary(ops: Sequence[ElementaryOp], n: int) -> Matrix:
-    """Product of the elementary matrices, applied in order as left
-    multiplications of the identity."""
-    grid = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        indices = (op.i, op.j) if not isinstance(op, Negate) else (op.i,)
-        if any(not 0 <= k < n for k in indices):
-            raise ValueError(f"row index out of range in {op}")
-        _apply_row_op(grid, op)
-    return matrix(grid)
-
-
-def factor_glnz(m: Matrix) -> tuple[ElementaryOp, ...]:
-    """Factor a unimodular matrix into elementary operations.
-
-    Replaying the result (see :func:`replay_elementary`) reproduces the
-    input exactly.  Deterministic: Gauss-Jordan with Euclidean gcd
-    cascades down each column, pivots processed in order.
-    """
-    n = m.rows
-    if m.rows != m.cols:
-        raise ValueError("only square matrices factor into GL(n, Z)")
-    if abs(det_int(m)) != 1:
-        raise ValueError("matrix is not unimodular")
-    grid = [list(row) for row in m.entries]
-    applied: list[ElementaryOp] = []
-
-    def do(op: ElementaryOp) -> None:
-        _apply_row_op(grid, op)
-        applied.append(op)
-
-    for k in range(n):
-        # Euclidean cascade: leave a single nonzero entry in column k at
-        # or below the diagonal.
-        while True:
-            live = [i for i in range(k, n) if grid[i][k] != 0]
-            if len(live) == 1:
-                break
-            live.sort(key=lambda i: (abs(grid[i][k]), i))
-            small, other = live[0], live[1]
-            q = grid[other][k] // grid[small][k]
-            if q == 0:
-                q = 1 if grid[other][k] * grid[small][k] > 0 else -1
-            do(AddMultiple(other, small, -q))
-        pivot_row = next(i for i in range(k, n) if grid[i][k] != 0)
-        if pivot_row != k:
-            do(Swap(k, pivot_row))
-        if grid[k][k] < 0:
-            do(Negate(k))
-        # The pivot is the column gcd, which is 1 for unimodular input.
-        assert grid[k][k] == 1, "pivot gcd is not 1; input not unimodular"
-        for i in range(n):
-            if i != k and grid[i][k] != 0:
-                do(AddMultiple(i, k, -grid[i][k]))
-    # grid is now the identity: m = applied[0]^-1 ... applied[-1]^-1.
-    return tuple(op.inverse() for op in reversed(applied))
-
-
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return unimodular (U, S, V) with ``U @ m @ V = S`` diagonal,
+    """Return unimodular (U, S, V) with ``U m V = S`` diagonal,
     nonnegative, and with each diagonal entry dividing the next.
 
     Pivoting rule: smallest nonzero absolute value, ties broken by

@@ -1,4 +1,4 @@
-"""Free-group words, free reduction, and free-group endomorphisms.
+"""Free-group words, free reduction, and generator substitution.
 
 Generators are plain name strings (letters/digits/underscore, starting
 with a letter).  A :class:`Word` is a freely reduced run-length sequence
@@ -89,11 +89,6 @@ def normalize(raw: Iterable[tuple[str, int]]) -> Word:
     return Word(tuple(stack))
 
 
-def word(*syllables: tuple[str, int]) -> Word:
-    """Convenience constructor: ``word(("x", 2), ("y", -1))``."""
-    return normalize(syllables)
-
-
 def gen(name: str, exp: int = 1) -> Word:
     return normalize([(name, exp)])
 
@@ -137,26 +132,6 @@ def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeEndo:
-    """Endomorphism of a free group, given by generator images."""
-
-    domain: tuple[str, ...]
-    images: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.domain) != len(self.images):
-            raise ValueError("one image per domain generator required")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError("duplicate domain generator")
-        for g in self.domain:
-            check_generator_name(g)
-
-
-def identity_endo(domain: Sequence[str]) -> FreeEndo:
-    return FreeEndo(tuple(domain), tuple(gen(g) for g in domain))
-
-
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     """Replace each generator by its image and freely reduce; generators
     missing from ``images`` stay as they are."""
@@ -168,14 +143,6 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
         else:
             out.extend((img if e > 0 else inverse(img)).syllables * abs(e))
     return normalize(out)
-
-
-def compose_endo(f: FreeEndo, g: FreeEndo) -> FreeEndo:
-    """The endomorphism ``x -> f(g(x))`` on a common domain."""
-    if f.domain != g.domain:
-        raise ValueError("endomorphism domains differ")
-    images = dict(zip(f.domain, f.images))
-    return FreeEndo(f.domain, tuple(substitute(img, images) for img in g.images))
 
 
 def parse_word(text: str) -> Word:

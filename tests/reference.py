@@ -24,14 +24,21 @@ another way:
 * ``act`` and ``trace``, the action of words on a closed coset table;
 * ``cokernel_invariants_reference``, the sparse elimination that
   rescans every nonzero for each pivot, against the incremental pivot
-  search of ``intlinalg.cokernel_invariants``.
+  search of ``intlinalg.cokernel_invariants``;
+* ``lift_glnz_reference``, the GL(r, Z) lift as a factorization into
+  ``AddMultiple``/``Swap``/``Negate`` operations, each lifted to a
+  ``FreeEndo`` and composed one at a time, against the Nielsen moves of
+  ``constructions.lift_glnz``; the lift is not unique and its words are
+  CLI output, so the two must agree word for word;
+* ``random_unimodular``, a product of random elementary matrices, and
+  ``matmul``, the matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ribbonknots.acmoves import (
     ACMove,
@@ -51,7 +58,13 @@ from ribbonknots.acmoves import (
 from ribbonknots.constructions import RealizationResult
 from ribbonknots.cosets import CosetTable
 from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
-from ribbonknots.intlinalg import AbelianGroupInvariants, Matrix, diagonal_invariants
+from ribbonknots.intlinalg import (
+    AbelianGroupInvariants,
+    Matrix,
+    det_int,
+    diagonal_invariants,
+    matrix,
+)
 from ribbonknots.laurent import LaurentPoly, laurent
 from ribbonknots.presentations import Presentation
 from ribbonknots.words import (
@@ -63,6 +76,7 @@ from ribbonknots.words import (
     normalize,
     parse_word,
     product,
+    substitute,
 )
 
 
@@ -618,3 +632,185 @@ def cokernel_invariants_reference(m: Matrix) -> AbelianGroupInvariants:
             g = gcd(nonunits[a], nonunits[b])
             nonunits[a], nonunits[b] = g, nonunits[a] // g * nonunits[b]
     return diagonal_invariants([1] * units + nonunits, m.cols)
+
+
+@dataclass(frozen=True)
+class AddMultiple:
+    """Row op ``row i += c * row j`` (i != j, c != 0)."""
+
+    i: int
+    j: int
+    c: int
+
+    def __post_init__(self) -> None:
+        if self.i == self.j:
+            raise ValueError("AddMultiple needs distinct rows")
+        if self.c == 0:
+            raise ValueError("AddMultiple needs a nonzero multiplier")
+
+    def inverse(self) -> "AddMultiple":
+        return AddMultiple(self.i, self.j, -self.c)
+
+
+@dataclass(frozen=True)
+class Swap:
+    i: int
+    j: int
+
+    def inverse(self) -> "Swap":
+        return self
+
+
+@dataclass(frozen=True)
+class Negate:
+    i: int
+
+    def inverse(self) -> "Negate":
+        return self
+
+
+ElementaryOp = Union[AddMultiple, Swap, Negate]
+
+
+def _apply_row_op(grid: list[list[int]], op: ElementaryOp) -> None:
+    if isinstance(op, AddMultiple):
+        grid[op.i] = [a + op.c * b for a, b in zip(grid[op.i], grid[op.j])]
+    elif isinstance(op, Swap):
+        grid[op.i], grid[op.j] = grid[op.j], grid[op.i]
+    else:
+        grid[op.i] = [-a for a in grid[op.i]]
+
+
+def replay_elementary(ops: Sequence[ElementaryOp], n: int) -> Matrix:
+    """Product of the elementary matrices, applied in order as left
+    multiplications of the identity."""
+    grid = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op in ops:
+        indices = (op.i, op.j) if not isinstance(op, Negate) else (op.i,)
+        if any(not 0 <= k < n for k in indices):
+            raise ValueError(f"row index out of range in {op}")
+        _apply_row_op(grid, op)
+    return matrix(grid)
+
+
+def factor_glnz(m: Matrix) -> tuple[ElementaryOp, ...]:
+    """Factor a unimodular matrix into elementary operations.
+
+    Replaying the result (see :func:`replay_elementary`) reproduces the
+    input exactly.  Deterministic: Gauss-Jordan with Euclidean gcd
+    cascades down each column, pivots processed in order.
+    """
+    n = m.rows
+    if m.rows != m.cols:
+        raise ValueError("only square matrices factor into GL(n, Z)")
+    if abs(det_int(m)) != 1:
+        raise ValueError("matrix is not unimodular")
+    grid = [list(row) for row in m.entries]
+    applied: list[ElementaryOp] = []
+
+    def do(op: ElementaryOp) -> None:
+        _apply_row_op(grid, op)
+        applied.append(op)
+
+    for k in range(n):
+        while True:
+            live = [i for i in range(k, n) if grid[i][k] != 0]
+            if len(live) == 1:
+                break
+            live.sort(key=lambda i: (abs(grid[i][k]), i))
+            small, other = live[0], live[1]
+            q = grid[other][k] // grid[small][k]
+            if q == 0:
+                q = 1 if grid[other][k] * grid[small][k] > 0 else -1
+            do(AddMultiple(other, small, -q))
+        pivot_row = next(i for i in range(k, n) if grid[i][k] != 0)
+        if pivot_row != k:
+            do(Swap(k, pivot_row))
+        if grid[k][k] < 0:
+            do(Negate(k))
+        assert grid[k][k] == 1, "pivot gcd is not 1; input not unimodular"
+        for i in range(n):
+            if i != k and grid[i][k] != 0:
+                do(AddMultiple(i, k, -grid[i][k]))
+    # grid is now the identity: m = applied[0]^-1 ... applied[-1]^-1.
+    return tuple(op.inverse() for op in reversed(applied))
+
+
+@dataclass(frozen=True)
+class FreeEndo:
+    """Endomorphism of a free group, given by generator images."""
+
+    domain: tuple[str, ...]
+    images: tuple[Word, ...]
+
+
+def identity_endo(domain: Sequence[str]) -> FreeEndo:
+    return FreeEndo(tuple(domain), tuple(gen(g) for g in domain))
+
+
+def compose_endo(f: FreeEndo, g: FreeEndo) -> FreeEndo:
+    """The endomorphism ``x -> f(g(x))`` on a common domain."""
+    images = dict(zip(f.domain, f.images))
+    return FreeEndo(f.domain, tuple(substitute(img, images) for img in g.images))
+
+
+def _lift_one(op: ElementaryOp, domain: tuple[str, ...]) -> FreeEndo:
+    images = [gen(g) for g in domain]
+    if isinstance(op, AddMultiple):
+        images[op.i] = product(gen(domain[op.i]), gen(domain[op.j], op.c))
+    elif isinstance(op, Swap):
+        images[op.i], images[op.j] = images[op.j], images[op.i]
+    else:
+        images[op.i] = gen(domain[op.i], -1)
+    return FreeEndo(domain, tuple(images))
+
+
+def lift_elementary(
+    ops: Sequence[ElementaryOp], rank: int
+) -> tuple[FreeEndo, FreeEndo]:
+    """Lift elementary row operations to a free-group automorphism on
+    ``x1..x<rank>``; return the lift and its inverse."""
+    domain = tuple(f"x{i}" for i in range(1, rank + 1))
+    endo = identity_endo(domain)
+    inv = identity_endo(domain)
+    for op in ops:
+        endo = compose_endo(endo, _lift_one(op, domain))
+        inv = compose_endo(_lift_one(op.inverse(), domain), inv)
+    return endo, inv
+
+
+def lift_glnz_reference(m: Matrix) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """Images of ``x1..xr`` under the lift of ``m`` and its inverse, as
+    ``constructions.lift_glnz`` returns them."""
+    mu, nu = lift_elementary(factor_glnz(m), m.rows)
+    return mu.images, nu.images
+
+
+def random_unimodular(rng, n: int, count: int) -> Matrix:
+    """Product of ``count`` random elementary matrices of size ``n``:
+    row additions with multiplier +-1 or +-2, swaps and negations."""
+    ops: list[ElementaryOp] = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            ops.append(AddMultiple(i, j, rng.choice([-2, -1, 1, 2])))
+        elif kind == 1 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            ops.append(Swap(i, j))
+        else:
+            ops.append(Negate(rng.randrange(n)))
+    return replay_elementary(ops, n)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The matrix product ``a b``."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    return matrix(
+        [
+            [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ],
+        cols=b.cols,
+    )

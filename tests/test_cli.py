@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 
-from ribbonknots import cli
+from ribbonknots import cli, presentations
 from ribbonknots.presentations import parse_presentation
 
 
@@ -134,6 +134,31 @@ def test_verify_pass(capsys, corpus):
     )
     assert code == 0
     assert "FAIL" not in out and "INCONCLUSIVE" not in out
+
+
+def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
+    original = presentations.weight_vector
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    # Rebind every module's name for it, as `from .x import f` copies it.
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribbonknots"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add(name)
+    assert {"ribbonknots.fox", "ribbonknots.cli"} <= patched
+    code, _, _ = run(
+        capsys, "verify", str(corpus / "spun_trefoil.pres"),
+        "--module", str(corpus / "spun_trefoil.module"),
+        "-N", "2,3,6", "--meridian", "t", "--max-cosets", "100",
+    )
+    assert code == 0 and len(calls) == 1
 
 
 def test_verify_mismatch(capsys, corpus, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from ribbonknots.constructions import (
     AdmissibilityError,
     cyclic_module,
-    lift_elementary,
+    lift_glnz,
     parse_module_spec,
     realize,
     realize_cyclic,
@@ -19,13 +19,7 @@ from ribbonknots.constructions import (
     trotter_module,
 )
 from ribbonknots.fox import alexander_polynomial
-from ribbonknots.intlinalg import (
-    AddMultiple,
-    Negate,
-    Swap,
-    matrix,
-    replay_elementary,
-)
+from ribbonknots.intlinalg import matrix, parse_matrix
 from ribbonknots.laurent import (
     det_lambda,
     eq_up_to_unit,
@@ -34,8 +28,8 @@ from ribbonknots.laurent import (
     normalize_unit,
 )
 from ribbonknots.presentations import abelianization, deficiency, is_wirtinger, LOG
-from ribbonknots.words import compose_endo, exponent_sums, gen
-from reference import is_ascending_hnn_shape
+from ribbonknots.words import exponent_sums, gen, substitute
+from reference import is_ascending_hnn_shape, lift_glnz_reference, random_unimodular
 
 
 def test_admissibility_checks():
@@ -96,28 +90,33 @@ def test_sum_realization():
     assert eq_up_to_unit(alexander_polynomial(res.wirtinger_presentation), target)
 
 
-def test_lift_elementary_abelianization():
+def test_lift_glnz_abelianization_and_inverse():
     rng = random.Random(41)
     for _ in range(50):
         n = rng.randint(1, 4)
-        ops = []
-        for _ in range(rng.randrange(8)):
-            kind = rng.randrange(3)
-            if kind == 0 and n >= 2:
-                i, j = rng.sample(range(n), 2)
-                ops.append(AddMultiple(i, j, rng.choice([-2, -1, 1, 2])))
-            elif kind == 1 and n >= 2:
-                i, j = rng.sample(range(n), 2)
-                ops.append(Swap(i, j))
-            else:
-                ops.append(Negate(rng.randrange(n)))
-        m = replay_elementary(ops, n)
-        endo, inv = lift_elementary(tuple(ops), n)
-        assert matrix([exponent_sums(img, endo.domain) for img in endo.images]) == m
-        both = compose_endo(endo, inv)
-        assert both.images == tuple(gen(g) for g in both.domain)
-        both = compose_endo(inv, endo)
-        assert both.images == tuple(gen(g) for g in both.domain)
+        m = random_unimodular(rng, n, rng.randrange(8))
+        mu, nu = lift_glnz(m)
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        assert matrix([exponent_sums(w, xs) for w in mu]) == m
+        identity = tuple(gen(x) for x in xs)
+        assert tuple(substitute(w, dict(zip(xs, nu))) for w in mu) == identity
+        assert tuple(substitute(w, dict(zip(xs, mu))) for w in nu) == identity
+    assert lift_glnz(matrix([[0, 1], [1, 0]]))[0] == (gen("x2"), gen("x1"))  # det -1
+    # pivot 2, singular 2 x 2, zero column
+    for bad in ([[2]], [[1, 2], [2, 4]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            lift_glnz(matrix(bad))
+
+
+def test_lift_glnz_matches_reference(corpus):
+    """The lift is not unique and its words are CLI output: it must be
+    the reference's automorphism word for word."""
+    rng = random.Random(42)
+    cases = [parse_matrix((corpus / f"{name}.mat").read_text())
+             for name in ("lemma4_companion", "lemma3_companion")]
+    cases += [random_unimodular(rng, rng.randint(1, 5), rng.randrange(17)) for _ in range(1200)]
+    for m in cases:
+        assert lift_glnz(m) == lift_glnz_reference(m), m.entries
 
 
 def test_lemma4_realization():

@@ -1,9 +1,11 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private
+module-level name of the package is read in its own module.
 
-A static check by the standard library's ``ast``: no linter is a
-dependency, and a rename can otherwise leave a stale import behind
-that still resolves.  Scans the package and this test directory, not
-``bench/``.
+Static checks by the standard library's ``ast``: no linter is a
+dependency, and a rename or a deletion can otherwise leave a stale
+import or an orphaned ``_helper`` behind that still resolves.  The
+import scan covers the package and this test directory, the private
+name scan the package; neither scans ``bench/``.
 """
 
 import ast
@@ -35,5 +37,46 @@ def test_no_unused_imports():
         for directory in SCANNED
         for path in sorted(directory.glob("*.py"))
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that
+    nothing in the module reads (dunder names excepted)."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+def test_no_unread_private_names():
+    sample = (
+        "_A = 1\n_B: int = 2\n_C, (_D, e) = 3, (4, 5)\n__all__ = []\n"
+        "def _f():\n    _local = _A\n    return _D\n"
+        "class _G:\n    _attr = 0\n"
+        "def h():\n    return _f()\n"
+    )
+    assert unread_private_names(sample) == [
+        "line 2: _B", "line 3: _C", "line 8: _G"
+    ]
+    found = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(SCANNED[0].glob("*.py"))
+        if (names := unread_private_names(path.read_text()))
     }
     assert found == {}

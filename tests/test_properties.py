@@ -55,6 +55,7 @@ from reference import (  # noqa: E402
     cokernel_invariants_reference,
     fox_derivative,
     match_wirtinger_reference,
+    matmul,
     todd_coxeter_reference,
 )
 
@@ -225,7 +226,7 @@ def dense_matrices(max_dim=6, bound=50):
 
 
 def low_rank_matrices(max_dim=6):
-    """Products ``A @ B`` of an r x k and a k x c matrix with k < r, c:
+    """Products ``A B`` of an r x k and a k x c matrix with k < r, c:
     singular, with torsion from the factors' entries."""
     def factor(rows, cols):
         return st.lists(
@@ -235,7 +236,7 @@ def low_rank_matrices(max_dim=6):
 
     def product_of(shape):
         r, k, c = shape
-        return st.tuples(factor(r, k), factor(k, c)).map(lambda ab: ab[0] @ ab[1])
+        return st.tuples(factor(r, k), factor(k, c)).map(lambda ab: matmul(*ab))
 
     return st.tuples(
         st.integers(2, max_dim), st.integers(1, 2), st.integers(2, max_dim)
