@@ -11,7 +11,9 @@ that reachability breadth-first under explicit bounds, reporting
 
 The search runs on ``Packed`` states, relators as strings of letter
 codes in (name, sign) order with their least rotations cached, keyed as
-their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  Moves are
+their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  A candidate
+is keyed only when the outcome can depend on it, which leaves most of
+the last level, whose states are never expanded, unkeyed.  Moves are
 spelled out, and replayed on ``Word`` relators, only for the path found.
 """
 
@@ -308,10 +310,17 @@ def ac_trivialize_search(
     States are ``Packed``, so a candidate re-keys only the relator it
     changed.  Codes order letters as ``(name, sign)`` pairs do, so
     ``canonical_form`` partitions states as it did on ``Word`` relators,
-    and the states kept, the outcome and the moves found are those of
-    the ``Word``-based search.  Paths are ``(i, j, e, c)`` steps, spelled
-    as moves only when found; ``removal_plan`` runs only where some
-    generator occurs exactly once, as it finds no plan elsewhere.
+    and the outcome and the moves found are those of the ``Word``-based
+    search.  Paths are ``(i, j, e, c)`` steps, spelled as moves only
+    when found.  ``removal_plan`` finds no plan unless some generator
+    occurs exactly once, so a candidate failing that letter count is
+    queued unkeyed; the queue is keyed, in generation order, before a
+    candidate passing it and at the end of each level but the last.
+    The last level's states are never expanded, so it is keyed only on
+    demand: at its end only when nothing was pruned and no new state has
+    been seen there yet, as then a new state decides ``Budget`` against
+    ``Exhausted``.  The search stops at the first level that keeps no
+    new state, whatever ``max_depth`` is.
     """
     if max_total_length < 1 or max_depth < 1:
         raise ValueError("bounds must be positive")
@@ -330,16 +339,47 @@ def ac_trivialize_search(
     rank = {g: 2 * r for r, g in enumerate(names)}
     codes = [c and tuple(chr(rank[c[0]] + (e > 0)) for e in (c[1], -c[1])) for c in conjugators]
     variants = [(e, c) for e in (False, True) for c in conjugators]
+    queue: list[tuple] = []  # unkeyed (node, i, j, v, new), in generation order
+
+    def settle() -> bool:
+        """Key the queue into ``seen`` in order and empty it.  A new
+        state sets ``grew`` and, off the last level, joins
+        ``next_frontier``.  True when the last state queued was new."""
+        nonlocal grew
+        fresh = False
+        for ((relators, least), path), i, j, v, new in queue:
+            keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
+            key = canonical_form(keyed)
+            fresh = key not in seen
+            if fresh:
+                seen.add(key)
+                grew = True
+                if not leaf:
+                    next_frontier.append((Packed(relators[:i] + (new,) + relators[i + 1 :], keyed),
+                                          path + ((i, j, *variants[v]),)))
+        queue.clear()
+        return fresh
+
     frontier: list[tuple[Packed, tuple]] = [(start, ())]
-    truncated = False
-    for _depth in range(max_depth):
+    truncated = grew = False
+    for depth in range(max_depth):
+        if not frontier:
+            break
+        leaf = depth == max_depth - 1
         next_frontier: list[tuple[Packed, tuple]] = []
-        for (relators, least), path in frontier:
+        grew = False
+        for node in frontier:
+            relators = node[0].relators
             # c . R_j^e . c^-1 for each j, in ``variants`` order
             factors = [[w if c is None else _reduced_product(_reduced_product(c[0], w), c[1])
                         for w in (r, r[::-1].translate(inv)) for c in codes] for r in relators]
             room = max_total_length - sum(map(len, relators))
+            counts = [[r.count(a) + r.count(b) for a, b in pairs] for r in relators]
+            totals = [sum(column) for column in zip(*counts)]
             for i, r_i in enumerate(relators):
+                # a generator occurs once in the candidate iff the new R_i has ``need`` of it
+                once = [(a, b, need) for (a, b), t, c in zip(pairs, totals, counts[i])
+                        if (need := 1 - t + c) >= 0]
                 for j, words in enumerate(factors):
                     if i == j:
                         continue
@@ -348,22 +388,21 @@ def ac_trivialize_search(
                         if len(new) - len(r_i) > room:
                             truncated = True
                             continue
-                        keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
-                        key = canonical_form(keyed)
-                        if key in seen:
+                        queue.append((node, i, j, v, new))
+                        # only a ripe candidate can have a plan, and only a new one is tried
+                        ripe = any(new.count(a) + new.count(b) == need for a, b, need in once)
+                        if not (ripe and settle()):
                             continue
-                        seen.add(key)
-                        q = Packed(relators[:i] + (new,) + relators[i + 1 :], keyed)
-                        steps = path + ((i, j, *variants[v]),)
-                        joined = "".join(q.relators)
-                        if any(joined.count(a) + joined.count(b) == 1 for a, b in pairs):
-                            plan = removal_plan(_unpack(p, names, q.relators))
-                            if plan is not None:
-                                moves = [m for step in steps for m in _compound_move(*step)]
-                                return _verified_found(p, tuple(moves) + plan)
-                        next_frontier.append((q, steps))
+                        q = relators[:i] + (new,) + relators[i + 1 :]
+                        plan = removal_plan(_unpack(p, names, q))
+                        if plan is not None:
+                            steps = node[1] + ((i, j, *variants[v]),)
+                            moves = [m for step in steps for m in _compound_move(*step)]
+                            return _verified_found(p, tuple(moves) + plan)
+        if not leaf or not (truncated or grew):
+            settle()
         frontier = next_frontier
-    return Budget() if truncated or frontier else Exhausted()
+    return Budget() if truncated or grew else Exhausted()
 
 
 def _unpack(p: ACPresentation, names: list[str], relators: tuple[str, ...]) -> ACPresentation:

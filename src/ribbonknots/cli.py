@@ -152,8 +152,8 @@ def build_parser() -> _Parser:
     p_ac = sub.add_parser("ac-search", help="bounded Andrews-Curtis trivialization search")
     p_ac.add_argument("presentation")
     p_ac.add_argument("--kill", required=True, help="meridian generator to kill")
-    p_ac.add_argument("--max-len", type=int, required=True)
-    p_ac.add_argument("--max-depth", type=int, required=True)
+    p_ac.add_argument("--max-len", type=_positive_int, required=True)
+    p_ac.add_argument("--max-depth", type=_positive_int, required=True)
     p_ac.add_argument("--emit-moves", help="write the move list to this file")
 
     p_lot = sub.add_parser("lot", help="extract the LOT of a Wirtinger presentation")

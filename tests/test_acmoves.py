@@ -189,6 +189,17 @@ def test_search_outcomes_budget_exhausted():
     assert ac_trivialize_search(pruned, 4, 3) == Budget()
     # oversized start is a budget outcome
     assert isinstance(ac_trivialize_search(stuck, 1, 3), Budget)
+    # with both relators empty every candidate is the start state again:
+    # nothing is pruned and nothing new is seen on the last level
+    empty = ACPresentation(("a", "b"), (IDENTITY, IDENTITY))
+    # (a, 1): the candidates are (a, 1) again and (a, c a^+-1 c^-1), at
+    # most 4 letters, none with a generator occurring once; so at length
+    # 4 nothing is pruned and only the new last-level states give Budget
+    fresh = ACPresentation(("a", "b"), (gen("a"), IDENTITY))
+    for p, depth, outcome in ((empty, 1, Exhausted()), (empty, 3, Exhausted()),
+                              (fresh, 1, Budget())):
+        assert ac_trivialize_search(p, 4, depth) == outcome
+        assert ac_trivialize_search_reference(p, 4, depth) == outcome
 
 
 def lemma4_rank2(bound: int = 3):
@@ -202,13 +213,12 @@ def lemma4_rank2(bound: int = 3):
 def test_search_matches_word_reference(corpus):
     """The packed-letter search and the Word-based reference agree,
     found move lists included, on every killed rank-2 lemma4 Wirtinger
-    form with entries in [-3, 3] and on the four corpus cases."""
+    form with entries in [-3, 3] and on the four corpus cases, and on
+    the corpus cases again at the benchmark's bounds (32, 2)."""
     cases = [realize_lemma4(m).wirtinger_presentation for m in lemma4_rank2()]
     assert len(cases) == 36
-    cases += [
-        parse_presentation((corpus / f"{name}.pres").read_text())
-        for name in ("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion")
-    ]
+    names = ("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion")
+    cases += [parse_presentation((corpus / f"{name}.pres").read_text()) for name in names]
     outcomes = []
     for p in cases:
         killed = kill_meridian(p, "t")
@@ -216,6 +226,42 @@ def test_search_matches_word_reference(corpus):
         assert out == ac_trivialize_search_reference(killed, 14, 3)
         outcomes.append(type(out))
     assert {Found, Budget} <= set(outcomes)
+    found = {}
+    for name, p in zip(names, cases[-4:]):
+        killed = kill_meridian(p, "t")
+        out = ac_trivialize_search(killed, 32, 2)
+        assert out == ac_trivialize_search_reference(killed, 32, 2)
+        found[name] = len(out.moves) if isinstance(out, Found) else out
+    assert found == {"spun_trefoil": 10, "trotter_2": Budget(),
+                     "lemma4_companion": 12, "lemma3_companion": 14}
+    # lemma4_companion has no plan at depth 1: its plan comes from a last
+    # level candidate, after keying the candidates queued before it
+    assert ac_trivialize_search(kill_meridian(cases[-2], "t"), 32, 1) == Budget()
+
+
+def test_search_keys_no_state_on_the_last_level_of_a_budget_search(corpus, monkeypatch):
+    """Killed trotter_2 at --max-len 32 prunes candidates on its third
+    level, none of which has a generator occurring once, so at depth 3
+    the outcome is ``Budget`` without keying that level: the search keys
+    the start state and its first two levels (1 + 20 + 240 candidates),
+    as the depth-2 search does to tell ``Budget`` from ``Exhausted`` on
+    its unpruned last level."""
+    import ribbonknots.acmoves as acmoves
+
+    calls = []
+
+    def counted(least):
+        calls.append(least)
+        return canonical_form(least)
+
+    monkeypatch.setattr(acmoves, "canonical_form", counted)
+    trotter = parse_presentation((corpus / "trotter_2.pres").read_text())
+    killed = kill_meridian(trotter, "t")
+    assert ac_trivialize_search(killed, 32, 3) == Budget()
+    assert len(calls) == 261
+    calls.clear()
+    assert ac_trivialize_search(killed, 32, 2) == Budget()
+    assert len(calls) == 261
 
 
 def test_search_deterministic_and_worker_independent():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 from ribbonknots import cli, presentations
 from ribbonknots.presentations import parse_presentation
@@ -105,6 +106,27 @@ def test_ac_search_budget(capsys, tmp_path):
     code, _, _ = run(capsys, "ac-search", str(pres), "--kill", "x",
                      "--max-len", "8", "--max-depth", "2")
     assert code == 3
+
+
+def test_ac_search_stops_when_frontier_empties(capsys, corpus):
+    # killed trotter_2 at --max-len 7 finds no new state at depth 3,
+    # so a huge depth bound must end there, not loop over empty levels
+    pres = str(corpus / "trotter_2.pres")
+    base = run(capsys, "ac-search", pres, "--kill", "t", "--max-len", "7", "--max-depth", "3")
+    start = time.perf_counter()
+    huge = run(capsys, "ac-search", pres, "--kill", "t", "--max-len", "7",
+               "--max-depth", str(10**12))
+    assert time.perf_counter() - start < 1.0
+    assert huge == base == (2, "", "budget\n")
+
+
+def test_ac_search_bounds_must_be_positive(capsys, corpus):
+    pres = str(corpus / "spun_trefoil.pres")
+    for option, other in (("--max-len", ("--max-depth", "12")), ("--max-depth", ("--max-len", "32"))):
+        for value in ("0", "-3", "x"):
+            code, out, err = run(capsys, "ac-search", pres, "--kill", "t", option, value, *other)
+            assert code == 3 and out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: argument {option}: expected a positive integer")
 
 
 def test_lot(capsys, corpus, tmp_path):
