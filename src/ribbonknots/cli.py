@@ -60,7 +60,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # isdecimal, not isdigit: int() rejects digits such as '²', and a
+    # sign or '_' that int() would accept is not part of a count.
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -92,10 +94,12 @@ def _load_module_spec(path: str) -> constructions.KnotModuleSpec:
 
 
 def _parse_orders(text: str) -> list[int]:
-    try:
-        orders = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
+    """Comma-separated orders, each read by the token rule of
+    :func:`_positive_int`; a leading '-' only selects the message."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not all(tok.removeprefix("-").isdecimal() for tok in tokens):
         raise CLIError(f"bad cover-order list {text!r}")
+    orders = [int(tok) for tok in tokens]
     if not orders or any(n < 1 for n in orders):
         raise CLIError("cover orders must be positive integers")
     return orders

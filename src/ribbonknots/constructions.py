@@ -12,6 +12,10 @@ deficiency-1 presentation (plus a Wirtinger rewriting where one exists):
   realized as an ascending HNN extension of a free group;
 * ``realize_lemma3_group`` -- T in GL(r, Z) describing the t-action,
   realized as a free-by-cyclic group (no Wirtinger form claimed).
+
+Every Wirtinger form is a star LOT at the meridian ``t``, built by
+``_wirtinger``; the lemma-4 and lemma-3 primaries are HNN presentations
+built by ``_hnn``.
 """
 
 from __future__ import annotations
@@ -189,23 +193,44 @@ def _realize_summands(
 ) -> RealizationResult:
     """One cyclic summand per polynomial of ``spec``, named ``(x, u)``:
     the relator of :func:`realize_cyclic` and its Wirtinger rewriting."""
-    primary_rels: list[Word] = []
-    wirt_rels: list[Word] = []
-    fg_all = True
-    for alpha, (x, u) in zip(spec.polys, names):
+    xs = [x for x, _ in names]
+    ws = []
+    for alpha, x in zip(spec.polys, xs):
         beta = div_exact_t_minus_1(alpha - ONE)
-        w = normalize(
+        ws.append(normalize(
             syl for i, b in beta.terms() for syl in (("t", i), (x, b), ("t", -i))
-        )
-        # Finitely generated commutator subgroup needs extremal coefficients
-        # of alpha equal to +-1.
-        fg_all = fg_all and abs(alpha.coeffs[0]) == 1 and abs(alpha.coeffs[-1]) == 1
-        primary_rels.append(product(gen(x, -1), w, gen("t"), inverse(w), gen("t", -1)))
-        w_sub = substitute(w, {x: product(gen(u), gen("t", -1))})
-        wirt_rels.append(product(gen(u, -1), w_sub, gen("t"), inverse(w_sub)))
-    primary = Presentation(("t", *(x for x, _ in names)), tuple(primary_rels))
-    wirtinger = Presentation(("t", *(u for _, u in names)), tuple(wirt_rels))
+        ))
+    primary_rels = tuple(
+        product(gen(x, -1), w, gen("t"), inverse(w), gen("t", -1)) for x, w in zip(xs, ws)
+    )
+    primary = Presentation(("t", *xs), primary_rels)
+    wirtinger = _wirtinger(xs, [u for _, u in names], ws)
+    # Finitely generated commutator subgroup needs extremal coefficients
+    # of alpha equal to +-1.
+    fg_all = all(abs(a.coeffs[0]) == 1 and abs(a.coeffs[-1]) == 1 for a in spec.polys)
     return RealizationResult(primary, wirtinger, "t", spec, fg_commutator=fg_all)
+
+
+def _wirtinger(xs: Sequence[str], ss: Sequence[str], words: Sequence[Word]) -> Presentation:
+    """``< t, ss | s_i = W_i t W_i^-1 >``, where ``W_i`` is ``words[i]``
+    with each ``x_k`` replaced by ``s_k t^-1``.
+
+    Every relator conjugates ``t`` to a generator ``s_i``, so the LOT is
+    the star with centre ``t`` and one edge to each ``s_i``.
+    """
+    to_s = {x: product(gen(s), gen("t", -1)) for x, s in zip(xs, ss)}
+    rels = []
+    for s, w in zip(ss, words):
+        w = substitute(w, to_s)
+        rels.append(product(gen(s, -1), w, gen("t"), inverse(w)))
+    return Presentation(("t", *ss), tuple(rels))
+
+
+def _hnn(xs: Sequence[str], images: Sequence[Word]) -> Presentation:
+    """``< t, xs | t x_i t^-1 = images[i] >``."""
+    return Presentation(("t", *xs), tuple(
+        product(gen("t"), gen(x), gen("t", -1), inverse(img)) for x, img in zip(xs, images)
+    ))
 
 
 def realize_trotter(m: Matrix) -> RealizationResult:
@@ -229,13 +254,7 @@ def realize_trotter(m: Matrix) -> RealizationResult:
             product(gen("t"), gen(ys[i]), gen("t", -1), gen(ys[i], -1), gen(xs[i]))
         )
     primary = Presentation(("t", *xs, *ys), tuple(primary_rels))
-    to_s = {xs[j]: product(gen(ss[j]), gen("t", -1)) for j in range(r)}
-    wirt_rels = []
-    for i in range(r):
-        y_i = substitute(prod_x[i], to_s)
-        wirt_rels.append(product(gen(ss[i], -1), y_i, gen("t"), inverse(y_i)))
-    wirtinger = Presentation(("t", *ss), tuple(wirt_rels))
-    return RealizationResult(primary, wirtinger, "t", spec)
+    return RealizationResult(primary, _wirtinger(xs, ss, prod_x), "t", spec)
 
 
 def lift_glnz(m: Matrix) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
@@ -317,27 +336,10 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     r = m.rows
     mu, nu = lift_glnz(m)
     xs = [f"x{i}" for i in range(1, r + 1)]
-    primary_rels = tuple(
-        product(
-            gen("t"), gen(xs[i]), gen("t", -1),
-            inverse(product(gen(xs[i]), mu[i])),
-        )
-        for i in range(r)
-    )
-    primary = Presentation(("t", *xs), primary_rels)
     ss = [f"s{i}" for i in range(1, r + 1)]
-    # x_j = nu(x_j) evaluated at x_k -> mu(x_k) = s_k t^-1.
-    to_s = {xs[k]: product(gen(ss[k]), gen("t", -1)) for k in range(r)}
-    wirt_rels = []
-    for i in range(r):
-        x_i = substitute(nu[i], to_s)
-        wirt_rels.append(
-            product(gen(ss[i], -1), inverse(x_i), gen("t"), x_i)
-        )
-    wirtinger = Presentation(("t", *ss), tuple(wirt_rels))
-    return RealizationResult(
-        primary, wirtinger, "t", spec, is_ascending_hnn=True
-    )
+    primary = _hnn(xs, [product(gen(x), w) for x, w in zip(xs, mu)])
+    wirtinger = _wirtinger(xs, ss, [inverse(w) for w in nu])
+    return RealizationResult(primary, wirtinger, "t", spec, is_ascending_hnn=True)
 
 
 def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
@@ -349,12 +351,7 @@ def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     spec = taction_module(t_matrix)
     r = t_matrix.rows
     tau, _ = lift_glnz(t_matrix)
-    xs = [f"x{i}" for i in range(1, r + 1)]
-    rels = tuple(
-        product(gen("t"), gen(xs[i]), gen("t", -1), inverse(tau[i]))
-        for i in range(r)
-    )
-    primary = Presentation(("t", *xs), rels)
+    primary = _hnn([f"x{i}" for i in range(1, r + 1)], tau)
     return RealizationResult(primary, None, "t", spec)
 
 

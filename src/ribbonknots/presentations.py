@@ -23,7 +23,6 @@ from .words import (
     Word,
     check_generator_name,
     cyclic_letters,
-    exponent_sums,
     gen,
     inverse,
     normalize,
@@ -80,10 +79,12 @@ def deficiency(p: Presentation) -> int:
 
 def exponent_matrix(p: Presentation):
     """Relator exponent sums: rows = relators, columns = generators."""
-    return matrix(
-        [exponent_sums(r, p.generators) for r in p.relators],
-        cols=len(p.generators),
-    )
+    column = {g: j for j, g in enumerate(p.generators)}
+    rows = [[0] * len(column) for _ in p.relators]
+    for row, r in zip(rows, p.relators):
+        for g, e in r.syllables:
+            row[column[g]] += e
+    return matrix(rows, cols=len(column))
 
 
 def abelianization(p: Presentation) -> AbelianGroupInvariants:

@@ -4,13 +4,18 @@ Generators are plain name strings (letters/digits/underscore, starting
 with a letter).  A :class:`Word` is a freely reduced run-length sequence
 of ``(generator, exponent)`` syllables; the empty sequence is the
 identity.  All values are immutable and all operations are pure.
+
+Names are checked where they enter, not per syllable: :func:`parse_word`
+checks each token and ``presentations.Presentation`` its generators.
+A ``Word`` checks only that it is reduced; one naming anything but a
+generator is rejected when it joins a presentation.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -30,7 +35,6 @@ class Word:
     def __post_init__(self) -> None:
         prev = None
         for gen, exp in self.syllables:
-            check_generator_name(gen)
             if exp == 0:
                 raise ValueError("zero exponent in reduced word")
             if gen == prev:
@@ -119,17 +123,6 @@ def cyclic_letters(w: Word) -> tuple[tuple[str, int], ...]:
         i += 1
         j -= 1
     return letters[i:j]
-
-
-def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
-    """Abelianized exponent vector of ``w`` over the listed generators."""
-    index = {g: i for i, g in enumerate(over)}
-    out = [0] * len(over)
-    for g, e in w.syllables:
-        if g not in index:
-            raise ValueError(f"generator {g!r} not among {list(over)}")
-        out[index[g]] += e
-    return tuple(out)
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:

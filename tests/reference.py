@@ -31,7 +31,10 @@ another way:
   ``constructions.lift_glnz``; the lift is not unique and its words are
   CLI output, so the two must agree word for word;
 * ``random_unimodular``, a product of random elementary matrices, and
-  ``matmul``, the matrix product.
+  ``matmul``, the matrix product;
+* ``exponent_sums``, the exponent vector of one word over a list of
+  generators, against ``presentations.exponent_matrix``, which indexes
+  the generators once per presentation.
 """
 
 from __future__ import annotations
@@ -814,3 +817,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         ],
         cols=b.cols,
     )
+
+
+def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
+    """Abelianized exponent vector of ``w`` over the listed generators."""
+    index = {g: i for i, g in enumerate(over)}
+    out = [0] * len(over)
+    for g, e in w.syllables:
+        if g not in index:
+            raise ValueError(f"generator {g!r} not among {list(over)}")
+        out[index[g]] += e
+    return tuple(out)

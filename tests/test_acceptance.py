@@ -53,9 +53,10 @@ from ribbonknots.presentations import (
     parse_presentation,
     parse_tietze_script,
 )
-from ribbonknots.words import exponent_sums, gen, normalize
+from ribbonknots.words import gen, normalize
 from reference import (
     compare_realization,
+    exponent_sums,
     fundamental_identity_holds,
     is_ascending_hnn_shape,
     matmul,

@@ -26,8 +26,8 @@ from ribbonknots.acmoves import (
 from ribbonknots.constructions import realize_lemma4
 from ribbonknots.intlinalg import cokernel_invariants, matrix
 from ribbonknots.presentations import parse_presentation
-from ribbonknots.words import IDENTITY, exponent_sums, gen, normalize, parse_word
-from reference import ac_trivialize_search_reference, parse_moves
+from ribbonknots.words import IDENTITY, gen, normalize, parse_word
+from reference import ac_trivialize_search_reference, exponent_sums, parse_moves
 
 SPUN = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 

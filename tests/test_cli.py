@@ -3,7 +3,7 @@ import subprocess
 import sys
 import time
 
-from ribbonknots import cli, presentations
+from ribbonknots import cli, presentations, words
 from ribbonknots.presentations import parse_presentation
 
 
@@ -123,7 +123,7 @@ def test_ac_search_stops_when_frontier_empties(capsys, corpus):
 def test_ac_search_bounds_must_be_positive(capsys, corpus):
     pres = str(corpus / "spun_trefoil.pres")
     for option, other in (("--max-len", ("--max-depth", "12")), ("--max-depth", ("--max-len", "32"))):
-        for value in ("0", "-3", "x"):
+        for value in ("0", "-3", "x", "¹", "+3", "1_0"):
             code, out, err = run(capsys, "ac-search", pres, "--kill", "t", option, value, *other)
             assert code == 3 and out == "" and err.count("\n") == 1
             assert err.startswith(f"error: argument {option}: expected a positive integer")
@@ -158,15 +158,16 @@ def test_verify_pass(capsys, corpus):
     assert "FAIL" not in out and "INCONCLUSIVE" not in out
 
 
-def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
-    original = presentations.weight_vector
+def count_calls(monkeypatch, original) -> tuple[list, set]:
+    """Count calls of ``original`` through every ``ribbonknots`` binding
+    of it, as ``from .x import f`` copies the name; return the call list
+    and the modules patched."""
     calls = []
 
-    def counted(p):
-        calls.append(p)
-        return original(p)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    # Rebind every module's name for it, as `from .x import f` copies it.
     patched = set()
     for name, module in list(sys.modules.items()):
         if name.startswith("ribbonknots"):
@@ -174,6 +175,11 @@ def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
                     patched.add(name)
+    return calls, patched
+
+
+def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
+    calls, patched = count_calls(monkeypatch, presentations.weight_vector)
     assert {"ribbonknots.fox", "ribbonknots.cli"} <= patched
     code, _, _ = run(
         capsys, "verify", str(corpus / "spun_trefoil.pres"),
@@ -181,6 +187,24 @@ def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
         "-N", "2,3,6", "--meridian", "t", "--max-cosets", "100",
     )
     assert code == 0 and len(calls) == 1
+
+
+def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_path):
+    # A Word does not re-check its names: realize -> verify checks one
+    # name per parsed token and per generator of each presentation built
+    # (the realized pair, the parsed file, the N = 2, 3 covers and the
+    # killed meridian), not one per syllable of every word (90 calls).
+    calls, patched = count_calls(monkeypatch, words.check_generator_name)
+    assert {"ribbonknots.words", "ribbonknots.presentations", "ribbonknots.acmoves"} <= patched
+    code, out, _ = run(capsys, "realize", "cyclic", "--coeffs", "1,-1,1", "--emit", "wirtinger")
+    assert code == 0
+    pres = tmp_path / "spun.pres"
+    pres.write_text(out)
+    code, _, _ = run(
+        capsys, "verify", str(pres), "--module", str(corpus / "spun_trefoil.module"),
+        "-N", "2,3", "--meridian", "t", "--max-cosets", "100",
+    )
+    assert code == 0 and len(calls) == 21
 
 
 def test_verify_mismatch(capsys, corpus, tmp_path):
@@ -238,14 +262,29 @@ def test_realize_negative_coeffs(capsys):
 
 def test_max_cosets_must_be_positive(capsys, corpus):
     pres = str(corpus / "spun_trefoil.pres")
-    for value in ("0", "-3", "x"):
+    for value in ("0", "-3", "x", "²", "+3", "1_0"):
         code, out, err = run(
             capsys, "verify", pres, "--module", str(corpus / "spun_trefoil.module"),
             "-N", "2", "--meridian", "t", "--max-cosets", value,
         )
-        assert code == 3 and out == "" and err.startswith("error: argument --max-cosets")
+        assert code == 3 and out == ""
+        assert err == f"error: argument --max-cosets: expected a positive integer, got {value!r}\n"
         code, _, err = run(capsys, "tc", pres, "--max-cosets", value)
         assert code == 3 and err.count("\n") == 1
+
+
+def test_cover_orders_take_the_same_token_rule(capsys, corpus):
+    # -N reads each order as --max-cosets reads its value: decimal digits only
+    pres = str(corpus / "spun_trefoil.pres")
+    module = str(corpus / "spun_trefoil.module")
+    for value in ("²", "+3", "1_0", "2,+3"):
+        for argv in (("covers", pres), ("verify", pres, "--module", module, "--meridian", "t")):
+            code, out, err = run(capsys, *argv, "-N", value)
+            assert (code, out, err) == (3, "", f"error: bad cover-order list {value!r}\n"), argv
+    code, _, err = run(capsys, "covers", pres, "-N", "2,-3")
+    assert (code, err) == (3, "error: cover orders must be positive integers\n")
+    code, out, _ = run(capsys, "covers", pres, "-N", " 2, 3 ")
+    assert code == 0 and out.startswith("N=2: ")
 
 
 def test_unwritable_output_path(capsys, corpus, tmp_path):

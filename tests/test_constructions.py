@@ -28,8 +28,8 @@ from ribbonknots.laurent import (
     normalize_unit,
 )
 from ribbonknots.presentations import abelianization, deficiency, is_wirtinger, LOG
-from ribbonknots.words import exponent_sums, gen, substitute
-from reference import is_ascending_hnn_shape, lift_glnz_reference, random_unimodular
+from ribbonknots.words import gen, substitute
+from reference import exponent_sums, is_ascending_hnn_shape, lift_glnz_reference, random_unimodular
 
 
 def test_admissibility_checks():
@@ -88,6 +88,42 @@ def test_sum_realization():
     assert len(res.wirtinger_presentation.generators) == 3
     target = normalize_unit(det_lambda(res.module_spec.presentation_matrix()))
     assert eq_up_to_unit(alexander_polynomial(res.wirtinger_presentation), target)
+
+
+def test_wirtinger_forms_are_star_lots_at_t():
+    """Every Wirtinger form conjugates t to each other generator once:
+    a LOT that is a tree whose edges all end at t."""
+    rng = random.Random(14)
+
+    def poly():
+        rest = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        rest[-1] = rest[-1] or 1
+        return from_coeffs([1 - sum(rest), *rest])  # augmentation 1
+
+    def square():
+        r = rng.randint(1, 3)
+        return matrix([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+
+    builders = {
+        realize_cyclic: poly,
+        realize_sum: lambda: [poly() for _ in range(rng.randint(2, 4))],
+        realize_trotter: square,
+        realize_lemma4: lambda: random_unimodular(rng, rng.randint(1, 3), rng.randrange(8)),
+    }
+    for build, draw in builders.items():
+        realized = 0
+        for _ in range(5000):
+            try:
+                p = build(draw()).wirtinger_presentation
+            except AdmissibilityError:  # a singular or non-unimodular draw
+                continue
+            log = is_wirtinger(p)
+            assert isinstance(log, LOG) and log.is_tree, p
+            assert all("t" in (e.origin, e.terminus) for e in log.edges), p
+            realized += 1
+            if realized == 100:
+                break
+        assert realized == 100, build.__name__
 
 
 def test_lift_glnz_abelianization_and_inverse():

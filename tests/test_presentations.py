@@ -16,6 +16,7 @@ from ribbonknots.presentations import (
     dot_export,
     eliminate_generator,
     expand_length1,
+    exponent_matrix,
     format_presentation,
     introduce_generator,
     is_wirtinger,
@@ -23,8 +24,8 @@ from ribbonknots.presentations import (
     parse_tietze_script,
     weight_vector,
 )
-from ribbonknots.words import IDENTITY, cyclic_letters, gen, parse_word, power
-from reference import match_wirtinger_reference
+from ribbonknots.words import IDENTITY, cyclic_letters, gen, normalize, parse_word, power
+from reference import exponent_sums, match_wirtinger_reference
 
 TREFOIL = parse_presentation(
     """
@@ -47,6 +48,23 @@ def test_deficiency_and_abelianization():
     assert abelianization(TREFOIL) == AbelianGroupInvariants(1)
     klein = parse_presentation("gens a b\nrel a b a b^-1")
     assert abelianization(klein) == AbelianGroupInvariants(1, (2,))
+
+
+def test_exponent_matrix_matches_exponent_sums():
+    rng = random.Random(14)
+    repeated = 0
+    for _ in range(300):
+        gens = tuple(f"g{i}" for i in range(rng.randint(1, 5)))
+        relators = tuple(
+            normalize((rng.choice(gens), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(0, 12)))
+            for _ in range(rng.randint(0, 5))
+        )
+        # a relator meeting one generator in several syllables
+        repeated += any(len(r.syllables) > len(r.generators()) for r in relators)
+        m = exponent_matrix(Presentation(gens, relators))
+        assert m.cols == len(gens)
+        assert list(m.entries) == [exponent_sums(r, gens) for r in relators]
+    assert repeated > 150
 
 
 def test_weight_vector():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from ribbonknots.presentations import Presentation
 from ribbonknots.words import (
     IDENTITY,
     Word,
-    exponent_sums,
     gen,
     inverse,
     normalize,
@@ -14,6 +14,7 @@ from ribbonknots.words import (
     product,
     substitute,
 )
+from reference import exponent_sums
 
 
 def random_word(rng, gens, max_len):
@@ -34,8 +35,15 @@ def test_invalid_words_rejected():
         Word((("x", 0),))
     with pytest.raises(ValueError):
         Word((("x", 1), ("x", 1)))
-    with pytest.raises(ValueError):
-        Word((("1bad", 1),))
+    # Names are checked where they enter, not by Word itself.
+    bad = Word((("1bad", 1),))
+    for enter in (
+        lambda: parse_word("1bad"),
+        lambda: Presentation(("1bad",), ()),
+        lambda: Presentation(("x",), (bad,)),
+    ):
+        with pytest.raises(ValueError):
+            enter()
 
 
 def test_group_axioms_randomized():
