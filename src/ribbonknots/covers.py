@@ -11,28 +11,24 @@ comparing them is the main correctness oracle of this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .constructions import KnotModuleSpec
-from .intlinalg import (
-    AbelianGroupInvariants,
-    cokernel_invariants,
-    matrix,
-)
-from .presentations import Presentation, abelianization, weight_vector
+from .intlinalg import AbelianGroupInvariants, cokernel_invariants
+from .presentations import Presentation, weight_vector
 from .words import Word, normalize
 
 
-def cyclic_cover_presentation(
-    p: Presentation, n: int, weights: Optional[Sequence[int]] = None
-) -> Presentation:
-    """Presentation of the kernel of ``G -> Z/N`` (weights mod N).
+def _schreier(
+    p: Presentation, n: int, weights: Optional[Sequence[int]]
+) -> tuple[dict[str, int], dict[tuple[int, str], int]]:
+    """Weights mod N and the column of each Schreier generator.
 
-    Schreier transversal: breadth-first spanning tree of the coset graph
-    from coset 0, exploring generators in presentation order (positive
-    direction first).  The Schreier generator for (coset c, generator g)
-    is named ``<g>_<c>``; tree edges are omitted.  The result has
-    ``N * #gens - (N - 1)`` generators and ``N * #relators`` relators.
+    The transversal is the breadth-first spanning tree of the coset graph
+    from coset 0, generators in presentation order, positive direction
+    first.  Each pair (coset c, generator g) off the tree is a Schreier
+    generator ``<g>_<c>``; columns run generator by generator, cosets
+    ascending.
     """
     if n < 1:
         raise ValueError("cover order must be >= 1")
@@ -41,13 +37,10 @@ def cyclic_cover_presentation(
     if len(weights) != len(p.generators):
         raise ValueError("one weight per generator required")
     w = {g: weights[i] % n for i, g in enumerate(p.generators)}
-
-    # BFS spanning tree: tree[(c, g)] marks the Schreier pair as trivial.
     tree: set[tuple[int, str]] = set()
     seen = {0}
     queue = [0]
-    while queue:
-        c = queue.pop(0)
+    for c in queue:  # the queue grows while it is read
         for g in p.generators:
             fwd = (c + w[g]) % n
             if fwd not in seen:
@@ -59,59 +52,89 @@ def cyclic_cover_presentation(
                 seen.add(bwd)
                 tree.add((bwd, g))
                 queue.append(bwd)
+    pairs = [(c, g) for g in p.generators for c in range(n) if (c, g) not in tree]
+    return w, {pair: j for j, pair in enumerate(pairs)}
 
-    names = {
-        (c, g): f"{g}_{c}"
-        for g in p.generators
+
+def _walk(r: Word, w: dict[str, int], n: int) -> Iterator[tuple[int, str, int]]:
+    """Each letter of ``r`` as ``(offset, generator, sign)``: read from
+    start coset c, it is the pair ``((c + offset) mod N, generator)``
+    to the power ``sign``."""
+    offset = 0
+    for g, e in r.syllables:
+        step = w[g]
+        if e > 0:
+            for _ in range(e):
+                yield offset, g, 1
+                offset = (offset + step) % n
+        else:
+            for _ in range(-e):
+                offset = (offset - step) % n
+                yield offset, g, -1
+
+
+def cyclic_cover_presentation(
+    p: Presentation, n: int, weights: Optional[Sequence[int]] = None
+) -> Presentation:
+    """Presentation of the kernel of ``G -> Z/N`` (weights mod N) by
+    Reidemeister-Schreier rewriting: ``N * #gens - (N - 1)`` generators
+    and ``N * #relators`` relators, each relator from each start coset.
+    """
+    w, column = _schreier(p, n, weights)
+    names = {pair: f"{pair[1]}_{pair[0]}" for pair in column}
+    walks = [list(_walk(r, w, n)) for r in p.relators]
+    relators = tuple(
+        normalize((names[pair], s) for o, g, s in walk if (pair := ((c + o) % n, g)) in names)
+        for walk in walks
         for c in range(n)
-        if (c, g) not in tree
-    }
-    generators = tuple(names[(c, g)] for g in p.generators for c in range(n) if (c, g) in names)
-
-    def rewrite(r: Word, start: int) -> Word:
-        out: list[tuple[str, int]] = []
-        c = start
-        for g, s in r.letters():
-            if s > 0:
-                if (c, g) in names:
-                    out.append((names[(c, g)], 1))
-                c = (c + w[g]) % n
-            else:
-                c = (c - w[g]) % n
-                if (c, g) in names:
-                    out.append((names[(c, g)], -1))
-        return normalize(out)
-
-    relators = tuple(rewrite(r, c) for r in p.relators for c in range(n))
-    return Presentation(generators, relators)
+    )
+    return Presentation(tuple(names.values()), relators)
 
 
 def cover_homology(
     p: Presentation, n: int, weights: Optional[Sequence[int]] = None
 ) -> AbelianGroupInvariants:
-    """First homology of the N-fold cyclic cover group, from the
-    Reidemeister-Schreier presentation."""
-    return abelianization(cyclic_cover_presentation(p, n, weights))
+    """First homology of the N-fold cyclic cover group: the exponent rows
+    of :func:`cyclic_cover_presentation`, built without its words.  One
+    walk of a relator sums its letters by (offset, generator); the row
+    for start coset c puts each sum at the pair shifted by c."""
+    w, column = _schreier(p, n, weights)
+    rows: list[dict[int, int]] = []
+    for r in p.relators:
+        sums: dict[tuple[int, str], int] = {}
+        for o, g, s in _walk(r, w, n):
+            sums[o, g] = sums.get((o, g), 0) + s
+        terms = [(o, g, x) for (o, g), x in sums.items() if x]
+        rows += [
+            {column[pair]: x for o, g, x in terms if (pair := ((c + o) % n, g)) in column}
+            for c in range(n)
+        ]
+    return cokernel_invariants(rows, len(column))
 
 
 def module_cover_homology(spec: KnotModuleSpec, n: int) -> AbelianGroupInvariants:
     """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone.
 
     Substitutes the N x N cyclic shift matrix for t in the module's
-    presentation matrix (Kronecker substitution) and takes the integer
-    cokernel; the extra Z is the image of the weight map.
+    presentation matrix B (Kronecker substitution) and takes the integer
+    cokernel; the extra Z is the image of the weight map.  Sparse row
+    (i, a) has ``c`` at column ``j N + (a + e) mod N`` for each term
+    ``c t^e`` of ``B[i][j]`` (terms equal mod N added).
     """
     if n < 1:
         raise ValueError("cover order must be >= 1")
     b = spec.presentation_matrix()
-    r = b.rows
-    grid = [[0] * (r * n) for _ in range(r * n)]
-    for i in range(r):
-        for j in range(r):
-            for e, c in b.entries[i][j].terms():
-                for a in range(n):
-                    grid[i * n + a][j * n + (a + e) % n] += c
-    coker = cokernel_invariants(matrix(grid, cols=r * n))
+    rows: list[dict[int, int]] = []
+    for entries in b.entries:
+        terms = []
+        for j, entry in enumerate(entries):
+            if entry.coeffs:
+                folded: dict[int, int] = {}
+                for e, c in entry.terms():
+                    folded[e % n] = folded.get(e % n, 0) + c
+                terms += [(j * n, e, c) for e, c in folded.items() if c]
+        rows += [{j + (a + e) % n: c for j, e, c in terms} for a in range(n)]
+    coker = cokernel_invariants(rows, b.rows * n)
     return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
 
 

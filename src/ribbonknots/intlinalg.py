@@ -199,8 +199,9 @@ def diagonal_of(s: Matrix) -> tuple[int, ...]:
     return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
 
 
-def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
-    """Invariants of ``Z^cols / row-span(m)`` (rows are relations).
+def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGroupInvariants:
+    """Invariants of ``Z^cols / row-span(rows)`` (rows are relations).
+    The rows are consumed: the elimination rewrites them; zeros are allowed.
 
     Invariants-only Smith form by sparse elimination, without the
     transforms of :func:`smith_normal_form`.  Rows are ``{col: value}``
@@ -224,48 +225,49 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
     is less, and the row is re-scanned if that entry was ``best[i]`` and
     its cost rose.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, entries in enumerate(m.entries):
-        row = {j: x for j, x in enumerate(entries) if x}
+    live: dict[int, dict[int, int]] = {}
+    index: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
         if row:
-            rows[i] = row
+            live[i] = row
             for j in row:
-                cols.setdefault(j, set()).add(i)
+                index.setdefault(j, set()).add(i)
 
     def key(i: int) -> tuple[int, int, int, int]:
-        row = rows[i]
+        row = live[i]
         row_cost = len(row) - 1
-        return min([(abs(x), row_cost * (len(cols[j]) - 1), i, j) for j, x in row.items()])
+        return min([(abs(x), row_cost * (len(index[j]) - 1), i, j) for j, x in row.items()])
 
-    best = {i: key(i) for i in rows}
+    best = {i: key(i) for i in live}
     units = 0
     nonunits: list[int] = []
-    while rows:
+    while live:
         i0, j0 = min(best.values())[2:]
-        pivot_row = rows[i0]
+        pivot_row = live[i0]
         p = pivot_row[j0]
-        changed = [i for i in cols[j0] if i != i0]
+        changed = [i for i in index[j0] if i != i0]
         counted: set[int] = set()  # columns whose nonzero count changed
         dirty = False
         for i in changed:
-            row = rows[i]
+            row = live[i]
             q = row[j0] // p
             for j, x in pivot_row.items():
                 y = row.get(j, 0) - q * x
                 if y:
                     if j not in row:
-                        cols[j].add(i)
+                        index[j].add(i)
                         counted.add(j)
                     row[j] = y
                 else:
                     del row[j]
-                    cols[j].discard(i)
+                    index[j].discard(i)
                     counted.add(j)
             if j0 in row:
                 dirty = True
             elif not row:
-                del rows[i], best[i]
+                del live[i], best[i]
         if not dirty:
             changed.append(i0)
             for j in [j for j in pivot_row if j != j0]:
@@ -274,24 +276,24 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
                     pivot_row[j] = r
                 else:
                     del pivot_row[j]
-                    cols[j].discard(i0)
+                    index[j].discard(i0)
                     counted.add(j)
             if len(pivot_row) == 1:
-                del rows[i0], best[i0], cols[j0]
+                del live[i0], best[i0], index[j0]
                 counted.discard(j0)
                 if p in (1, -1):
                     units += 1
                 else:
                     nonunits.append(abs(p))
-        rekeyed = {i for i in changed if i in rows}
+        rekeyed = {i for i in changed if i in live}
         for i in rekeyed:
             best[i] = key(i)
         for j in counted:
-            col_cost = len(cols[j]) - 1
-            for i in cols[j]:
+            col_cost = len(index[j]) - 1
+            for i in index[j]:
                 if i in rekeyed:
                     continue
-                row = rows[i]
+                row = live[i]
                 k = (abs(row[j]), (len(row) - 1) * col_cost, i, j)
                 if k < best[i]:
                     best[i] = k
@@ -303,7 +305,7 @@ def cokernel_invariants(m: Matrix) -> AbelianGroupInvariants:
         for b in range(a + 1, len(nonunits)):
             g = gcd(nonunits[a], nonunits[b])
             nonunits[a], nonunits[b] = g, nonunits[a] // g * nonunits[b]
-    return diagonal_invariants([1] * units + nonunits, m.cols)
+    return diagonal_invariants([1] * units + nonunits, cols)
 
 
 def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:

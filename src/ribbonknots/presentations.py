@@ -77,18 +77,19 @@ def deficiency(p: Presentation) -> int:
     return len(p.generators) - len(p.relators)
 
 
-def exponent_matrix(p: Presentation):
-    """Relator exponent sums: rows = relators, columns = generators."""
+def exponent_rows(p: Presentation) -> list[dict[int, int]]:
+    """Relator exponent sums, one sparse row ``{generator index: sum}``
+    per relator; a sum may be 0."""
     column = {g: j for j, g in enumerate(p.generators)}
-    rows = [[0] * len(column) for _ in p.relators]
+    rows: list[dict[int, int]] = [{} for _ in p.relators]
     for row, r in zip(rows, p.relators):
         for g, e in r.syllables:
-            row[column[g]] += e
-    return matrix(rows, cols=len(column))
+            row[column[g]] = row.get(column[g], 0) + e
+    return rows
 
 
 def abelianization(p: Presentation) -> AbelianGroupInvariants:
-    return cokernel_invariants(exponent_matrix(p))
+    return cokernel_invariants(exponent_rows(p), len(p.generators))
 
 
 def weight_vector(p: Presentation) -> tuple[int, ...]:
@@ -98,7 +99,8 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
     Sign-normalized so the first generator with nonzero weight maps
     to +1.
     """
-    e = exponent_matrix(p)
+    n = len(p.generators)
+    e = matrix([[row.get(j, 0) for j in range(n)] for row in exponent_rows(p)], cols=n)
     _, s, v = smith_normal_form(e)
     diag = diagonal_of(s)
     inv = diagonal_invariants(diag, e.cols)

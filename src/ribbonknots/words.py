@@ -6,7 +6,7 @@ of ``(generator, exponent)`` syllables; the empty sequence is the
 identity.  All values are immutable and all operations are pure.
 
 Names are checked where they enter, not per syllable: :func:`parse_word`
-checks each token and ``presentations.Presentation`` its generators.
+checks each name once per word and ``presentations.Presentation`` its generators.
 A ``Word`` checks only that it is reduced; one naming anything but a
 generator is rejected when it joins a presentation.
 """
@@ -144,6 +144,7 @@ def parse_word(text: str) -> Word:
     The empty token list is the identity.
     """
     raw: list[tuple[str, int]] = []
+    checked: set[str] = set()
     for token in text.split():
         if "^" in token:
             name, _, exp_text = token.partition("^")
@@ -153,7 +154,8 @@ def parse_word(text: str) -> Word:
                 raise ValueError(f"bad exponent in token {token!r}")
         else:
             name, exp = token, 1
-        check_generator_name(name)
+        if name not in checked:
+            checked.add(check_generator_name(name))
         if exp == 0:
             raise ValueError(f"zero exponent in token {token!r}")
         raw.append((name, exp))

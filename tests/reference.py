@@ -33,16 +33,26 @@ another way:
 * ``random_unimodular``, a product of random elementary matrices, and
   ``matmul``, the matrix product;
 * ``exponent_sums``, the exponent vector of one word over a list of
-  generators, against ``presentations.exponent_matrix``, which indexes
-  the generators once per presentation.
+  generators, against ``presentations.exponent_rows``, which indexes
+  the generators once per presentation;
+* ``kronecker_matrix``, the dense rN x rN integer matrix of a module at
+  cover order N, against the sparse rows that
+  ``covers.module_cover_homology`` builds;
+* ``cokernel_of``, ``dense`` and ``record_cokernel_calls``, which hand a
+  dense matrix to ``intlinalg.cokernel_invariants`` as the sparse rows
+  it consumes, turn such rows back into a matrix, and record the rows
+  the covers and the abelianization hand it; ``count_calls``, which
+  counts the calls of a package function through all its bindings.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
+from ribbonknots import covers, presentations
 from ribbonknots.acmoves import (
     ACMove,
     ACPresentation,
@@ -58,12 +68,13 @@ from ribbonknots.acmoves import (
     removal_plan,
     verify_move_sequence,
 )
-from ribbonknots.constructions import RealizationResult
+from ribbonknots.constructions import KnotModuleSpec, RealizationResult
 from ribbonknots.cosets import CosetTable
 from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     Matrix,
+    cokernel_invariants,
     det_int,
     diagonal_invariants,
     matrix,
@@ -828,3 +839,63 @@ def exponent_sums(w: Word, over: Sequence[str]) -> tuple[int, ...]:
             raise ValueError(f"generator {g!r} not among {list(over)}")
         out[index[g]] += e
     return tuple(out)
+
+
+def kronecker_matrix(spec: KnotModuleSpec, n: int) -> Matrix:
+    """The module's presentation matrix B with the N x N cyclic shift
+    substituted for t, as a dense rN x rN grid."""
+    b = spec.presentation_matrix()
+    r = b.rows
+    grid = [[0] * (r * n) for _ in range(r * n)]
+    for i in range(r):
+        for j in range(r):
+            for e, c in b.entries[i][j].terms():
+                for a in range(n):
+                    grid[i * n + a][j * n + (a + e) % n] += c
+    return matrix(grid, cols=r * n)
+
+
+def cokernel_of(m: Matrix) -> AbelianGroupInvariants:
+    """``cokernel_invariants`` of a dense matrix, handed as sparse rows."""
+    return cokernel_invariants([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
+
+
+def dense(rows: Sequence[Mapping[int, int]], cols: int) -> Matrix:
+    """The matrix whose rows are the sparse ``{col: value}`` rows."""
+    return matrix([[row.get(j, 0) for j in range(cols)] for row in rows], cols=cols)
+
+
+def record_cokernel_calls(monkeypatch) -> list:
+    """Make every ``cokernel_invariants`` call of ``covers`` and
+    ``presentations`` record ``(rows, cols, invariants)``, the rows
+    copied before the call consumes them; return the record."""
+    calls = []
+
+    def record(rows, cols):
+        copied = [dict(row) for row in rows]
+        calls.append((copied, cols, cokernel_invariants(rows, cols)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(covers, "cokernel_invariants", record)
+    monkeypatch.setattr(presentations, "cokernel_invariants", record)
+    return calls
+
+
+def count_calls(monkeypatch, original) -> tuple[list, set]:
+    """Count calls of ``original`` through every ``ribbonknots`` binding
+    of it, as ``from .x import f`` copies the name; return the call list
+    and the modules patched."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ribbonknots"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched.add(name)
+    return calls, patched

@@ -30,7 +30,6 @@ from ribbonknots.covers import cover_homology, module_cover_homology
 from ribbonknots.fox import alexander_polynomial
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
-    cokernel_invariants,
     det_int,
     diagonal_of,
     matrix,
@@ -55,6 +54,7 @@ from ribbonknots.presentations import (
 )
 from ribbonknots.words import gen, normalize
 from reference import (
+    cokernel_of,
     compare_realization,
     exponent_sums,
     fundamental_identity_holds,
@@ -220,7 +220,7 @@ def test_criterion_7_ac_engine():
             for _ in range(3)
         )
         p = ACPresentation(gens, rels)
-        before = cokernel_invariants(
+        before = cokernel_of(
             matrix([exponent_sums(r, gens) for r in p.relators], cols=3)
         )
         kind = rng.randrange(3)
@@ -232,7 +232,7 @@ def test_criterion_7_ac_engine():
             i, j = rng.sample(range(3), 2)
             move = Multiply(i, j)
         q = apply_moves(p, [move])
-        after = cokernel_invariants(
+        after = cokernel_of(
             matrix([exponent_sums(r, gens) for r in q.relators], cols=3)
         )
         assert before == after

@@ -5,6 +5,7 @@ import time
 
 from ribbonknots import cli, presentations, words
 from ribbonknots.presentations import parse_presentation
+from reference import count_calls
 
 
 def run(capsys, *argv):
@@ -158,26 +159,6 @@ def test_verify_pass(capsys, corpus):
     assert "FAIL" not in out and "INCONCLUSIVE" not in out
 
 
-def count_calls(monkeypatch, original) -> tuple[list, set]:
-    """Count calls of ``original`` through every ``ribbonknots`` binding
-    of it, as ``from .x import f`` copies the name; return the call list
-    and the modules patched."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ribbonknots"):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-                    patched.add(name)
-    return calls, patched
-
-
 def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
     calls, patched = count_calls(monkeypatch, presentations.weight_vector)
     assert {"ribbonknots.fox", "ribbonknots.cli"} <= patched
@@ -190,10 +171,11 @@ def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
 
 
 def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_path):
-    # A Word does not re-check its names: realize -> verify checks one
-    # name per parsed token and per generator of each presentation built
-    # (the realized pair, the parsed file, the N = 2, 3 covers and the
-    # killed meridian), not one per syllable of every word (90 calls).
+    # A Word does not re-check its names: realize -> verify checks each
+    # distinct name of a parsed word once (u, t: 2) and each generator of
+    # every presentation built (the realized pair 4, the parsed file 2, the
+    # killed meridian 2).  The covers build no presentation.  Per-syllable
+    # checks made 90 calls, per-token checks and cover presentations 21.
     calls, patched = count_calls(monkeypatch, words.check_generator_name)
     assert {"ribbonknots.words", "ribbonknots.presentations", "ribbonknots.acmoves"} <= patched
     code, out, _ = run(capsys, "realize", "cyclic", "--coeffs", "1,-1,1", "--emit", "wirtinger")
@@ -204,7 +186,7 @@ def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_pat
         capsys, "verify", str(pres), "--module", str(corpus / "spun_trefoil.module"),
         "-N", "2,3", "--meridian", "t", "--max-cosets", "100",
     )
-    assert code == 0 and len(calls) == 21
+    assert code == 0 and len(calls) == 10
 
 
 def test_verify_mismatch(capsys, corpus, tmp_path):

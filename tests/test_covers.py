@@ -1,6 +1,6 @@
 import pytest
 
-from ribbonknots import covers, presentations
+from ribbonknots import words
 from ribbonknots.constructions import (
     cyclic_module,
     parse_module_spec,
@@ -14,10 +14,17 @@ from ribbonknots.covers import (
     cyclic_cover_presentation,
     module_cover_homology,
 )
-from ribbonknots.intlinalg import AbelianGroupInvariants, cokernel_invariants, matrix
+from ribbonknots.intlinalg import AbelianGroupInvariants, matrix
 from ribbonknots.laurent import from_coeffs
-from ribbonknots.presentations import abelianization, parse_presentation
-from reference import cokernel_invariants_reference, compare_realization
+from ribbonknots.presentations import abelianization, parse_presentation, weight_vector
+from reference import (
+    cokernel_invariants_reference,
+    compare_realization,
+    count_calls,
+    dense,
+    kronecker_matrix,
+    record_cokernel_calls,
+)
 
 SPUN_TREFOIL = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 RANK3_TROTTER = [[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]
@@ -99,30 +106,65 @@ def test_corpus_spun_trefoil_n6_singular_module_side(corpus):
     assert cover_homology(p, 6) == module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
 
 
+def corpus_case(corpus, name):
+    p = parse_presentation((corpus / f"{name}.pres").read_text())
+    spec = parse_module_spec(
+        (corpus / f"{name}.module").read_text(), lambda rel: (corpus / rel).read_text()
+    )
+    return p, spec
+
+
+def cover_cases(corpus):
+    """The four corpus modules and rank-3 Trotter."""
+    cases = [
+        corpus_case(corpus, name)
+        for name in ("lemma3_companion", "lemma4_companion", "spun_trefoil", "trotter_2")
+    ]
+    res = realize_trotter(matrix(RANK3_TROTTER))
+    return cases + [(res.verification_presentation(), res.module_spec)]
+
+
 @pytest.mark.parametrize("n", (2, 7, 24, 64))
 def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
     # Every cokernel both sides take, for the four corpus modules and
     # rank-3 Trotter, against the elimination that rescans every nonzero.
-    cases = []
-    for name in ("lemma3_companion", "lemma4_companion", "spun_trefoil", "trotter_2"):
-        p = parse_presentation((corpus / f"{name}.pres").read_text())
-        spec = parse_module_spec(
-            (corpus / f"{name}.module").read_text(), lambda rel: (corpus / rel).read_text()
-        )
-        cases.append((p, spec))
-    res = realize_trotter(matrix(RANK3_TROTTER))
-    cases.append((res.verification_presentation(), res.module_spec))
-    seen = []
-
-    def record(m):
-        seen.append((m, cokernel_invariants(m)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(covers, "cokernel_invariants", record)
-    monkeypatch.setattr(presentations, "cokernel_invariants", record)
+    cases = cover_cases(corpus)
+    handed = record_cokernel_calls(monkeypatch)
     for p, spec in cases:
         cover_homology(p, n)
         module_cover_homology(spec, n)
-    assert len(seen) == 2 * len(cases)
-    for m, got in seen:
-        assert got == cokernel_invariants_reference(m)
+    assert len(handed) == 2 * len(cases)
+    for rows, cols, got in handed:
+        assert got == cokernel_invariants_reference(dense(rows, cols))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 6, 7, 12, 24))
+def test_module_rows_match_dense_kronecker_reference(n, corpus, monkeypatch):
+    # Row (i, a) of the sparse rows is row i N + a of the dense grid, entry
+    # for entry; at 6 | N the spun trefoil's matrix is singular.
+    handed = record_cokernel_calls(monkeypatch)
+    for _, spec in cover_cases(corpus):
+        module_cover_homology(spec, n)
+        rows, cols, _ = handed.pop()
+        assert dense(rows, cols) == kronecker_matrix(spec, n)
+        assert all(0 not in row.values() for row in rows)
+
+
+def test_cover_work_grows_linearly_in_the_order(corpus, monkeypatch):
+    # Entries handed to cokernel_invariants by each side on the ladder
+    # N = 8, 16, 32, 64: linear in N (spun trefoil: 27, 51, 99, 195 group,
+    # 24, 48, 96, 192 module), where a dense grid grows 4x per doubling.
+    cases = [corpus_case(corpus, name) for name in ("spun_trefoil", "lemma4_companion", "trotter_2")]
+    weights = [weight_vector(p) for p, _ in cases]
+    normalized, patched = count_calls(monkeypatch, words.normalize)
+    assert "ribbonknots.covers" in patched
+    handed = record_cokernel_calls(monkeypatch)
+    for (p, spec), w in zip(cases, weights):
+        counts = []
+        for n in (8, 16, 32, 64):
+            cover_homology(p, n, w)
+            module_cover_homology(spec, n)
+            counts.append([sum(map(len, rows)) for rows, _, _ in handed[-2:]])
+        for (g0, m0), (g1, m1) in zip(counts, counts[1:]):
+            assert g1 <= 2.0 * g0 and m1 <= 2.0 * m0, counts
+    assert not normalized

@@ -88,9 +88,12 @@ def test_snf_deterministic():
 
 
 def test_cokernel_invariants():
-    assert cokernel_invariants(matrix([[2, 0], [0, 3]])) == AbelianGroupInvariants(0, (6,))
-    assert cokernel_invariants(matrix([[0, 0]], cols=2)) == AbelianGroupInvariants(2)
-    assert cokernel_invariants(matrix([], cols=3)) == AbelianGroupInvariants(3)
+    assert cokernel_invariants([{0: 2}, {1: 3}], 2) == AbelianGroupInvariants(0, (6,))
+    assert cokernel_invariants([{0: 0, 1: 0}], 2) == AbelianGroupInvariants(2)
+    assert cokernel_invariants([], 3) == AbelianGroupInvariants(3)
+    # zero values and empty rows are allowed
+    rows = [{0: 4, 1: 0, 2: 6}, {}, {1: 0, 2: 2}]
+    assert cokernel_invariants(rows, 3) == AbelianGroupInvariants(1, (2, 4))
     assert str(AbelianGroupInvariants(1, (3,))) == "Z + Z/3"
     assert str(AbelianGroupInvariants(0)) == "0"
 

@@ -3,8 +3,9 @@ of the Wirtinger matcher against its every-rotation reference, of the
 packed-letter AC search against its Word-based reference, of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
 one-pass Alexander matrix, of the sparse cokernel invariants against
-sympy and against their full-rescan reference, and of the peeling
-determinant over Z[t, t^-1]."""
+sympy and against their full-rescan reference, of the abelianized
+cover rows against the rewritten cover presentation, and of the
+peeling determinant over Z[t, t^-1]."""
 
 import random
 
@@ -19,12 +20,17 @@ from ribbonknots.acmoves import (  # noqa: E402
     canonical_form,
     pack,
 )
+from ribbonknots.constructions import (  # noqa: E402
+    AdmissibilityError,
+    realize_lemma4,
+    realize_trotter,
+)
 from ribbonknots.cosets import todd_coxeter  # noqa: E402
+from ribbonknots.covers import cover_homology, cyclic_cover_presentation  # noqa: E402
 from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
     Matrix,
-    cokernel_invariants,
     det_int,
     diagonal_invariants,
     diagonal_of,
@@ -36,7 +42,9 @@ from ribbonknots.presentations import (  # noqa: E402
     LOG,
     Presentation,
     _match_wirtinger,
+    exponent_rows,
     is_wirtinger,
+    weight_vector,
 )
 from ribbonknots.words import (  # noqa: E402
     Word,
@@ -53,9 +61,13 @@ from reference import (  # noqa: E402
     ac_trivialize_search_reference,
     canonical_form_reference,
     cokernel_invariants_reference,
+    cokernel_of,
+    dense,
     fox_derivative,
     match_wirtinger_reference,
     matmul,
+    random_unimodular,
+    record_cokernel_calls,
     todd_coxeter_reference,
 )
 
@@ -295,7 +307,7 @@ def check_against_sympy(m: Matrix) -> None:
     factors = invariant_factors(reference, domain=sympy.ZZ)
     nonzero = [abs(int(d)) for d in factors if d != 0]
     expected = AbelianGroupInvariants(m.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
-    got = cokernel_invariants(m)
+    got = cokernel_of(m)
     assert got == expected
     _, s, _ = smith_normal_form(m)
     assert got == diagonal_invariants(diagonal_of(s), m.cols)
@@ -330,7 +342,50 @@ def tied_sparse_matrices(draw):
 @PROPERTY
 @given(tied_sparse_matrices())
 def test_cokernel_invariants_match_full_rescan_reference(m):
-    assert cokernel_invariants(m) == cokernel_invariants_reference(m)
+    assert cokernel_of(m) == cokernel_invariants_reference(m)
+
+
+@st.composite
+def cover_inputs(draw):
+    """A presentation, its weights and a cover order N in 1..12: random
+    relators on 1 to 3 generators with weights in -3..3, or the
+    Wirtinger form of a realized Trotter (rank 1-2) or lemma-4 (rank
+    2-3) matrix with its weight vector."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("random", "trotter", "lemma4")))
+    if kind == "random":
+        gens = GENS[: draw(st.integers(1, 3))]
+        relators = draw(st.lists(words(gens), max_size=3))
+        weights = draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
+        return Presentation(gens, tuple(relators)), tuple(weights), n
+    rng = random.Random(draw(st.integers(0, 2**32)))  # retried until admissible
+    while True:
+        if kind == "trotter":
+            r = rng.randint(1, 2)
+            m = matrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)])
+        else:
+            m = random_unimodular(rng, rng.randint(2, 3), rng.randrange(8))
+        try:
+            res = (realize_trotter if kind == "trotter" else realize_lemma4)(m)
+        except AdmissibilityError:
+            continue
+        p = res.wirtinger_presentation
+        return p, weight_vector(p), n
+
+
+@PROPERTY
+@given(cover_inputs())
+def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
+    # The abelianized walk hands cokernel_invariants the exponent rows of
+    # the Reidemeister-Schreier presentation, row for row, entry for entry.
+    p, weights, n = case
+    with pytest.MonkeyPatch.context() as mp:
+        handed = record_cokernel_calls(mp)
+        cover_homology(p, n, weights)
+    [(rows, cols, _)] = handed
+    q = cyclic_cover_presentation(p, n, weights)
+    assert cols == len(q.generators) and len(rows) == len(q.relators)
+    assert dense(rows, cols) == dense(exponent_rows(q), cols)
 
 
 # Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
