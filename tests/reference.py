@@ -23,15 +23,17 @@ another way:
   against the flat-table ``cosets.todd_coxeter``;
 * ``act`` and ``trace``, the action of words on a closed coset table;
 * ``cokernel_invariants_reference``, the sparse elimination that
-  rescans every nonzero for each pivot, against the incremental pivot
-  search of ``intlinalg.cokernel_invariants``;
+  rescans every nonzero for each pivot, against the unit phase and the
+  incremental pivot search of ``intlinalg.cokernel_invariants``; the two
+  may pivot differently, and only the invariants must agree;
 * ``lift_glnz_reference``, the GL(r, Z) lift as a factorization into
   ``AddMultiple``/``Swap``/``Negate`` operations, each lifted to a
   ``FreeEndo`` and composed one at a time, against the Nielsen moves of
   ``constructions.lift_glnz``; the lift is not unique and its words are
   CLI output, so the two must agree word for word;
-* ``random_unimodular``, a product of random elementary matrices, and
-  ``matmul``, the matrix product;
+* ``random_unimodular``, a product of random elementary matrices,
+  ``unit_block_matrix``, a sparse matrix mostly of ±1 entries around a
+  non-unit block, and ``matmul``, the matrix product;
 * ``exponent_sums``, the exponent vector of one word over a list of
   generators, against ``presentations.exponent_rows``, which indexes
   the generators once per presentation;
@@ -579,8 +581,8 @@ def cokernel_invariants_reference(m: Matrix) -> AbelianGroupInvariants:
     that ``intlinalg.cokernel_invariants`` replaced: each step rescans
     every stored nonzero for the least ``|x|``, then again for the least
     Markowitz cost ``(row nnz - 1) * (col nnz - 1)``, ties broken by
-    least ``(row, col)``.  The incremental search must choose the same
-    pivots and return the same invariants."""
+    least ``(row, col)``.  The package eliminates ±1 pivots first, in
+    another order, so only the invariants must agree."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, entries in enumerate(m.entries):
@@ -815,6 +817,31 @@ def random_unimodular(rng, n: int, count: int) -> Matrix:
         else:
             ops.append(Negate(rng.randrange(n)))
     return replay_elementary(ops, n)
+
+
+def unit_block_matrix(rng, unit_rows: int, block: int, cols: int) -> Matrix:
+    """A sparse matrix mostly of ±1 entries around a non-unit block, its
+    rows and columns permuted.  ``unit_rows`` rows of ±1 at one random
+    density over ``cols`` columns (at least ``block``), so some share
+    columns with the ``block`` x ``block`` corner of entries from ±2..±6;
+    then up to three copies, negations or sums of earlier rows, so that
+    some row cancels to empty.  Unit row operations write new ±1 entries
+    and move the Markowitz costs of entries already on the heap."""
+    cols = max(cols, block, 1)
+    density = rng.uniform(0.1, 0.6)
+    grid = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(unit_rows)]
+    for _ in range(block):
+        grid.append([0] * (cols - block)
+                    + [rng.choice((2, -2, 3, 4, -6)) if rng.random() < 0.7 else 0
+                       for _ in range(block)])
+    for _ in range(rng.randint(0, 3) if grid else 0):
+        a, b = rng.randrange(len(grid)), rng.randrange(len(grid))
+        sign = rng.choice((1, -1))
+        grid.append([sign * (x + y) if a != b else sign * x for x, y in zip(grid[a], grid[b])])
+    rng.shuffle(grid)
+    perm = rng.sample(range(cols), cols)
+    return matrix([[row[j] for j in perm] for row in grid], cols=cols)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

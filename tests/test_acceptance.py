@@ -7,6 +7,7 @@ a failure surfaces as an ordinary pytest failure for that criterion.
 import random
 import time
 
+from ribbonknots import cli
 from ribbonknots.acmoves import (
     ACPresentation,
     Conjugate,
@@ -312,6 +313,41 @@ def test_criterion_9_mutation_sensitivity(corpus, tmp_path, capsys):
     rate = flagged / total
     assert rate >= 0.90, f"only {rate:.0%} of mutations flagged"
     print(f"\nACCEPTANCE 9: PASS - {flagged}/{total} mutations flagged ({rate:.0%})")
+
+
+def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys):
+    # Two of the named inputs, realized and checked through cli.main:
+    # verdicts and exit codes, not times.
+    def run(*argv: str) -> tuple[int, str]:
+        code = cli.main([str(a) for a in argv])
+        return code, capsys.readouterr().out
+
+    (tmp_path / "t3.mat").write_text("3 3\n2 1 0\n0 2 1\n1 0 2\n")
+    (tmp_path / "t3.module").write_text("module trotter t3.mat\n")
+    code, pres = run("realize", "trotter", "-m", tmp_path / "t3.mat", "--emit", "wirtinger")
+    assert code == 0
+    (tmp_path / "t3.pres").write_text(pres)
+    code, out = run("verify", tmp_path / "t3.pres", "--module", tmp_path / "t3.module",
+                    "-N", "64", "--meridian", "t")
+    assert code == 0, out
+    verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    assert set(verdicts) == {"abelianization", "wirtinger-lot", "alexander", "covers-N64", "weight-1"}
+    assert set(verdicts.values()) == {"PASS"}, out
+
+    # The degree-40 cyclic form of test_fox.py::test_alexander_degree_40_cyclic.
+    rng = random.Random(0)
+    b = [rng.choice((-1, 1)) * rng.randint(6, 14) for _ in range(40)]
+    coeffs = [1 - b[0]] + [b[i - 1] - b[i] for i in range(1, 40)] + [b[-1]]
+    code, pres = run("realize", "cyclic", "--coeffs=" + ",".join(map(str, coeffs)),
+                     "--emit", "wirtinger")
+    assert code == 0
+    (tmp_path / "d40.pres").write_text(pres)
+    (tmp_path / "d40.module").write_text("module cyclic poly 0 " + " ".join(map(str, coeffs)) + "\n")
+    code, out = run("covers", tmp_path / "d40.pres", "-N", "32", "--module", tmp_path / "d40.module")
+    assert code == 0, out
+    assert out.startswith("N=32: group ") and out.rstrip().endswith(" [ok]"), out
+    assert len(out.splitlines()) == 1
+    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32")
 
 
 def _flagged(q, corpus, module_name) -> bool:

@@ -1,7 +1,11 @@
+import heapq
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from ribbonknots import intlinalg
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
@@ -11,7 +15,15 @@ from ribbonknots.intlinalg import (
     parse_matrix,
     smith_normal_form,
 )
-from reference import factor_glnz, matmul, random_unimodular, replay_elementary
+from reference import (
+    cokernel_invariants_reference,
+    cokernel_of,
+    factor_glnz,
+    matmul,
+    random_unimodular,
+    replay_elementary,
+    unit_block_matrix,
+)
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -96,6 +108,66 @@ def test_cokernel_invariants():
     assert cokernel_invariants(rows, 3) == AbelianGroupInvariants(1, (2, 4))
     assert str(AbelianGroupInvariants(1, (3,))) == "Z + Z/3"
     assert str(AbelianGroupInvariants(0)) == "0"
+    # negative units: [[-1, 4], [2, -2]] has determinant -6
+    assert cokernel_invariants([{0: -1, 1: 4}, {0: 2, 1: -2}], 2) == AbelianGroupInvariants(0, (6,))
+    assert cokernel_invariants([{0: -1, 2: -1}, {1: -1}], 3) == AbelianGroupInvariants(1)
+    # duplicate and negated rows cancel to empty
+    rows = [{0: 1, 1: 2}, {0: 1, 1: 2}, {0: -1, 1: -2}, {1: 4}]
+    assert cokernel_invariants(rows, 2) == AbelianGroupInvariants(0, (4,))
+    # an all-unit identity, with and without signs
+    assert cokernel_invariants([{i: 1} for i in range(5)], 5) == AbelianGroupInvariants(0)
+    assert cokernel_invariants([{i: (-1) ** i} for i in range(5)], 6) == AbelianGroupInvariants(1)
+    # no unit at all: the core phase alone
+    assert cokernel_invariants([{0: 2, 1: 4}, {0: 6, 1: 3}], 2) == AbelianGroupInvariants(0, (18,))
+    rows = [{0: 2}, {1: 4}, {2: 6}]
+    assert cokernel_invariants(rows, 3) == AbelianGroupInvariants(0, (2, 2, 12))
+
+
+def unit_phase_events(monkeypatch, m) -> Counter:
+    """Run ``cokernel_invariants`` on ``m`` and count what its unit phase
+    met: ``rose`` and ``fell`` (a live unit whose Markowitz cost had risen
+    or fallen since it was pushed), ``shared`` (a unit pivot whose column
+    holds a non-unit), ``fill`` (a unit row operation that writes a ±1
+    where the row had a zero) and ``emptied`` (one that cancels a whole
+    row).  The heap pop is wrapped, and it reads the elimination's own
+    ``live`` rows and column ``index`` from the calling frame."""
+    events: Counter = Counter()
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        c, i0, j0 = item
+        state = sys._getframe(1).f_locals
+        live, index = state["live"], state["index"]
+        pivot_row = live.get(i0, {})
+        if pivot_row.get(j0) not in (1, -1):
+            return item
+        now = (len(pivot_row) - 1) * (len(index[j0]) - 1)
+        events["rose" if now > c else "fell" if now < c else "same"] += 1
+        if now > c:
+            return item
+        for i in index[j0] - {i0}:
+            row = live[i]
+            q = row[j0] * pivot_row[j0]
+            events["shared"] += abs(row[j0]) > 1
+            events["fill"] += any(j not in row and abs(q * x) == 1 for j, x in pivot_row.items())
+            events["emptied"] += row == {j: q * x for j, x in pivot_row.items()}
+        return item
+
+    monkeypatch.setattr(intlinalg, "heappop", heappop)
+    assert cokernel_of(m) == cokernel_invariants_reference(m)
+    return events
+
+
+def test_unit_phase_meets_every_case(monkeypatch):
+    # The generator of the unit-phase property test, at its sizes, reaches
+    # each case of the lazy heap, and each matrix agrees with the
+    # full-rescan reference.
+    rng = random.Random(26)
+    events: Counter = Counter()
+    for _ in range(200):
+        m = unit_block_matrix(rng, rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 12))
+        events += unit_phase_events(monkeypatch, m)
+    assert all(events[e] for e in ("rose", "fell", "shared", "fill", "emptied")), events
 
 
 def test_invariants_validation():

@@ -2,8 +2,9 @@
 of the Wirtinger matcher against its every-rotation reference, of the
 packed-letter AC search against its Word-based reference, of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
-one-pass Alexander matrix, of the sparse cokernel invariants against
-sympy and against their full-rescan reference, of the abelianized
+one-pass Alexander matrix, of the sparse cokernel invariants (on
+matrices mostly of units, too) against sympy and against their
+full-rescan reference, of the abelianized
 cover rows against the rewritten cover presentation, and of the
 peeling determinant over Z[t, t^-1]."""
 
@@ -69,6 +70,7 @@ from reference import (  # noqa: E402
     random_unimodular,
     record_cokernel_calls,
     todd_coxeter_reference,
+    unit_block_matrix,
 )
 
 GENS = ("a", "b", "c")
@@ -343,6 +345,25 @@ def tied_sparse_matrices(draw):
 @given(tied_sparse_matrices())
 def test_cokernel_invariants_match_full_rescan_reference(m):
     assert cokernel_of(m) == cokernel_invariants_reference(m)
+
+
+@st.composite
+def unit_block_matrices(draw):
+    """``reference.unit_block_matrix`` of up to 15 x 12: ±1 rows around a
+    non-unit block of up to 4 x 4, with copied, negated and summed rows,
+    permuted (``test_intlinalg::test_unit_phase_meets_every_case`` checks
+    that this generator, at these sizes, reaches every case of the unit
+    phase's lazy heap)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per cell
+    return unit_block_matrix(rng, draw(st.integers(1, 8)), draw(st.integers(0, 4)),
+                             draw(st.integers(1, 12)))
+
+
+@PROPERTY
+@given(unit_block_matrices())
+def test_cokernel_unit_phase_matches_reference_and_sympy(m):
+    assert cokernel_of(m) == cokernel_invariants_reference(m)
+    check_against_sympy(m)
 
 
 @st.composite
