@@ -24,8 +24,9 @@ another way:
 * ``act`` and ``trace``, the action of words on a closed coset table;
 * ``cokernel_invariants_reference``, the sparse elimination that
   rescans every nonzero for each pivot, against the unit phase and the
-  incremental pivot search of ``intlinalg.cokernel_invariants``; the two
-  may pivot differently, and only the invariants must agree;
+  incremental pivot search of ``intlinalg.cokernel_invariants``, which
+  must take the same pivots; ``CountingRow``, a row that counts the
+  entries an elimination writes into it, shows whether they did;
 * ``lift_glnz_reference``, the GL(r, Z) lift as a factorization into
   ``AddMultiple``/``Swap``/``Negate`` operations, each lifted to a
   ``FreeEndo`` and composed one at a time, against the Nielsen moves of
@@ -50,6 +51,7 @@ another way:
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -576,19 +578,20 @@ def todd_coxeter_reference(
     return CosetTable(gens, True, len(live), max_cosets, action)
 
 
-def cokernel_invariants_reference(m: Matrix) -> AbelianGroupInvariants:
+def cokernel_invariants_reference(m: Matrix, work: Counter | None = None) -> AbelianGroupInvariants:
     """Invariants of ``Z^cols / row-span(m)`` by the sparse elimination
     that ``intlinalg.cokernel_invariants`` replaced: each step rescans
     every stored nonzero for the least ``|x|``, then again for the least
     Markowitz cost ``(row nnz - 1) * (col nnz - 1)``, ties broken by
-    least ``(row, col)``.  The package eliminates ±1 pivots first, in
-    another order, so only the invariants must agree."""
+    least ``(row, col)``.  The package must choose the same pivots, so it
+    writes the same entries: with ``work``, the rows are ``CountingRow``
+    rows counting into it."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, entries in enumerate(m.entries):
         row = {j: x for j, x in enumerate(entries) if x}
         if row:
-            rows[i] = row
+            rows[i] = row if work is None else CountingRow(row, work)
             for j in row:
                 cols.setdefault(j, set()).add(i)
     units = 0
@@ -826,7 +829,7 @@ def unit_block_matrix(rng, unit_rows: int, block: int, cols: int) -> Matrix:
     columns with the ``block`` x ``block`` corner of entries from ±2..±6;
     then up to three copies, negations or sums of earlier rows, so that
     some row cancels to empty.  Unit row operations write new ±1 entries
-    and move the Markowitz costs of entries already on the heap."""
+    and move the Markowitz costs of others, up and down."""
     cols = max(cols, block, 1)
     density = rng.uniform(0.1, 0.6)
     grid = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(cols)]
@@ -882,9 +885,28 @@ def kronecker_matrix(spec: KnotModuleSpec, n: int) -> Matrix:
     return matrix(grid, cols=r * n)
 
 
-def cokernel_of(m: Matrix) -> AbelianGroupInvariants:
-    """``cokernel_invariants`` of a dense matrix, handed as sparse rows."""
-    return cokernel_invariants([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
+def cokernel_of(m: Matrix, work: Counter | None = None) -> AbelianGroupInvariants:
+    """``cokernel_invariants`` of a dense matrix, handed as sparse rows;
+    with ``work``, ``CountingRow`` rows counting into it."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    if work is not None:
+        rows = [CountingRow(row, work) for row in rows]
+    return cokernel_invariants(rows, m.cols)
+
+
+class CountingRow(dict):
+    """A sparse row that counts, in ``work``, the entries written into it
+    (``"writes"``) and the bit length of the largest (``"bits"``): the work
+    of an elimination that rewrites its rows in place."""
+
+    def __init__(self, entries: Mapping[int, int], work: Counter) -> None:
+        super().__init__(entries)
+        self.work = work
+
+    def __setitem__(self, j: int, x: int) -> None:
+        self.work["writes"] += 1
+        self.work["bits"] = max(self.work["bits"], abs(x).bit_length())
+        super().__setitem__(j, x)
 
 
 def dense(rows: Sequence[Mapping[int, int]], cols: int) -> Matrix:

@@ -1,6 +1,5 @@
 import heapq
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -16,8 +15,7 @@ from ribbonknots.intlinalg import (
     smith_normal_form,
 )
 from reference import (
-    cokernel_invariants_reference,
-    cokernel_of,
+    CountingRow,
     factor_glnz,
     matmul,
     random_unimodular,
@@ -123,50 +121,47 @@ def test_cokernel_invariants():
     assert cokernel_invariants(rows, 3) == AbelianGroupInvariants(0, (2, 2, 12))
 
 
-def unit_phase_events(monkeypatch, m) -> Counter:
-    """Run ``cokernel_invariants`` on ``m`` and count what its unit phase
-    met: ``rose`` and ``fell`` (a live unit whose Markowitz cost had risen
-    or fallen since it was pushed), ``shared`` (a unit pivot whose column
-    holds a non-unit), ``fill`` (a unit row operation that writes a ±1
-    where the row had a zero) and ``emptied`` (one that cancels a whole
-    row).  The heap pop is wrapped, and it reads the elimination's own
-    ``live`` rows and column ``index`` from the calling frame."""
-    events: Counter = Counter()
-
-    def heappop(heap):
-        item = heapq.heappop(heap)
-        c, i0, j0 = item
-        state = sys._getframe(1).f_locals
-        live, index = state["live"], state["index"]
-        pivot_row = live.get(i0, {})
-        if pivot_row.get(j0) not in (1, -1):
-            return item
-        now = (len(pivot_row) - 1) * (len(index[j0]) - 1)
-        events["rose" if now > c else "fell" if now < c else "same"] += 1
-        if now > c:
-            return item
-        for i in index[j0] - {i0}:
-            row = live[i]
-            q = row[j0] * pivot_row[j0]
-            events["shared"] += abs(row[j0]) > 1
-            events["fill"] += any(j not in row and abs(q * x) == 1 for j, x in pivot_row.items())
-            events["emptied"] += row == {j: q * x for j, x in pivot_row.items()}
-        return item
-
-    monkeypatch.setattr(intlinalg, "heappop", heappop)
-    assert cokernel_of(m) == cokernel_invariants_reference(m)
-    return events
-
-
 def test_unit_phase_meets_every_case(monkeypatch):
-    # The generator of the unit-phase property test, at its sizes, reaches
-    # each case of the lazy heap, and each matrix agrees with the
-    # full-rescan reference.
-    rng = random.Random(26)
+    # The generator of the cokernel property tests, at their sizes, reaches
+    # each case of the unit phase; those tests compare the elimination with
+    # the full-rescan reference.  The rows count a ±1 written where they
+    # had no entry (``fill``) and a row left empty by a cancellation
+    # (``emptied``), and ``shared`` counts inputs in which a column holds a
+    # ±1 and a non-unit.  The heap functions, wrapped by the names intlinalg
+    # imports, see the (row nnz, i) records of each column's ±1 entries: a
+    # Markowitz cost fell when a record is pushed again with a smaller row
+    # nnz, and rose when ``heapreplace`` renews one with a larger.
     events: Counter = Counter()
+
+    def heappush(h, item):
+        events["fell"] += len(item) == 2 and any(i == item[1] and n > item[0] for n, i in h)
+        heapq.heappush(h, item)
+
+    def heapreplace(h, item):
+        events["rose"] += item[0] > h[0][0]
+        return heapq.heapreplace(h, item)
+
+    class Row(CountingRow):
+        cancelled = False
+
+        def __setitem__(self, j, x):
+            events["fill"] += j not in self and x in (1, -1)
+            super().__setitem__(j, x)
+
+        def __delitem__(self, j):
+            super().__delitem__(j)
+            self.cancelled = not self
+
+    monkeypatch.setattr(intlinalg, "heappush", heappush)
+    monkeypatch.setattr(intlinalg, "heapreplace", heapreplace)
+    rng = random.Random(26)
     for _ in range(200):
         m = unit_block_matrix(rng, rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 12))
-        events += unit_phase_events(monkeypatch, m)
+        columns = [{abs(x) == 1 for x in col if x} for col in zip(*m.entries)]
+        events["shared"] += any(kinds == {True, False} for kinds in columns)
+        rows = [Row({j: x for j, x in enumerate(r) if x}, Counter()) for r in m.entries]
+        cokernel_invariants(rows, m.cols)
+        events["emptied"] += sum(row.cancelled and not row for row in rows)
     assert all(events[e] for e in ("rose", "fell", "shared", "fill", "emptied")), events
 
 

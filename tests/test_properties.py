@@ -4,11 +4,12 @@ packed-letter AC search against its Word-based reference, of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
 one-pass Alexander matrix, of the sparse cokernel invariants (on
 matrices mostly of units, too) against sympy and against their
-full-rescan reference, of the abelianized
+full-rescan reference, pivot for pivot, of the abelianized
 cover rows against the rewritten cover presentation, and of the
 peeling determinant over Z[t, t^-1]."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -295,6 +296,18 @@ def block_circulant_matrices(max_rank=3, max_order=8):
     ).map(substitute)
 
 
+@st.composite
+def unit_block_matrices(draw):
+    """``reference.unit_block_matrix`` of up to 15 x 12: ±1 rows around a
+    non-unit block of up to 4 x 4, with copied, negated and summed rows,
+    permuted (``test_intlinalg::test_unit_phase_meets_every_case`` checks
+    that this generator, at these sizes, reaches every case of the unit
+    phase)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per cell
+    return unit_block_matrix(rng, draw(st.integers(1, 8)), draw(st.integers(0, 4)),
+                             draw(st.integers(1, 12)))
+
+
 def check_against_sympy(m: Matrix) -> None:
     """``cokernel_invariants`` agrees with sympy's invariant factors over
     ZZ and with the diagonal of this package's transform-tracking SNF;
@@ -316,7 +329,7 @@ def check_against_sympy(m: Matrix) -> None:
 
 
 @PROPERTY
-@given(st.one_of(dense_matrices(), low_rank_matrices(), permuted_triangular()))
+@given(st.one_of(dense_matrices(), low_rank_matrices(), permuted_triangular(), unit_block_matrices()))
 def test_cokernel_invariants_match_sympy_snf(m):
     check_against_sympy(m)
 
@@ -342,28 +355,13 @@ def tied_sparse_matrices(draw):
 
 
 @PROPERTY
-@given(tied_sparse_matrices())
+@given(st.one_of(tied_sparse_matrices(), unit_block_matrices()))
 def test_cokernel_invariants_match_full_rescan_reference(m):
-    assert cokernel_of(m) == cokernel_invariants_reference(m)
-
-
-@st.composite
-def unit_block_matrices(draw):
-    """``reference.unit_block_matrix`` of up to 15 x 12: ±1 rows around a
-    non-unit block of up to 4 x 4, with copied, negated and summed rows,
-    permuted (``test_intlinalg::test_unit_phase_meets_every_case`` checks
-    that this generator, at these sizes, reaches every case of the unit
-    phase's lazy heap)."""
-    rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per cell
-    return unit_block_matrix(rng, draw(st.integers(1, 8)), draw(st.integers(0, 4)),
-                             draw(st.integers(1, 12)))
-
-
-@PROPERTY
-@given(unit_block_matrices())
-def test_cokernel_unit_phase_matches_reference_and_sympy(m):
-    assert cokernel_of(m) == cokernel_invariants_reference(m)
-    check_against_sympy(m)
+    # The same pivots, so the same entries written, as well as the same
+    # invariants.
+    got, want = Counter(), Counter()
+    assert cokernel_of(m, got) == cokernel_invariants_reference(m, want)
+    assert got == want
 
 
 @st.composite
