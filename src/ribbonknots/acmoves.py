@@ -11,17 +11,18 @@ that reachability breadth-first under explicit bounds, reporting
 
 The search runs on ``Packed`` states, relators as strings of letter
 codes in (name, sign) order with their least rotations cached, keyed as
-their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  A candidate
-is keyed only when the outcome can depend on it, which leaves most of
-the last level, whose states are never expanded, unkeyed.  Moves are
-spelled out, and replayed on ``Word`` relators, only for the path found.
+their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  Conjugate
+factors are built once per relator; a candidate is keyed only when the
+outcome can depend on it, so most of the never-expanded last level stays
+unkeyed.  Only the path found is spelled out as moves, and replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple, Optional, Sequence, Union
+from operator import add, sub
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .presentations import Presentation, deficiency
 from .words import Word, check_generator_name, gen, inverse, product
@@ -188,15 +189,22 @@ def pack(p: ACPresentation) -> Packed:
 
 def _least_rotation(s: str, inv: dict[int, int]) -> str:
     """Least rotation of the cyclically reduced conjugate of ``s`` or of
-    its inverse.  (``min`` over slices beats Booth's algorithm in Python
-    at these lengths.)"""
+    its inverse.  It starts with the least code, so only the rotations
+    starting there, found by ``str.find``, are sliced and compared."""
     i, j = 0, len(s)
     while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
         i, j = i + 1, j - 1
     n = j - i
     forward = s[i:j] * 2
     backward = forward[::-1].translate(inv)
-    return min((w[k : k + n] for w in (forward, backward) for k in range(n)), default="")
+    least = min(forward + backward, default="")
+    starts = []
+    for w in (forward, backward):
+        k = w.find(least)
+        while 0 <= k < n:
+            starts.append(w[k : k + n])
+            k = w.find(least, k + 1)
+    return min(starts, default="")
 
 
 def canonical_form(least: Sequence[str]) -> tuple[str, ...]:
@@ -283,6 +291,13 @@ def _reduced_product(a: str, b: str) -> str:
     return a[: len(a) - k] + b[k:]
 
 
+def _conjugate(c: str, w: str) -> str:
+    """Free reduction of ``c . w . c^-1`` for a letter code ``c`` and freely reduced ``w``."""
+    c_inv = chr(ord(c) ^ 1)
+    w = w[1:] if w[:1] == c_inv else c + w
+    return w[:-1] if w[-1:] == c else w + c_inv
+
+
 def _compound_move(i: int, j: int, invert_j: bool, conj: tuple[str, int] | None) -> list[ACMove]:
     """Primitive moves for R_i *= c . R_j^e . c^-1; R_j is restored."""
     before: list[ACMove] = [] if conj is None else [Conjugate(j, conj[0], conj[1])]
@@ -293,8 +308,11 @@ def _compound_move(i: int, j: int, invert_j: bool, conj: tuple[str, int] | None)
     return before + [Multiply(i, j)] + after
 
 
+MAX_NODES = 100_000  # default bound on the states an AC search keeps
+
+
 def ac_trivialize_search(
-    p: ACPresentation, max_total_length: int, max_depth: int
+    p: ACPresentation, max_total_length: int, max_depth: int, max_nodes: int = MAX_NODES
 ) -> SearchOutcome:
     """Bounded breadth-first search for an AC trivialization.
 
@@ -304,7 +322,8 @@ def ac_trivialize_search(
     exhaustion is relative to this restricted alphabet.  Candidates
     longer than ``max_total_length`` in total are pruned; a pruned
     candidate or states left at ``max_depth`` give ``Budget``, not
-    ``Exhausted``.  ``Found`` carries a primitive move list,
+    ``Exhausted``, and so does a candidate to key once ``max_nodes``
+    states are kept.  ``Found`` carries a primitive move list,
     replay-verified on ``Word`` relators.  Deterministic.
 
     States are ``Packed``, so a candidate re-keys only the relator it
@@ -312,7 +331,10 @@ def ac_trivialize_search(
     ``canonical_form`` partitions states as it did on ``Word`` relators,
     and the outcome and the moves found are those of the ``Word``-based
     search.  Paths are ``(i, j, e, c)`` steps, spelled as moves only
-    when found.  ``removal_plan`` finds no plan unless some generator
+    when found.  The factors w = c . R^e . c^-1 of each relator string
+    are built once, with lengths and counts, so a join R_i . w that
+    cancels nothing is pruned and tested by arithmetic before its string
+    is built.  ``removal_plan`` finds no plan unless some generator
     occurs exactly once, so a candidate failing that letter count is
     queued unkeyed; the queue is keyed, in generation order, before a
     candidate passing it and at the end of each level but the last.
@@ -322,7 +344,7 @@ def ac_trivialize_search(
     ``Exhausted``.  The search stops at the first level that keeps no
     new state, whatever ``max_depth`` is.
     """
-    if max_total_length < 1 or max_depth < 1:
+    if max_total_length < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("bounds must be positive")
     if p.total_length() > max_total_length:
         return Budget()
@@ -336,18 +358,32 @@ def ac_trivialize_search(
     inv = {c: c ^ 1 for c in range(2 * len(names))}
     pairs = [(chr(2 * r), chr(2 * r + 1)) for r in range(len(names))]
     conjugators = [None] + [(g, s) for g in p.generators for s in (1, -1)]
-    rank = {g: 2 * r for r, g in enumerate(names)}
-    codes = [c and tuple(chr(rank[c[0]] + (e > 0)) for e in (c[1], -c[1])) for c in conjugators]
+    letters = [c and chr(2 * names.index(c[0]) + (c[1] > 0)) for c in conjugators]
     variants = [(e, c) for e in (False, True) for c in conjugators]
+    cache: dict[str, list[tuple]] = {}  # relator -> its factors, in ``variants`` order
+
+    def factors_of(r: str) -> Iterator[tuple]:
+        """(c . r^e . c^-1, length, code cancelling its first letter, generator counts)."""
+        base = [r.count(a) + r.count(b) for a, b in pairs]
+        for u in (r, r[::-1].translate(inv)):
+            for c in letters:
+                w = u if c is None else _conjugate(c, u)
+                d = len(w) - len(u)  # conjugating by c changes only the count of c's generator
+                counts = [k + d * (g == ord(c) >> 1) for g, k in enumerate(base)] if d else base
+                yield w, len(w), w and chr(ord(w[0]) ^ 1), counts
+
     queue: list[tuple] = []  # unkeyed (node, i, j, v, new), in generation order
 
     def settle() -> bool:
         """Key the queue into ``seen`` in order and empty it.  A new
         state sets ``grew`` and, off the last level, joins
         ``next_frontier``.  True when the last state queued was new."""
-        nonlocal grew
+        nonlocal grew, full
         fresh = False
         for ((relators, least), path), i, j, v, new in queue:
+            if len(seen) == max_nodes:
+                full, fresh = True, False
+                break
             keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
             key = canonical_form(keyed)
             fresh = key not in seen
@@ -361,7 +397,7 @@ def ac_trivialize_search(
         return fresh
 
     frontier: list[tuple[Packed, tuple]] = [(start, ())]
-    truncated = grew = False
+    truncated = grew = full = False
     for depth in range(max_depth):
         if not frontier:
             break
@@ -369,28 +405,31 @@ def ac_trivialize_search(
         next_frontier: list[tuple[Packed, tuple]] = []
         grew = False
         for node in frontier:
+            if full:
+                return Budget()
             relators = node[0].relators
-            # c . R_j^e . c^-1 for each j, in ``variants`` order
-            factors = [[w if c is None else _reduced_product(_reduced_product(c[0], w), c[1])
-                        for w in (r, r[::-1].translate(inv)) for c in codes] for r in relators]
+            factors = [cache.get(r) or cache.setdefault(r, [*factors_of(r)]) for r in relators]
             room = max_total_length - sum(map(len, relators))
-            counts = [[r.count(a) + r.count(b) for a, b in pairs] for r in relators]
-            totals = [sum(column) for column in zip(*counts)]
+            totals = [sum(column) for column in zip(*(f[0][3] for f in factors))]
+            ripe_joins = [[1 in map(add, totals, f[3]) for f in fs] for fs in factors]
             for i, r_i in enumerate(relators):
-                # a generator occurs once in the candidate iff the new R_i has ``need`` of it
-                once = [(a, b, need) for (a, b), t, c in zip(pairs, totals, counts[i])
-                        if (need := 1 - t + c) >= 0]
-                for j, words in enumerate(factors):
+                last = r_i[-1:]
+                rest = list(map(sub, totals, factors[i][0][3]))  # counts off R_i
+                for j, fs in enumerate(factors):
                     if i == j:
                         continue
-                    for v, w in enumerate(words):
-                        new = _reduced_product(r_i, w)
-                        if len(new) - len(r_i) > room:
+                    for v, (w, size, cancel, _) in enumerate(fs):
+                        if cancel == last:
+                            size = len(new := _reduced_product(r_i, w)) - len(r_i)
+                        if size > room:
                             truncated = True
                             continue
-                        queue.append((node, i, j, v, new))
                         # only a ripe candidate can have a plan, and only a new one is tried
-                        ripe = any(new.count(a) + new.count(b) == need for a, b, need in once)
+                        if cancel != last:
+                            new, ripe = r_i + w, ripe_joins[j][v]
+                        else:
+                            ripe = 1 in map(add, rest, [sum(map(new.count, g)) for g in pairs])
+                        queue.append((node, i, j, v, new))
                         if not (ripe and settle()):
                             continue
                         q = relators[:i] + (new,) + relators[i + 1 :]
@@ -402,7 +441,7 @@ def ac_trivialize_search(
         if not leaf or not (truncated or grew):
             settle()
         frontier = next_frontier
-    return Budget() if truncated or grew else Exhausted()
+    return Budget() if truncated or grew or full else Exhausted()
 
 
 def _unpack(p: ACPresentation, names: list[str], relators: tuple[str, ...]) -> ACPresentation:

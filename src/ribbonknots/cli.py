@@ -158,6 +158,7 @@ def build_parser() -> _Parser:
     p_ac.add_argument("--kill", required=True, help="meridian generator to kill")
     p_ac.add_argument("--max-len", type=_positive_int, required=True)
     p_ac.add_argument("--max-depth", type=_positive_int, required=True)
+    p_ac.add_argument("--max-nodes", type=_positive_int, default=acmoves.MAX_NODES)
     p_ac.add_argument("--emit-moves", help="write the move list to this file")
 
     p_lot = sub.add_parser("lot", help="extract the LOT of a Wirtinger presentation")
@@ -277,7 +278,7 @@ def _cmd_ac_search(args) -> int:
     p = _load_presentation(args.presentation)
     try:
         killed = acmoves.kill_meridian(p, args.kill)
-        outcome = acmoves.ac_trivialize_search(killed, args.max_len, args.max_depth)
+        outcome = acmoves.ac_trivialize_search(killed, args.max_len, args.max_depth, args.max_nodes)
     except ValueError as exc:
         raise CLIError(str(exc))
     if isinstance(outcome, acmoves.Found):

@@ -13,6 +13,9 @@ another way:
 * ``parse_moves``, the inverse of ``acmoves.format_moves``;
 * ``cyclic_variants``, every rotation of a cyclic word and of its
   inverse, for ``canonical_form_reference``;
+* ``least_rotation_reference``, the least of every rotation of a code
+  string and of its inverse, against ``acmoves._least_rotation``, which
+  slices only the rotations that start with the least code;
 * ``match_wirtinger_reference``, the Wirtinger relator matcher that
   tries every rotation of both orientations, against the one scan over
   centres of ``presentations._match_wirtinger``;
@@ -312,6 +315,18 @@ def match_wirtinger_reference(
         return None
     (origin, terminus, _), label = best
     return origin, terminus, label
+
+
+def least_rotation_reference(s: str, inv: dict[int, int]) -> str:
+    """Least rotation of the cyclically reduced conjugate of the code
+    string ``s`` or of its inverse, by ``min`` over every slice."""
+    i, j = 0, len(s)
+    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
+        i, j = i + 1, j - 1
+    n = j - i
+    forward = s[i:j] * 2
+    backward = forward[::-1].translate(inv)
+    return min((w[k : k + n] for w in (forward, backward) for k in range(n)), default="")
 
 
 def canonical_form_reference(p: ACPresentation) -> tuple:

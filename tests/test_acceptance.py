@@ -315,9 +315,9 @@ def test_criterion_9_mutation_sensitivity(corpus, tmp_path, capsys):
     print(f"\nACCEPTANCE 9: PASS - {flagged}/{total} mutations flagged ({rate:.0%})")
 
 
-def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys):
-    # Two of the named inputs, realized and checked through cli.main:
-    # verdicts and exit codes, not times.
+def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus):
+    # The named inputs, realized and checked through cli.main: verdicts
+    # and exit codes, not times.
     def run(*argv: str) -> tuple[int, str]:
         code = cli.main([str(a) for a in argv])
         return code, capsys.readouterr().out
@@ -347,7 +347,18 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys):
     assert code == 0, out
     assert out.startswith("N=32: group ") and out.rstrip().endswith(" [ok]"), out
     assert len(out.splitlines()) == 1
-    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32")
+
+    # Each killed corpus meridian: found moves within three relator
+    # multiplications, or budget where none are found there.
+    expected = {"spun_trefoil": (0, "found moves=10"), "lemma4_companion": (0, "found moves=12"),
+                "lemma3_companion": (0, "found moves=14"), "trotter_2": (2, "budget"),
+                "yoshikawa": (2, "budget")}
+    for name, outcome in expected.items():
+        code = cli.main(["ac-search", str(corpus / f"{name}.pres"), "--kill", "t",
+                         "--max-len", "32", "--max-depth", "3"])
+        assert (code, capsys.readouterr().err.strip()) == outcome, name
+    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32, "
+          "killed meridians ac-search")
 
 
 def _flagged(q, corpus, module_name) -> bool:

@@ -27,7 +27,13 @@ from ribbonknots.constructions import realize_lemma4
 from ribbonknots.intlinalg import matrix
 from ribbonknots.presentations import parse_presentation
 from ribbonknots.words import IDENTITY, gen, normalize, parse_word
-from reference import ac_trivialize_search_reference, cokernel_of, exponent_sums, parse_moves
+from reference import (
+    ac_trivialize_search_reference,
+    cokernel_of,
+    count_calls,
+    exponent_sums,
+    parse_moves,
+)
 
 SPUN = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
 
@@ -202,6 +208,21 @@ def test_search_outcomes_budget_exhausted():
         assert ac_trivialize_search_reference(p, 4, depth) == outcome
 
 
+def test_search_keeps_candidates_of_exactly_the_length_bound():
+    """Each of these searches keeps states of exactly
+    ``max_total_length`` letters, built by joins that cancel and by
+    joins that do not, and its moves depend on them: pruning them too
+    gives Budget or other moves."""
+    cases = [(("a", "b"), ("a b^2", "a b"), 6, 2),
+             (("a", "b", "c"), ("b^2 a^-1", "c", "b^-1 c^-2 a"), 8, 1),
+             (("a", "b"), ("a b", "a b^-2 a^-2"), 7, 3)]
+    for gens, rels, max_len, depth in cases:
+        p = ACPresentation(gens, tuple(map(parse_word, rels)))
+        out = ac_trivialize_search(p, max_len, depth)
+        assert isinstance(out, Found)
+        assert out == ac_trivialize_search_reference(p, max_len, depth)
+
+
 def lemma4_rank2(bound: int = 3):
     """Every 2 x 2 matrix M with entries in [-bound, bound] such that M
     and I + M are unimodular, in lexicographic order."""
@@ -262,6 +283,40 @@ def test_search_keys_no_state_on_the_last_level_of_a_budget_search(corpus, monke
     calls.clear()
     assert ac_trivialize_search(killed, 32, 2) == Budget()
     assert len(calls) == 261
+
+
+def test_search_node_budget_bounds_the_states_kept(corpus, monkeypatch):
+    """Killed trotter_2 at --max-len 32 --max-depth 5 keys 10,507
+    distinct states; with ``max_nodes=1000`` it stops with ``Budget``
+    once 1,000 are kept and another candidate is to be keyed."""
+    import ribbonknots.acmoves as acmoves
+
+    keys = []
+
+    def counted(least):
+        keys.append(canonical_form(least))
+        return keys[-1]
+
+    monkeypatch.setattr(acmoves, "canonical_form", counted)
+    trotter = parse_presentation((corpus / "trotter_2.pres").read_text())
+    killed = kill_meridian(trotter, "t")
+    assert ac_trivialize_search(killed, 32, 5, max_nodes=1000) == Budget()
+    assert len(set(keys)) == 1000
+    with pytest.raises(ValueError):
+        ac_trivialize_search(killed, 32, 12, max_nodes=0)
+
+
+def test_search_reduces_only_cancelling_joins(corpus, monkeypatch):
+    """Killed trotter_2 at (32, 3) reduces letter by letter only the
+    joins R_i . w whose ends cancel, 1,083 of them.  Building every
+    factor c . R_j^e . c^-1 at every node by two reductions, and
+    reducing every join, would make 8,580 calls."""
+    import ribbonknots.acmoves as acmoves
+
+    calls, _ = count_calls(monkeypatch, acmoves._reduced_product)
+    trotter = parse_presentation((corpus / "trotter_2.pres").read_text())
+    assert ac_trivialize_search(kill_meridian(trotter, "t"), 32, 3) == Budget()
+    assert len(calls) <= 1200
 
 
 def test_search_deterministic_and_worker_independent():

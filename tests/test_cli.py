@@ -121,9 +121,21 @@ def test_ac_search_stops_when_frontier_empties(capsys, corpus):
     assert huge == base == (2, "", "budget\n")
 
 
+def test_ac_search_node_budget(capsys, corpus):
+    # killed spun_trefoil is found at --max-len 32 --max-depth 12 after
+    # keeping 17 states: 16 leave no room for the state whose plan is found
+    pres = str(corpus / "spun_trefoil.pres")
+    args = ("ac-search", pres, "--kill", "t", "--max-len", "32", "--max-depth", "12")
+    found = run(capsys, *args)
+    assert found[0] == 0 and found[2] == "found moves=10\n"
+    assert run(capsys, *args, "--max-nodes", "17") == found
+    assert run(capsys, *args, "--max-nodes", "16") == (2, "", "budget\n")
+
+
 def test_ac_search_bounds_must_be_positive(capsys, corpus):
     pres = str(corpus / "spun_trefoil.pres")
-    for option, other in (("--max-len", ("--max-depth", "12")), ("--max-depth", ("--max-len", "32"))):
+    both = ("--max-len", "32", "--max-depth", "12")
+    for option, other in (("--max-len", both[2:]), ("--max-depth", both[:2]), ("--max-nodes", both)):
         for value in ("0", "-3", "x", "¹", "+3", "1_0"):
             code, out, err = run(capsys, "ac-search", pres, "--kill", "t", option, value, *other)
             assert code == 3 and out == "" and err.count("\n") == 1

@@ -1,12 +1,13 @@
 """Property tests of the word kernel, of the consumers of cyclic words,
 of the Wirtinger matcher against its every-rotation reference, of the
-packed-letter AC search against its Word-based reference, of the
-flat-table Todd-Coxeter enumeration against its union-find one, of the
-one-pass Alexander matrix, of the sparse cokernel invariants (on
-matrices mostly of units, too) against sympy and against their
-full-rescan reference, pivot for pivot, of the abelianized
-cover rows against the rewritten cover presentation, and of the
-peeling determinant over Z[t, t^-1]."""
+packed-letter AC search against its Word-based reference (its least
+rotation against every slice, its direct conjugation against two
+reduced products), of the flat-table Todd-Coxeter enumeration against
+its union-find one, of the one-pass Alexander matrix, of the sparse
+cokernel invariants (on matrices mostly of units, too) against sympy
+and against their full-rescan reference, pivot for pivot, of the
+abelianized cover rows against the rewritten cover presentation, and
+of the peeling determinant over Z[t, t^-1]."""
 
 import random
 from collections import Counter
@@ -16,11 +17,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import reference  # noqa: E402
+from ribbonknots import acmoves  # noqa: E402
 from ribbonknots.acmoves import (  # noqa: E402
     ACPresentation,
+    _conjugate,
+    _least_rotation,
+    _reduced_product,
     ac_trivialize_search,
     canonical_form,
     pack,
+    removal_plan,
 )
 from ribbonknots.constructions import (  # noqa: E402
     AdmissibilityError,
@@ -66,6 +73,7 @@ from reference import (  # noqa: E402
     cokernel_of,
     dense,
     fox_derivative,
+    least_rotation_reference,
     match_wirtinger_reference,
     matmul,
     random_unimodular,
@@ -143,6 +151,78 @@ def test_canonical_form_spells_the_word_key(p):
 def test_ac_search_matches_word_reference(p, max_len, depth):
     out = ac_trivialize_search(p, max_len, depth)
     assert out == ac_trivialize_search_reference(p, max_len, depth)
+
+
+def ripe(q: ACPresentation) -> bool:
+    """Some generator occurs exactly once in ``q``."""
+    counts = Counter(g for r in q.relators for g, e in r.syllables for _ in range(abs(e)))
+    return 1 in counts.values()
+
+
+@PROPERTY
+@given(balanced(), st.integers(1, 10), st.integers(1, 3))
+def test_ac_search_tries_a_plan_on_each_new_ripe_state(p, max_len, depth):
+    """The packed search tries ``removal_plan`` on the start and then on
+    exactly the new states, in the reference's order, in which some
+    generator occurs once, whether or not the join built it cancels."""
+    tried: dict[str, list] = {"packed": [], "reference": []}
+
+    def recording(side, keep):
+        def plan(q):
+            if keep(q):
+                tried[side].append(q)
+            return removal_plan(q)
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acmoves, "removal_plan", recording("packed", lambda q: True))
+        mp.setattr(reference, "removal_plan",
+                   recording("reference", lambda q: not tried["reference"] or ripe(q)))
+        assert ac_trivialize_search(p, max_len, depth) == ac_trivialize_search_reference(
+            p, max_len, depth)
+    assert tried["packed"] == tried["reference"]
+
+
+def free_codes(codes) -> str:
+    """The freely reduced code string of a list of letter codes."""
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(map(chr, out))
+
+
+@st.composite
+def code_words(draw):
+    """Freely reduced code strings over 1-3 generators: plain words (few
+    codes, so the least code repeats), powers of a word, conjugates
+    u x u^-1 (ends that are not cyclically reduced), commutators, spelled
+    backwards with the same letters, and the empty word."""
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, 2 * n - 1), max_size=8)
+    u, v = draw(word), draw(word)
+    inv_u, inv_v = [c ^ 1 for c in reversed(u)], [c ^ 1 for c in reversed(v)]
+    kind = draw(st.sampled_from(("plain", "power", "conjugate", "commutator", "empty")))
+    codes = {"plain": u, "power": u * draw(st.integers(2, 4)), "conjugate": u + v + inv_u,
+             "commutator": u + v + inv_u + inv_v, "empty": []}[kind]
+    return free_codes(codes), {c: c ^ 1 for c in range(2 * n)}
+
+
+@PROPERTY
+@given(code_words())
+def test_least_rotation_matches_every_slice_reference(case):
+    s, inv = case
+    assert _least_rotation(s, inv) == least_rotation_reference(s, inv)
+
+
+@PROPERTY
+@given(code_words(), st.integers(0, 5))
+def test_direct_conjugation_is_two_reduced_products(case, c):
+    s, inv = case
+    c = chr(c % len(inv))
+    assert _conjugate(c, s) == _reduced_product(_reduced_product(c, s), chr(ord(c) ^ 1))
 
 
 @st.composite
