@@ -12,17 +12,17 @@ that reachability breadth-first under explicit bounds, reporting
 The search runs on ``Packed`` states, relators as strings of letter
 codes in (name, sign) order with their least rotations cached, keyed as
 their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  Conjugate
-factors are built once per relator; a candidate is keyed only when the
-outcome can depend on it, so most of the never-expanded last level stays
-unkeyed.  Only the path found is spelled out as moves, and replayed.
+factors are built once per relator.  A removal plan, spelled from the
+code strings, is tried only on new states that a join cancelling letters
+built; a candidate is keyed only when the outcome can depend on it, so
+most of the never-expanded last level stays unkeyed.  Only the path
+found is spelled out as moves, and replayed on ``Word`` relators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import add, sub
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .presentations import Presentation, deficiency
 from .words import Word, check_generator_name, gen, inverse, product
@@ -244,42 +244,38 @@ class Budget:
 SearchOutcome = Union[Found, Exhausted, Budget]
 
 
-def removal_plan(p: ACPresentation) -> Optional[tuple[ACMove, ...]]:
+def removal_plan(generators: Sequence[str], relators: Sequence[str]) -> Optional[tuple[ACMove, ...]]:
     """Explicit move list (Invert/Conjugate rotations + RemovePair) that
-    empties ``p`` by repeated pair removal, or None when stuck.
+    empties the presentation on ``generators`` with the packed
+    ``relators`` (codes ranking the sorted names, as ``pack`` writes
+    them) by repeated pair removal, or None when stuck.
 
     A pair is ripe when its generator occurs exactly once in the whole
-    presentation; rotations by single-letter conjugation then expose the
-    literal ``name . z`` pattern that RemovePair demands.
+    presentation; the first ripe generator in presentation order goes
+    first.  Its relator is inverted if the letter is negative, then
+    conjugated by each letter before it in turn, which rotates it to the
+    front: the literal ``name . z`` pattern that RemovePair demands.  A
+    rotation may cancel letters at the end, never the ripe one.
     """
+    names = sorted(generators)
+    inv = {c: c ^ 1 for c in range(2 * len(names))}
+    letters = {g: (chr(2 * r + 1), chr(2 * r)) for r, g in enumerate(names)}
+    gens, rels = list(generators), list(relators)
     moves: list[ACMove] = []
-    while not p.is_empty():
-        ripe = None
-        for name in p.generators:
-            count = sum(
-                sum(abs(e) for g, e in r.syllables if g == name) for r in p.relators
-            )
-            if count == 1:
-                ripe = name
-                break
+    while gens:
+        state = "".join(rels)
+        ripe = next((g for g in gens if sum(map(state.count, letters[g])) == 1), None)
         if ripe is None:
             return None
-        k = next(i for i, r in enumerate(p.relators) if ripe in r.generators())
-        # Orient the single occurrence positively.
-        if next(e for g, e in p.relators[k].syllables if g == ripe) < 0:
+        x, x_inv = letters[ripe]
+        k = next(i for i, r in enumerate(rels) if x in r or x_inv in r)
+        r = rels.pop(k)
+        if x_inv in r:
             moves.append(Invert(k))
-            p = apply_move(p, moves[-1])
-        # Rotate until the relator starts with the ripe generator.
-        guard = 0
-        while p.relators[k].syllables[0][0] != ripe:
-            g0, e0 = p.relators[k].syllables[0]
-            moves.append(Conjugate(k, g0, -1 if e0 > 0 else 1))
-            p = apply_move(p, moves[-1])
-            guard += 1
-            if guard > 4 * len(p.relators[k]) + 4:
-                return None  # defensive; rotation must terminate
+            r = r[::-1].translate(inv)
+        moves += [Conjugate(k, names[ord(c) >> 1], -1 if ord(c) & 1 else 1) for c in r[: r.index(x)]]
         moves.append(RemovePair(ripe))
-        p = apply_move(p, moves[-1])
+        gens.remove(ripe)
     return tuple(moves)
 
 
@@ -332,12 +328,16 @@ def ac_trivialize_search(
     and the outcome and the moves found are those of the ``Word``-based
     search.  Paths are ``(i, j, e, c)`` steps, spelled as moves only
     when found.  The factors w = c . R^e . c^-1 of each relator string
-    are built once, with lengths and counts, so a join R_i . w that
-    cancels nothing is pruned and tested by arithmetic before its string
-    is built.  ``removal_plan`` finds no plan unless some generator
-    occurs exactly once, so a candidate failing that letter count is
-    queued unkeyed; the queue is keyed, in generation order, before a
-    candidate passing it and at the end of each level but the last.
+    are built once, with their lengths, so a join R_i . w that cancels
+    nothing is pruned by length before its string is built.
+    ``removal_plan`` finds no plan unless some generator occurs exactly
+    once, and a join that cancels nothing never has one: a generator
+    occurs once in it only if it did in its state, which then had no
+    plan, and pair removal is confluent, so every removal sequence of
+    the join replays on its state.  So only a cancelling join with a
+    generator occurring once is tried; other candidates are queued
+    unkeyed, and the queue is keyed, in generation order, before a
+    tried candidate and at the end of each level but the last.
     The last level's states are never expanded, so it is keyed only on
     demand: at its end only when nothing was pruned and no new state has
     been seen there yet, as then a new state decides ``Budget`` against
@@ -350,7 +350,7 @@ def ac_trivialize_search(
         return Budget()
     start = pack(p)
     seen = {canonical_form(start.least)}
-    plan = removal_plan(p)
+    plan = removal_plan(p.generators, start.relators)
     if plan is not None:
         return _verified_found(p, plan)
 
@@ -362,15 +362,10 @@ def ac_trivialize_search(
     variants = [(e, c) for e in (False, True) for c in conjugators]
     cache: dict[str, list[tuple]] = {}  # relator -> its factors, in ``variants`` order
 
-    def factors_of(r: str) -> Iterator[tuple]:
-        """(c . r^e . c^-1, length, code cancelling its first letter, generator counts)."""
-        base = [r.count(a) + r.count(b) for a, b in pairs]
-        for u in (r, r[::-1].translate(inv)):
-            for c in letters:
-                w = u if c is None else _conjugate(c, u)
-                d = len(w) - len(u)  # conjugating by c changes only the count of c's generator
-                counts = [k + d * (g == ord(c) >> 1) for g, k in enumerate(base)] if d else base
-                yield w, len(w), w and chr(ord(w[0]) ^ 1), counts
+    def factors_of(r: str) -> list[tuple]:
+        """(c . r^e . c^-1, its length, the code cancelling its first letter)."""
+        ws = [u if c is None else _conjugate(c, u) for u in (r, r[::-1].translate(inv)) for c in letters]
+        return [(w, len(w), w and chr(ord(w[0]) ^ 1)) for w in ws]
 
     queue: list[tuple] = []  # unkeyed (node, i, j, v, new), in generation order
 
@@ -408,32 +403,28 @@ def ac_trivialize_search(
             if full:
                 return Budget()
             relators = node[0].relators
-            factors = [cache.get(r) or cache.setdefault(r, [*factors_of(r)]) for r in relators]
+            factors = [cache.get(r) or cache.setdefault(r, factors_of(r)) for r in relators]
             room = max_total_length - sum(map(len, relators))
-            totals = [sum(column) for column in zip(*(f[0][3] for f in factors))]
-            ripe_joins = [[1 in map(add, totals, f[3]) for f in fs] for fs in factors]
             for i, r_i in enumerate(relators):
                 last = r_i[-1:]
-                rest = list(map(sub, totals, factors[i][0][3]))  # counts off R_i
+                others = "".join(relators[:i] + relators[i + 1 :])
                 for j, fs in enumerate(factors):
                     if i == j:
                         continue
-                    for v, (w, size, cancel, _) in enumerate(fs):
+                    for v, (w, size, cancel) in enumerate(fs):
                         if cancel == last:
                             size = len(new := _reduced_product(r_i, w)) - len(r_i)
                         if size > room:
                             truncated = True
                             continue
-                        # only a ripe candidate can have a plan, and only a new one is tried
-                        if cancel != last:
-                            new, ripe = r_i + w, ripe_joins[j][v]
-                        else:
-                            ripe = 1 in map(add, rest, [sum(map(new.count, g)) for g in pairs])
-                        queue.append((node, i, j, v, new))
-                        if not (ripe and settle()):
+                        if cancel != last:  # never ripe, so never tried
+                            queue.append((node, i, j, v, r_i + w))
                             continue
-                        q = relators[:i] + (new,) + relators[i + 1 :]
-                        plan = removal_plan(_unpack(p, names, q))
+                        queue.append((node, i, j, v, new))
+                        state = others + new
+                        if 1 not in [state.count(a) + state.count(b) for a, b in pairs] or not settle():
+                            continue
+                        plan = removal_plan(p.generators, relators[:i] + (new,) + relators[i + 1 :])
                         if plan is not None:
                             steps = node[1] + ((i, j, *variants[v]),)
                             moves = [m for step in steps for m in _compound_move(*step)]
@@ -442,14 +433,6 @@ def ac_trivialize_search(
             settle()
         frontier = next_frontier
     return Budget() if truncated or grew or full else Exhausted()
-
-
-def _unpack(p: ACPresentation, names: list[str], relators: tuple[str, ...]) -> ACPresentation:
-    """The presentation on the generators of ``p`` with the packed
-    ``relators``, whose codes rank the sorted ``names``."""
-    words = (((names[ord(c) >> 1], len(list(run)) * (1 if ord(c) & 1 else -1))
-              for c, run in groupby(r)) for r in relators)
-    return ACPresentation(p.generators, tuple(Word(tuple(w)) for w in words))
 
 
 def _verified_found(p: ACPresentation, moves: tuple[ACMove, ...]) -> Found:

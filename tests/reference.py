@@ -19,9 +19,12 @@ another way:
 * ``match_wirtinger_reference``, the Wirtinger relator matcher that
   tries every rotation of both orientations, against the one scan over
   centres of ``presentations._match_wirtinger``;
+* ``removal_plan_reference``, the pair-removal plan spelled by applying
+  each move to ``Word`` relators, against ``acmoves.removal_plan``, which
+  spells it from the packed code strings;
 * ``ac_trivialize_search_reference``, the Andrews-Curtis search on
-  ``Word`` relators, against the packed-letter
-  ``acmoves.ac_trivialize_search``;
+  ``Word`` relators that tries ``removal_plan_reference`` on every new
+  state, against the packed-letter ``acmoves.ac_trivialize_search``;
 * ``todd_coxeter_reference``, coset enumeration on a union-find table,
   against the flat-table ``cosets.todd_coxeter``;
 * ``act`` and ``trace``, the action of words on a closed coset table;
@@ -72,7 +75,7 @@ from ribbonknots.acmoves import (
     Multiply,
     RemovePair,
     SearchOutcome,
-    removal_plan,
+    apply_move,
     verify_move_sequence,
 )
 from ribbonknots.constructions import KnotModuleSpec, RealizationResult
@@ -386,13 +389,50 @@ def _successors(
     return out, pruned
 
 
+def removal_plan_reference(p: ACPresentation) -> Optional[tuple[ACMove, ...]]:
+    """Explicit move list (Invert/Conjugate rotations + RemovePair) that
+    empties ``p`` by repeated pair removal, or None when stuck, applying
+    each move to ``Word`` relators.
+
+    A pair is ripe when its generator occurs exactly once in the whole
+    presentation; the first ripe generator in presentation order goes
+    first, and single-letter conjugations rotate its relator until it
+    starts with the generator.
+    """
+    moves: list[ACMove] = []
+    while not p.is_empty():
+        ripe = None
+        for name in p.generators:
+            count = sum(
+                sum(abs(e) for g, e in r.syllables if g == name) for r in p.relators
+            )
+            if count == 1:
+                ripe = name
+                break
+        if ripe is None:
+            return None
+        k = next(i for i, r in enumerate(p.relators) if ripe in r.generators())
+        # Orient the single occurrence positively.
+        if next(e for g, e in p.relators[k].syllables if g == ripe) < 0:
+            moves.append(Invert(k))
+            p = apply_move(p, moves[-1])
+        while p.relators[k].syllables[0][0] != ripe:
+            g0, e0 = p.relators[k].syllables[0]
+            moves.append(Conjugate(k, g0, -1 if e0 > 0 else 1))
+            p = apply_move(p, moves[-1])
+        moves.append(RemovePair(ripe))
+        p = apply_move(p, moves[-1])
+    return tuple(moves)
+
+
 def ac_trivialize_search_reference(
     p: ACPresentation, max_total_length: int, max_depth: int
 ) -> SearchOutcome:
     """Breadth-first AC search on ``Word`` relators, in the expansion
     order of ``acmoves.ac_trivialize_search``: every successor is built
     as a full presentation with its move list, keyed by
-    ``canonical_form_reference`` and tried with ``removal_plan``."""
+    ``canonical_form_reference`` and tried with
+    ``removal_plan_reference``."""
     if max_total_length < 1 or max_depth < 1:
         raise ValueError("bounds must be positive")
     if p.total_length() > max_total_length:
@@ -402,7 +442,7 @@ def ac_trivialize_search_reference(
     frontier: list[tuple[ACPresentation, tuple[ACMove, ...]]] = [(p, ())]
     truncated = False
 
-    plan = removal_plan(p)
+    plan = removal_plan_reference(p)
     if plan is not None:
         assert verify_move_sequence(p, plan)
         return Found(plan)
@@ -420,7 +460,7 @@ def ac_trivialize_search_reference(
                     continue
                 seen.add(key)
                 full = path + moves
-                plan = removal_plan(q)
+                plan = removal_plan_reference(q)
                 if plan is not None:
                     assert verify_move_sequence(p, full + plan)
                     return Found(full + plan)

@@ -165,10 +165,15 @@ def test_pack_codes_follow_name_then_sign():
 
 def test_removal_plan_trivial_cases():
     p = ACPresentation(("x",), (gen("x"),))
-    plan = removal_plan(p)
+    plan = removal_plan(p.generators, pack(p).relators)
     assert plan is not None and verify_move_sequence(p, plan)
     stuck = ACPresentation(("x",), (gen("x", 2),))
-    assert removal_plan(stuck) is None
+    assert removal_plan(stuck.generators, pack(stuck).relators) is None
+    # y occurs once, negatively, inside a conjugate: invert to x y x^-1,
+    # then one rotation, which cancels the conjugating x ... x^-1
+    q = ACPresentation(("y", "x"), (parse_word("x y^-1 x^-1"), gen("x")))
+    assert removal_plan(q.generators, pack(q).relators) == (
+        Invert(0), Conjugate(0, "x", -1), RemovePair("y"), RemovePair("x"))
 
 
 def test_search_found_cases():
@@ -317,6 +322,18 @@ def test_search_reduces_only_cancelling_joins(corpus, monkeypatch):
     trotter = parse_presentation((corpus / "trotter_2.pres").read_text())
     assert ac_trivialize_search(kill_meridian(trotter, "t"), 32, 3) == Budget()
     assert len(calls) <= 1200
+
+
+def test_search_tries_no_plan_on_a_join_that_cancels_nothing(monkeypatch):
+    """(a^2, b^-1) has b occurring once but no plan.  A join that cancels
+    nothing, such as (a^2, b^-1 a^2), makes a generator occur once only
+    where its state had one, so only the start state is tried."""
+    import ribbonknots.acmoves as acmoves
+
+    calls, _ = count_calls(monkeypatch, acmoves.removal_plan)
+    p = ACPresentation(("a", "b"), (gen("a", 2), gen("b", -1)))
+    assert ac_trivialize_search(p, 9, 1) == ac_trivialize_search_reference(p, 9, 1)
+    assert len(calls) == 1
 
 
 def test_search_deterministic_and_worker_independent():

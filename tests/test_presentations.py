@@ -24,7 +24,16 @@ from ribbonknots.presentations import (
     parse_tietze_script,
     weight_vector,
 )
-from ribbonknots.words import IDENTITY, cyclic_letters, gen, normalize, parse_word, power
+from ribbonknots.words import (
+    IDENTITY,
+    cyclic_letters,
+    gen,
+    inverse,
+    normalize,
+    parse_word,
+    power,
+    product,
+)
 from reference import dense, exponent_sums, match_wirtinger_reference
 
 TREFOIL = parse_presentation(
@@ -112,6 +121,62 @@ def test_wirtinger_matcher_matches_reference_on_long_relators():
     assert isinstance(is_wirtinger(degree_40), LOG)
     periodic_p = Presentation(("a", "b", "x", "y", "z"), (periodic,))
     assert isinstance(is_wirtinger(periodic_p), NotWirtinger)
+
+
+class CountedLetter(tuple):
+    """A letter that counts how often it is compared or unpacked."""
+
+    reads = 0
+
+    def __eq__(self, other):
+        CountedLetter.reads += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __iter__(self):
+        CountedLetter.reads += 1
+        return tuple.__iter__(self)
+
+
+def nested_label(length: int) -> list:
+    """The first ``length`` letters of x, x y x^-1, x y x^-1 z x y^-1 x^-1,
+    ...: each level is w g w^-1, g one of z, u, v, y in turn."""
+    w = [("x", 1)]
+    while len(w) < length:
+        w += [("yzuv"[len(w).bit_length() % 4], 1)] + [(g, -e) for g, e in reversed(w)]
+    return w[:length]
+
+
+def random_label(length: int, rng: random.Random) -> list:
+    w: list = []
+    while len(w) < length:
+        letter = (rng.choice("xyz"), rng.choice((1, -1)))
+        if not w or w[-1] != (letter[0], -letter[1]):
+            w.append(letter)
+    return w
+
+
+def test_wirtinger_matcher_work_grows_linearly():
+    """Letter reads of ``_match_wirtinger`` (comparisons and unpackings)
+    on relators a w b^-1 w^-1 of 100 to 1,600 letters grow at most 2.3x
+    per doubling: four random labels w per length, and the nested label.
+    The centre scan reads each letter about 3.5 and 5 times.  The matcher
+    keeps the counted letters in its ring, so each centre-loop comparison
+    counts; a matcher that builds every rotation and its label's inverse
+    unpacks about n^2 / 4 letters (4x per doubling on random labels)."""
+    rng = random.Random(0)
+    for labels in ([lambda n: random_label(n, rng)] * 4, [nested_label]):
+        reads = []
+        for n in (100, 200, 400, 800, 1600):
+            CountedLetter.reads = 0
+            for label in labels:
+                w = normalize(label(n // 2 - 1))
+                letters = cyclic_letters(product(gen("a"), w, gen("b", -1), inverse(w)))
+                assert len(letters) == n
+                assert _match_wirtinger(tuple(map(CountedLetter, letters))) is not None
+            reads.append(CountedLetter.reads)
+        assert all(b <= 2.3 * a for a, b in zip(reads, reads[1:])), reads
 
 
 def test_expand_length1():

@@ -2,12 +2,14 @@
 of the Wirtinger matcher against its every-rotation reference, of the
 packed-letter AC search against its Word-based reference (its least
 rotation against every slice, its direct conjugation against two
-reduced products), of the flat-table Todd-Coxeter enumeration against
-its union-find one, of the one-pass Alexander matrix, of the sparse
-cokernel invariants (on matrices mostly of units, too) against sympy
-and against their full-rescan reference, pivot for pivot, of the
-abelianized cover rows against the rewritten cover presentation, and
-of the peeling determinant over Z[t, t^-1]."""
+reduced products, its removal plan against the Word-level planner, and
+the lemma that lets it skip joins that cancel nothing), of the
+flat-table Todd-Coxeter enumeration against its union-find one, of the
+one-pass Alexander matrix, of the sparse cokernel invariants (on
+matrices mostly of units, too) against sympy and against their
+full-rescan reference, pivot for pivot, of the abelianized cover rows
+against the rewritten cover presentation, and of the peeling
+determinant over Z[t, t^-1]."""
 
 import random
 from collections import Counter
@@ -21,10 +23,12 @@ import reference  # noqa: E402
 from ribbonknots import acmoves  # noqa: E402
 from ribbonknots.acmoves import (  # noqa: E402
     ACPresentation,
+    Multiply,
     _conjugate,
     _least_rotation,
     _reduced_product,
     ac_trivialize_search,
+    apply_moves,
     canonical_form,
     pack,
     removal_plan,
@@ -56,6 +60,7 @@ from ribbonknots.presentations import (  # noqa: E402
     weight_vector,
 )
 from ribbonknots.words import (  # noqa: E402
+    IDENTITY,
     Word,
     cyclic_letters,
     gen,
@@ -66,6 +71,7 @@ from ribbonknots.words import (  # noqa: E402
     substitute,
 )
 from reference import (  # noqa: E402
+    _successors,
     abelianize_to_lambda,
     ac_trivialize_search_reference,
     canonical_form_reference,
@@ -78,6 +84,7 @@ from reference import (  # noqa: E402
     matmul,
     random_unimodular,
     record_cokernel_calls,
+    removal_plan_reference,
     todd_coxeter_reference,
     unit_block_matrix,
 )
@@ -128,13 +135,31 @@ def test_canonical_form_invariant_under_rotation_and_inversion(rels, k, invert, 
 
 
 def balanced(max_size=3):
-    """Balanced presentations on 2 or 3 of GENS with short relators."""
-    def on(n):
-        syllable = st.tuples(st.sampled_from(GENS[:n]), st.integers(-2, 2).filter(bool))
+    """Balanced presentations on 2 or 3 of GENS, in any order, with short
+    relators: presentation order and code rank (sorted order) differ."""
+    def on(gens):
+        syllable = st.tuples(st.sampled_from(gens), st.integers(-2, 2).filter(bool))
         relator = st.lists(syllable, max_size=max_size).map(normalize)
-        return st.lists(relator, min_size=n, max_size=n).map(
-            lambda rels: ACPresentation(GENS[:n], tuple(rels)))
-    return st.integers(2, 3).flatmap(on)
+        return st.lists(relator, min_size=len(gens), max_size=len(gens)).map(
+            lambda rels: ACPresentation(gens, tuple(rels)))
+    return st.tuples(st.integers(2, 3), st.permutations(GENS)).flatmap(
+        lambda t: on(tuple(t[1][: t[0]])))
+
+
+@st.composite
+def removable(draw):
+    """Balanced presentations that pair removal empties: the relator of
+    the k-th generator removed is u g^+-1 v, u and v words in the
+    generators removed after it (v often u^-1, so rotations cancel), in
+    shuffled generator and relator order."""
+    order = draw(st.permutations(GENS))[: draw(st.integers(1, 3))]
+    rels = []
+    for k, g in enumerate(order):
+        later = order[k + 1 :]
+        u = draw(words(later, max_size=3)) if later else IDENTITY
+        v = draw(st.one_of(words(later, max_size=3), st.just(inverse(u)))) if later else IDENTITY
+        rels.append(product(u, gen(g, draw(st.sampled_from((1, -1)))), v))
+    return ACPresentation(tuple(draw(st.permutations(order))), tuple(draw(st.permutations(rels))))
 
 
 @PROPERTY
@@ -159,25 +184,63 @@ def ripe(q: ACPresentation) -> bool:
     return 1 in counts.values()
 
 
+def cancels(node: ACPresentation, moves: tuple, q: ACPresentation) -> bool:
+    """Whether the join R_i *= c . R_j^e . c^-1 that ``moves`` spell
+    from ``node`` to ``q`` cancels letters."""
+    k = next(k for k, m in enumerate(moves) if isinstance(m, Multiply))
+    i, j = moves[k].i, moves[k].j
+    factor = apply_moves(node, moves[:k]).relators[j]
+    return len(q.relators[i]) < len(node.relators[i]) + len(factor)
+
+
+@PROPERTY
+@given(st.one_of(balanced(), removable()))
+def test_removal_plan_matches_word_reference(p):
+    """Spelled from the packed strings or by applying each move to
+    ``Word`` relators, the plan is the same move list, or None for both."""
+    assert removal_plan(p.generators, pack(p).relators) == removal_plan_reference(p)
+
+
+@PROPERTY
+@given(balanced())
+def test_a_join_that_cancels_nothing_is_no_new_ripe_state(p):
+    """A join that cancels nothing makes a generator occur once only if
+    its state has one, and has a plan only if its state has one."""
+    stuck = removal_plan_reference(p) is None
+    successors, _ = _successors(p, 10**6)
+    for moves, q in successors:
+        if not cancels(p, moves, q):
+            assert ripe(p) or not ripe(q)
+            assert not stuck or removal_plan_reference(q) is None
+
+
 @PROPERTY
 @given(balanced(), st.integers(1, 10), st.integers(1, 3))
 def test_ac_search_tries_a_plan_on_each_new_ripe_state(p, max_len, depth):
     """The packed search tries ``removal_plan`` on the start and then on
-    exactly the new states, in the reference's order, in which some
-    generator occurs once, whether or not the join built it cancels."""
+    exactly the new states, in the reference's order, that a join
+    cancelling letters built and in which some generator occurs once."""
     tried: dict[str, list] = {"packed": [], "reference": []}
+    built_by_cancelling: dict[int, ACPresentation] = {}  # by id, kept alive so ids stay unique
 
-    def recording(side, keep):
-        def plan(q):
-            if keep(q):
-                tried[side].append(q)
-            return removal_plan(q)
-        return plan
+    def successors(node, max_total_length):
+        out, pruned = _successors(node, max_total_length)
+        built_by_cancelling.update((id(q), q) for moves, q in out if cancels(node, moves, q))
+        return out, pruned
+
+    def packed(generators, relators):
+        tried["packed"].append((generators, relators))
+        return removal_plan(generators, relators)
+
+    def word(q):
+        if not tried["reference"] or (id(q) in built_by_cancelling and ripe(q)):
+            tried["reference"].append((q.generators, pack(q).relators))
+        return removal_plan_reference(q)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acmoves, "removal_plan", recording("packed", lambda q: True))
-        mp.setattr(reference, "removal_plan",
-                   recording("reference", lambda q: not tried["reference"] or ripe(q)))
+        mp.setattr(acmoves, "removal_plan", packed)
+        mp.setattr(reference, "_successors", successors)
+        mp.setattr(reference, "removal_plan_reference", word)
         assert ac_trivialize_search(p, max_len, depth) == ac_trivialize_search_reference(
             p, max_len, depth)
     assert tried["packed"] == tried["reference"]
