@@ -11,10 +11,12 @@ comparing them is the main correctness oracle of this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence, Union
 
 from .constructions import KnotModuleSpec
-from .intlinalg import AbelianGroupInvariants, cokernel_invariants
+from .intlinalg import AbelianGroupInvariants, Matrix, cokernel_invariants, matrix
+from .laurent import LaurentPoly
 from .presentations import Presentation, weight_vector
 from .words import Word, normalize
 
@@ -113,29 +115,67 @@ def cover_homology(
 
 
 def module_cover_homology(spec: KnotModuleSpec, n: int) -> AbelianGroupInvariants:
-    """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone.
+    """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone
+    (the Z is the image of the weight map), as one block-diagonal cokernel.
 
-    Substitutes the N x N cyclic shift matrix for t in the module's
-    presentation matrix B (Kronecker substitution) and takes the integer
-    cokernel; the extra Z is the image of the weight map.  Sparse row
-    (i, a) has ``c`` at column ``j N + (a + e) mod N`` for each term
-    ``c t^e`` of ``B[i][j]`` (terms equal mod N added).
+    Where t acts on Z^d by a known T (``taction``; I + M for ``tminus1``;
+    a summand's :func:`_companion`), the block is ``T^N - I``, d x d.
+    Elsewhere the N x N cyclic shift replaces t in the presentation matrix
+    B (Kronecker substitution): sparse row (i, a) has ``c`` at column
+    ``j N + (a + e) mod N`` for each term ``c t^e`` of ``B[i][j]`` (terms
+    equal mod N added).
     """
     if n < 1:
         raise ValueError("cover order must be >= 1")
-    b = spec.presentation_matrix()
+    if spec.kind in ("cyclic", "sum"):
+        blocks = [_companion(alpha, n) for alpha in spec.polys]
+    elif spec.kind in ("taction", "tminus1"):
+        blocks = [[[x + (i == j and spec.kind == "tminus1") for j, x in enumerate(r)]
+                   for i, r in enumerate(spec.matrix.entries)]]
+    else:
+        blocks = [spec.presentation_matrix()]
     rows: list[dict[int, int]] = []
-    for entries in b.entries:
-        terms = []
-        for j, entry in enumerate(entries):
-            if entry.coeffs:
+    cols = 0
+    for block in blocks:
+        if isinstance(block, list):
+            rows += [{cols + j: x - (i == j) for j, x in enumerate(r) if x != (i == j)}
+                     for i, r in enumerate(_power(block, n))]
+            cols += len(block)
+            continue
+        for entries in block.entries:
+            terms = []
+            for j, entry in enumerate(entries):
                 folded: dict[int, int] = {}
                 for e, c in entry.terms():
                     folded[e % n] = folded.get(e % n, 0) + c
-                terms += [(j * n, e, c) for e, c in folded.items() if c]
-        rows += [{j + (a + e) % n: c for j, e, c in terms} for a in range(n)]
-    coker = cokernel_invariants(rows, b.rows * n)
+                terms += [(cols + j * n, e, c) for e, c in folded.items() if c]
+            rows += [{j + (a + e) % n: c for j, e, c in terms} for a in range(n)]
+        cols += block.rows * n
+    coker = cokernel_invariants(rows, cols)
     return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
+
+
+def _companion(alpha: LaurentPoly, n: int) -> Union[list[list[int]], Matrix]:
+    """How t acts on Z[t] / (alpha), basis 1, t, ..., t^(d-1), if deg alpha
+    = d < N and alpha, or alpha reversed (t -> 1/t is a ring automorphism
+    mod t^N - 1), has top coefficient ±1; else the 1 x 1 matrix (alpha)."""
+    c = alpha.coeffs
+    if c and abs(c[-1]) != 1:
+        c = c[::-1]
+    if not c or abs(c[-1]) != 1 or len(c) > n:
+        return matrix([[alpha]])
+    d = len(c) - 1
+    return [[int(j == i + 1) for j in range(d)] if i < d - 1 else [-c[-1] * x for x in c[:-1]]
+            for i in range(d)]
+
+
+def _power(a: list[list[int]], n: int) -> list[list[int]]:
+    """``a^n`` for a square integer matrix, by left-to-right binary powering."""
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for bit in bin(n)[2:]:
+        for b in [out, a][: 1 + int(bit)]:  # square; times a on a 1 bit
+            out = [[sum(map(mul, row, col)) for col in zip(*b)] for row in out]
+    return out
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,11 @@ another way:
   the generators once per presentation;
 * ``kronecker_matrix``, the dense rN x rN integer matrix of a module at
   cover order N, against the sparse rows that
-  ``covers.module_cover_homology`` builds;
+  ``covers.module_cover_homology`` builds where no t-action is known
+  (Trotter; a summand of degree >= N or with no unit end coefficient),
+  and as the oracle for its ``T^N - I`` blocks where one is;
+  ``t_action``, the matrix of t on a Z-free module (a cyclic one's by
+  long division), against those blocks, row for row;
 * ``cokernel_of``, ``dense`` and ``record_cokernel_calls``, which hand a
   dense matrix to ``intlinalg.cokernel_invariants`` as the sparse rows
   it consumes, turn such rows back into a matrix, and record the rows
@@ -938,6 +942,30 @@ def kronecker_matrix(spec: KnotModuleSpec, n: int) -> Matrix:
                 for a in range(n):
                     grid[i * n + a][j * n + (a + e) % n] += c
     return matrix(grid, cols=r * n)
+
+
+def t_action(spec: KnotModuleSpec) -> Matrix:
+    """The matrix of t on a module that is Z^d, row k the image of basis
+    vector k: T (``taction``), I + M (``tminus1``), or for the cyclic
+    module of an alpha with top coefficient +-1, t^(k+1) reduced mod
+    alpha by long division, in the basis 1, t, ..., t^(d-1)."""
+    if spec.kind != "cyclic":
+        one = int(spec.kind == "tminus1")
+        m = spec.matrix
+        return matrix([[m[i, j] + one * (i == j) for j in range(m.cols)] for i in range(m.rows)])
+    (alpha,) = spec.polys
+    c = alpha.coeffs
+    d = len(c) - 1
+    rows = []
+    for k in range(1, d + 1):
+        x = [0] * k + [1]  # t^k
+        while len(x) > d:  # subtract x[-1] / c[-1] times t^(len(x) - 1 - d) alpha
+            q = x[-1] * c[-1]
+            for i, a in enumerate(c):
+                x[len(x) - 1 - d + i] -= q * a
+            assert x.pop() == 0
+        rows.append(x + [0] * (d - len(x)))
+    return matrix(rows, cols=d)
 
 
 def cokernel_of(m: Matrix, work: Counter | None = None) -> AbelianGroupInvariants:

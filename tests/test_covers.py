@@ -26,7 +26,9 @@ from reference import (
     count_calls,
     dense,
     kronecker_matrix,
+    matmul,
     record_cokernel_calls,
+    t_action,
 )
 
 SPUN_TREFOIL = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
@@ -164,20 +166,56 @@ def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order(mo
 
 @pytest.mark.parametrize("n", (1, 2, 3, 6, 7, 12, 24))
 def test_module_rows_match_dense_kronecker_reference(n, corpus, monkeypatch):
-    # Row (i, a) of the sparse rows is row i N + a of the dense grid, entry
-    # for entry; at 6 | N the spun trefoil's matrix is singular.
+    # Where the module side substitutes the N x N shift for t (Trotter, and
+    # the spun trefoil at N <= 2, its degree), row (i, a) of the sparse rows
+    # is row i N + a of the dense grid, entry for entry.  Elsewhere the rows
+    # are T^N - I, T^N taken as N products with the reference t-action; at
+    # 6 | N the spun trefoil's T^N - I is zero.
     handed = record_cokernel_calls(monkeypatch)
+    kronecker = 0
     for _, spec in cover_cases(corpus):
         module_cover_homology(spec, n)
         rows, cols, _ = handed.pop()
-        assert dense(rows, cols) == kronecker_matrix(spec, n)
         assert all(0 not in row.values() for row in rows)
+        if spec.kind == "trotter" or spec.kind == "cyclic" and len(spec.polys[0].coeffs) > n:
+            kronecker += 1
+            assert dense(rows, cols) == kronecker_matrix(spec, n)
+            continue
+        t = t_action(spec)
+        power = matrix([[int(i == j) for j in range(t.cols)] for i in range(t.rows)])
+        for _ in range(n):
+            power = matmul(power, t)
+        want = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(power.entries)]
+        assert dense(rows, cols) == matrix(want)
+    assert kronecker == (3 if n <= 2 else 2)
+
+
+def test_module_side_of_a_z_free_module_does_not_grow_with_the_order(corpus, monkeypatch):
+    # A module that is Z^d with t acting by T hands cokernel_invariants the
+    # d x d rows of T^N - I: 4 entries on N = 8 -> 1024 for each of these
+    # rank-2 modules, where the Kronecker rows held 24 -> 3,072 (spun
+    # trefoil).  Their bits grow with the spectral radius of T: 11, 22,
+    # 44, ..., 1,422 for lemma4 (the golden ratio), 2 throughout for the
+    # other two (T^6 = I).
+    handed = record_cokernel_calls(monkeypatch)
+    for name in ("lemma4_companion", "lemma3_companion", "spun_trefoil"):
+        _, spec = corpus_case(corpus, name)
+        d = t_action(spec).rows
+        counts, bits = [], []
+        for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+            module_cover_homology(spec, n)
+            rows, _, _ = handed.pop()
+            counts.append(sum(map(len, rows)))
+            bits.append(max(abs(x).bit_length() for row in rows for x in row.values()))
+        assert max(counts) <= d * d, (name, counts)
+        assert all(b1 <= 2.2 * b0 for b0, b1 in zip(bits, bits[1:])), (name, bits)
 
 
 def test_cover_work_grows_linearly_in_the_order(corpus, monkeypatch):
     # Entries handed to cokernel_invariants by each side on the ladder
-    # N = 8, 16, 32, 64: linear in N (spun trefoil: 27, 51, 99, 195 group,
-    # 24, 48, 96, 192 module), where a dense grid grows 4x per doubling.
+    # N = 8, 16, 32, 64: linear in N (spun trefoil: 27, 51, 99, 195 group;
+    # trotter_2: 16, 32, 64, 128 module, where the Z-free modules hand a
+    # constant 4), where a dense grid grows 4x per doubling.
     cases = [corpus_case(corpus, name) for name in ("spun_trefoil", "lemma4_companion", "trotter_2")]
     weights = [weight_vector(p) for p, _ in cases]
     normalized, patched = count_calls(monkeypatch, words.normalize)

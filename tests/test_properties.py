@@ -8,8 +8,9 @@ flat-table Todd-Coxeter enumeration against its union-find one, of the
 one-pass Alexander matrix, of the sparse cokernel invariants (on
 matrices mostly of units, too) against sympy and against their
 full-rescan reference, pivot for pivot, of the abelianized cover rows
-against the rewritten cover presentation, and of the peeling
-determinant over Z[t, t^-1]."""
+against the rewritten cover presentation, of the module side of cover
+homology (T^N - I where t has a known action) against the cokernel of
+the Kronecker matrix, and of the peeling determinant over Z[t, t^-1]."""
 
 import random
 from collections import Counter
@@ -17,7 +18,7 @@ from collections import Counter
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import reference  # noqa: E402
 from ribbonknots import acmoves  # noqa: E402
@@ -35,11 +36,16 @@ from ribbonknots.acmoves import (  # noqa: E402
 )
 from ribbonknots.constructions import (  # noqa: E402
     AdmissibilityError,
+    KnotModuleSpec,
     realize_lemma4,
     realize_trotter,
 )
 from ribbonknots.cosets import todd_coxeter  # noqa: E402
-from ribbonknots.covers import cover_homology, cyclic_cover_presentation  # noqa: E402
+from ribbonknots.covers import (  # noqa: E402
+    cover_homology,
+    cyclic_cover_presentation,
+    module_cover_homology,
+)
 from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
@@ -79,6 +85,7 @@ from reference import (  # noqa: E402
     cokernel_of,
     dense,
     fox_derivative,
+    kronecker_matrix,
     least_rotation_reference,
     match_wirtinger_reference,
     matmul,
@@ -147,12 +154,12 @@ def balanced(max_size=3):
 
 
 @st.composite
-def removable(draw):
-    """Balanced presentations that pair removal empties: the relator of
-    the k-th generator removed is u g^+-1 v, u and v words in the
-    generators removed after it (v often u^-1, so rotations cancel), in
-    shuffled generator and relator order."""
-    order = draw(st.permutations(GENS))[: draw(st.integers(1, 3))]
+def removable(draw, least=1):
+    """Balanced presentations on ``least`` to 3 generators that pair
+    removal empties: the relator of the k-th generator removed is
+    u g^+-1 v, u and v words in the generators removed after it (v often
+    u^-1, so rotations cancel), in shuffled generator and relator order."""
+    order = draw(st.permutations(GENS))[: draw(st.integers(least, 3))]
     rels = []
     for k, g in enumerate(order):
         later = order[k + 1 :]
@@ -160,6 +167,25 @@ def removable(draw):
         v = draw(st.one_of(words(later, max_size=3), st.just(inverse(u)))) if later else IDENTITY
         rels.append(product(u, gen(g, draw(st.sampled_from((1, -1)))), v))
     return ACPresentation(tuple(draw(st.permutations(order))), tuple(draw(st.permutations(rels))))
+
+
+@st.composite
+def scrambled(draw):
+    """A ``removable()`` presentation on 2 or 3 generators after one or two
+    random joins R_i *= c . R_j^e . c^-1 (c none or one letter), with a
+    length bound from its total length to 6 more, whose start has no
+    removal plan: the search can undo a join by a cancelling one, so it
+    reaches ripe states past the start."""
+    p = draw(removable(least=2))
+    conjugators = [IDENTITY] + [gen(g, s) for g in p.generators for s in (1, -1)]
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = draw(st.permutations(range(len(p.relators))))[:2]
+        c = draw(st.sampled_from(conjugators))
+        w = product(c, power(p.relators[j], draw(st.sampled_from((1, -1)))), inverse(c))
+        relators = p.relators[:i] + (product(p.relators[i], w),) + p.relators[i + 1 :]
+        p = ACPresentation(p.generators, relators)
+    assume(removal_plan_reference(p) is None)  # else the start is all the search tries
+    return p, draw(st.integers(p.total_length(), p.total_length() + 6))
 
 
 @PROPERTY
@@ -215,11 +241,12 @@ def test_a_join_that_cancels_nothing_is_no_new_ripe_state(p):
 
 
 @PROPERTY
-@given(balanced(), st.integers(1, 10), st.integers(1, 3))
-def test_ac_search_tries_a_plan_on_each_new_ripe_state(p, max_len, depth):
+@given(st.one_of(st.tuples(balanced(), st.integers(1, 10)), scrambled()), st.integers(1, 3))
+def test_ac_search_tries_a_plan_on_each_new_ripe_state(case, depth):
     """The packed search tries ``removal_plan`` on the start and then on
     exactly the new states, in the reference's order, that a join
     cancelling letters built and in which some generator occurs once."""
+    p, max_len = case
     tried: dict[str, list] = {"packed": [], "reference": []}
     built_by_cancelling: dict[int, ACPresentation] = {}  # by id, kept alive so ids stay unique
 
@@ -548,6 +575,61 @@ def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
     q = cyclic_cover_presentation(p, n, weights)
     assert cols == len(q.generators) and len(rows) == len(q.relators)
     assert dense(rows, cols) == dense(exponent_rows(q), cols)
+
+
+UNITS = st.sampled_from((-1, 1))
+NONUNITS = st.sampled_from((-3, -2, 2, 3))
+
+
+@st.composite
+def summands(draw):
+    """A polynomial of degree 0 to 6 whose top coefficient is ±1, or
+    whose only unit coefficient is the constant one (the reversed
+    companion), or with no unit end coefficient (Kronecker rows at every
+    N); its low exponent may be nonzero."""
+    d = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("top", "constant", "neither")))
+    inner = st.integers(-3, 3) if kind == "top" else st.sampled_from((-3, -2, 0, 2, 3))
+    coeffs = draw(st.lists(inner, min_size=d + 1, max_size=d + 1))
+    ends = {"top": inner.filter(bool), "constant": UNITS, "neither": NONUNITS}
+    coeffs[0] = draw(ends[kind])
+    if d or kind == "top":
+        coeffs[-1] = draw(UNITS if kind == "top" else NONUNITS)
+    return from_coeffs(coeffs, draw(st.integers(-2, 2)))
+
+
+SPUN_TREFOIL_MODULE = KnotModuleSpec("cyclic", polys=(from_coeffs([1, -1, 1]),))
+
+
+@st.composite
+def module_orders(draw):
+    """A module spec and a cover order N in 1..64: a ``taction`` or
+    ``tminus1`` matrix of rank 1 to 3 (any integer matrix: the identity
+    needs no unimodularity), a ``cyclic`` summand, a ``sum`` of 2 or 3
+    (companion and Kronecker blocks mixed, as N falls below some degrees),
+    or the spun trefoil at 6 | N, whose cover module is free of rank 2."""
+    kind = draw(st.sampled_from(("taction", "tminus1", "cyclic", "sum", "spun")))
+    if kind == "spun":
+        return SPUN_TREFOIL_MODULE, 6 * draw(st.integers(1, 10))
+    n = draw(st.integers(1, 64))
+    if kind in ("cyclic", "sum"):
+        count = 1 if kind == "cyclic" else draw(st.integers(2, 3))
+        return KnotModuleSpec(kind, polys=tuple(draw(summands()) for _ in range(count))), n
+    r = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+    grid = draw(st.lists(row, min_size=r, max_size=r))
+    return KnotModuleSpec(kind, matrix=matrix(grid)), n
+
+
+@settings(PROPERTY, max_examples=300)  # about 4 ms an example
+@given(module_orders())
+def test_module_cover_homology_matches_the_kronecker_cokernel(case):
+    """Z plus the cokernel of the module's presentation matrix with the
+    N x N shift for t, by the full-rescan reference elimination."""
+    spec, n = case
+    coker = cokernel_invariants_reference(kronecker_matrix(spec, n))
+    want = AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
+    assert module_cover_homology(spec, n) == want
 
 
 # Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
