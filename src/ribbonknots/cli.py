@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import acmoves, constructions, covers, fox
-from .cosets import todd_coxeter, weight_one_certificate
+from .cosets import MAX_COSETS, todd_coxeter, weight_one_certificate
 from .intlinalg import parse_matrix
 from .laurent import (
     det_lambda,
@@ -45,7 +45,8 @@ EXIT_INPUT = 3
 
 
 class CLIError(Exception):
-    """Input or usage problem; maps to exit code 3."""
+    """Input or usage problem; maps to exit code 3, as a library ValueError
+    does in :func:`main`.  The path-prefixing loaders pass it unchanged."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +152,7 @@ def build_parser() -> _Parser:
     p_tc.add_argument(
         "--subgroup", default="", help="subgroup generator words, ';'-separated"
     )
-    p_tc.add_argument("--max-cosets", type=_positive_int, default=10_000)
+    p_tc.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS)
 
     p_ac = sub.add_parser("ac-search", help="bounded Andrews-Curtis trivialization search")
     p_ac.add_argument("presentation")
@@ -176,7 +177,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--module", required=True, help="module-spec file")
     p_verify.add_argument("-N", "--orders", required=True, help="e.g. 2,3,4")
     p_verify.add_argument("--meridian", required=True)
-    p_verify.add_argument("--max-cosets", type=_positive_int, default=10_000)
+    p_verify.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS)
 
     return parser
 
@@ -187,21 +188,18 @@ def _cmd_realize(args) -> int:
             raise CLIError(f"realize {args.construction} needs --coeffs")
     elif not args.matrix:
         raise CLIError(f"realize {args.construction} needs --matrix")
-    try:
-        if args.construction == "cyclic":
-            result = constructions.realize_cyclic(parse_coeffs(args.coeffs))
-        elif args.construction == "sum":
-            polys = [parse_coeffs(part) for part in args.coeffs.split(";")]
-            result = constructions.realize_sum(polys)
-        else:
-            builder = {
-                "trotter": constructions.realize_trotter,
-                "lemma4": constructions.realize_lemma4,
-                "lemma3": constructions.realize_lemma3_group,
-            }[args.construction]
-            result = builder(parse_matrix(_read(args.matrix)))
-    except ValueError as exc:  # AdmissibilityError included
-        raise CLIError(str(exc))
+    if args.construction == "cyclic":
+        result = constructions.realize_cyclic(parse_coeffs(args.coeffs))
+    elif args.construction == "sum":
+        polys = [parse_coeffs(part) for part in args.coeffs.split(";")]
+        result = constructions.realize_sum(polys)
+    else:
+        builder = {
+            "trotter": constructions.realize_trotter,
+            "lemma4": constructions.realize_lemma4,
+            "lemma3": constructions.realize_lemma3_group,
+        }[args.construction]
+        result = builder(parse_matrix(_read(args.matrix)))
 
     want_wirtinger = args.emit in ("wirtinger", "both")
     if want_wirtinger and not result.wirtinger_available:
@@ -229,11 +227,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_alex(args) -> int:
     p = _load_presentation(args.presentation)
-    try:
-        poly = fox.alexander_polynomial(p)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    print(format_poly_line(poly))
+    print(format_poly_line(fox.alexander_polynomial(p)))
     return EXIT_OK
 
 
@@ -241,10 +235,7 @@ def _cmd_covers(args) -> int:
     p = _load_presentation(args.presentation)
     orders = _parse_orders(args.orders)
     spec = _load_module_spec(args.module) if args.module else None
-    try:
-        weights = weight_vector(p)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    weights = weight_vector(p)
     code = EXIT_OK
     for n in orders:
         inv = covers.cover_homology(p, n, weights)
@@ -260,13 +251,8 @@ def _cmd_covers(args) -> int:
 
 def _cmd_tc(args) -> int:
     p = _load_presentation(args.presentation)
-    try:
-        subgroup = [
-            parse_word(part) for part in args.subgroup.split(";") if part.strip()
-        ]
-        table = todd_coxeter(p, subgroup, args.max_cosets)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    subgroup = [parse_word(part) for part in args.subgroup.split(";") if part.strip()]
+    table = todd_coxeter(p, subgroup, args.max_cosets)
     if table.closed:
         print(f"closed index={table.n_cosets}")
         return EXIT_OK
@@ -276,11 +262,8 @@ def _cmd_tc(args) -> int:
 
 def _cmd_ac_search(args) -> int:
     p = _load_presentation(args.presentation)
-    try:
-        killed = acmoves.kill_meridian(p, args.kill)
-        outcome = acmoves.ac_trivialize_search(killed, args.max_len, args.max_depth, args.max_nodes)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    killed = acmoves.kill_meridian(p, args.kill)
+    outcome = acmoves.ac_trivialize_search(killed, args.max_len, args.max_depth, args.max_nodes)
     if isinstance(outcome, acmoves.Found):
         text = acmoves.format_moves(outcome.moves)
         _write_or_stdout(text, args.emit_moves)
@@ -303,12 +286,8 @@ def _cmd_lot(args) -> int:
 
 def _cmd_tietze(args) -> int:
     p = _load_presentation(args.presentation)
-    try:
-        steps = parse_tietze_script(_read(args.script))
-        q = apply_tietze_script(p, steps)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    sys.stdout.write(format_presentation(q))
+    steps = parse_tietze_script(_read(args.script))
+    sys.stdout.write(format_presentation(apply_tietze_script(p, steps)))
     return EXIT_OK
 
 
@@ -398,7 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:  # AdmissibilityError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 from .presentations import Presentation
 from .words import Word, gen
 
+MAX_COSETS = 10_000  # default bound on the cosets an enumeration defines
+
 
 @dataclass(frozen=True)
 class CosetTable:
@@ -44,7 +46,7 @@ def _letters(w: Word, gen_index: dict[str, int]) -> list[int]:
 
 
 def todd_coxeter(
-    p: Presentation, subgroup: Sequence[Word] = (), max_cosets: int = 10_000
+    p: Presentation, subgroup: Sequence[Word] = (), max_cosets: int = MAX_COSETS
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by ``subgroup`` words.
 
@@ -163,7 +165,7 @@ def todd_coxeter(
 
 
 def weight_one_certificate(
-    p: Presentation, generator: str, max_cosets: int = 10_000
+    p: Presentation, generator: str, max_cosets: int = MAX_COSETS
 ) -> str:
     """``"certified"`` iff killing the generator provably trivializes the
     group within the coset budget; ``"inconclusive"`` on overflow.

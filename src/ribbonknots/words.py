@@ -45,15 +45,6 @@ class Word:
         """Letter length (sum of |exponents|)."""
         return sum(abs(e) for _, e in self.syllables)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return product(self, other)
-
-    def __invert__(self) -> "Word":
-        return inverse(self)
-
-    def __pow__(self, n: int) -> "Word":
-        return power(self, n)
-
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield single-letter syllables ``(gen, +1 or -1)``."""
         for gen, exp in self.syllables:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from ribbonknots import cli, presentations, words
 from ribbonknots.presentations import parse_presentation
 from reference import count_calls
@@ -218,6 +220,40 @@ def test_exit_code_3_on_bad_input(capsys, tmp_path):
     assert code == 3 and "error:" in err
     code, _, err = run(capsys, "covers", str(tmp_path / "missing.pres"), "-N", "x")
     assert code == 3
+
+
+# For each subcommand, a library call it makes, patched through the name
+# the CLI reads, and an argv that reaches that call before any output.
+LIBRARY_CALLS = {
+    "realize": ("constructions.realize_cyclic", ("realize", "cyclic", "--coeffs", "1,-1,1")),
+    "alex": ("fox.alexander_polynomial", ("alex", "{pres}")),
+    "covers": ("covers.cover_homology", ("covers", "{pres}", "-N", "2,3")),
+    "tc": ("todd_coxeter", ("tc", "{pres}")),
+    "ac-search": ("acmoves.ac_trivialize_search",
+                  ("ac-search", "{pres}", "--kill", "t", "--max-len", "8", "--max-depth", "2")),
+    "lot": ("is_wirtinger", ("lot", "{pres}")),
+    "tietze": ("apply_tietze_script", ("tietze", "{pres}", "--script", "{script}")),
+    "verify": ("weight_one_certificate",
+               ("verify", "{pres}", "--module", "{module}", "-N", "2", "--meridian", "t")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_library_value_errors_exit_3_in_main(capsys, corpus, monkeypatch, command):
+    # main is the one place a library ValueError becomes exit 3: no
+    # subcommand needs a handler of its own.
+    target, argv = LIBRARY_CALLS[command]
+    owner, _, name = target.rpartition(".")
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(getattr(cli, owner) if owner else cli, name, boom)
+    paths = {
+        "pres": corpus / "spun_trefoil.pres", "module": corpus / "spun_trefoil.module",
+        "script": corpus / "yoshikawa.tz",
+    }
+    assert run(capsys, *(arg.format(**paths) for arg in argv)) == (3, "", "error: boom\n")
 
 
 def test_byte_stable_outputs(capsys, corpus):

@@ -7,7 +7,7 @@ from ribbonknots.constructions import realize_cyclic
 from ribbonknots.intlinalg import matrix
 from ribbonknots.laurent import det_lambda, eq_up_to_unit, from_coeffs, laurent
 from ribbonknots.presentations import parse_presentation, weight_vector
-from ribbonknots.words import IDENTITY, gen, normalize, parse_word
+from ribbonknots.words import IDENTITY, gen, normalize, parse_word, product
 from reference import (
     RING_ONE,
     RING_ZERO,
@@ -38,7 +38,7 @@ def test_fox_product_rule():
     for _ in range(100):
         u, v = rand_word(), rand_word()
         for g in gens:
-            lhs = fox_derivative(u * v, g)
+            lhs = fox_derivative(product(u, v), g)
             rhs = fox_derivative(u, g) + word_elem(u) * fox_derivative(v, g)
             assert lhs == rhs
 

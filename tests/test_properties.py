@@ -10,10 +10,15 @@ matrices mostly of units, too) against sympy and against their
 full-rescan reference, pivot for pivot, of the abelianized cover rows
 against the rewritten cover presentation, of the module side of cover
 homology (T^N - I where t has a known action) against the cokernel of
-the Kronecker matrix, and of the peeling determinant over Z[t, t^-1]."""
+the Kronecker matrix, of the peeling determinant over Z[t, t^-1], and
+of the CLI's exit-code contract on generated, often malformed, input."""
 
+import contextlib
+import io
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import reference  # noqa: E402
-from ribbonknots import acmoves  # noqa: E402
+from ribbonknots import acmoves, cli  # noqa: E402
 from ribbonknots.acmoves import (  # noqa: E402
     ACPresentation,
     Multiply,
@@ -735,3 +740,117 @@ def test_det_lambda_matches_sympy_zero_line(grid):
 @given(bordered_core())
 def test_det_lambda_matches_sympy_bordered_core(grid):
     assert det_lambda(matrix(grid)) == sympy_det(grid)
+
+
+# The CLI's exit-code contract, at small sizes only: exponents of at most
+# 9 and budgets that end every search at once.  A name may be invalid, an
+# exponent 0 or not a number, a matrix ragged, a module kind unknown; each
+# file is a corpus one, which reaches the library, half the time.
+CLI_NAMES = st.sampled_from(("t", "x", "y", "u1", "b_2", "1x", "x-y"))
+CLI_WORDS = st.lists(
+    st.builds(
+        str.__add__, CLI_NAMES,
+        st.one_of(st.sampled_from(("", "^0", "^x")), st.integers(-9, 9).map("^{}".format)),
+    ),
+    max_size=4,
+).map(" ".join)
+CORPUS = Path(cli.__file__).with_name("corpus")
+CLI_INTS = st.lists(st.integers(-3, 3).map(str), min_size=1, max_size=4)
+CLI_COEFFS = st.one_of(st.sampled_from(("1,-1,1", "2,-3,2", "-1,1,1", "1,x")), CLI_INTS.map(",".join))
+CLI_POLY_LINES = st.builds(
+    lambda low, cs: " ".join(("poly", str(low), *cs)), st.integers(-2, 2), CLI_INTS
+)
+CLI_MODULE_LINES = st.one_of(
+    CLI_POLY_LINES.map("module cyclic {}".format),
+    st.lists(CLI_POLY_LINES, min_size=2, max_size=3).map(lambda ps: "module sum " + ";".join(ps)),
+    st.sampled_from(("trotter", "tminus1", "taction", "knot")).map("module {} m.mat".format),
+)
+CLI_SCRIPT_LINES = st.one_of(
+    CLI_WORDS.map("intro s1 {}".format),
+    st.builds("elim {} {} {}".format, CLI_NAMES, CLI_WORDS, st.integers(-1, 3)),
+    st.just("swap x"),
+)
+CLI_ORDERS = st.builds(
+    str.__add__, st.lists(st.integers(1, 9).map(str), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(("", ",0")),
+)
+COSET_BUDGET = ("--max-cosets", "50")
+AC_BUDGET = ("--max-len", "8", "--max-depth", "2", "--max-nodes", "200")
+
+
+@st.composite
+def cli_presentations(draw):
+    gens = " ".join(draw(st.lists(CLI_NAMES, min_size=1, max_size=3)))
+    rels = "".join(f"rel {w}\n" for w in draw(st.lists(CLI_WORDS, max_size=3)))
+    return f"gens {gens}\n{rels}" + draw(st.sampled_from(("", "junk\n", "gens t\n")))
+
+
+@st.composite
+def cli_matrices(draw):
+    """An n x n matrix file, n <= 3, whose rows are ragged half the time."""
+    n = draw(st.integers(1, 3))
+    lengths = st.just(n) if draw(st.booleans()) else st.integers(1, 3)
+    rows = [" ".join(draw(st.lists(st.integers(-3, 3).map(str), min_size=k, max_size=k)))
+            for k in draw(st.lists(lengths, min_size=n, max_size=n))]
+    return "\n".join((f"{n} {n}", *rows)) + "\n"
+
+
+@st.composite
+def cli_inputs(draw):
+    """The files the subcommands read, by name, and one argv for each."""
+    case = draw(st.sampled_from(("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion")))
+    matrix_file = "trotter_2.mat" if case == "spun_trefoil" else f"{case}.mat"
+    files = {
+        "p.pres": (CORPUS / f"{case}.pres").read_text(),
+        "m.mat": (CORPUS / matrix_file).read_text(),
+        "s.module": (CORPUS / f"{case}.module").read_text().replace(f"{case}.mat", "m.mat"),
+        "s.tz": (CORPUS / "yoshikawa.tz").read_text(),
+    }
+    generated = {
+        "p.pres": cli_presentations(), "m.mat": cli_matrices(),
+        "s.module": CLI_MODULE_LINES.map("{}\n".format),
+        "s.tz": st.lists(CLI_SCRIPT_LINES, max_size=3).map(lambda ls: "".join(f"{ln}\n" for ln in ls)),
+    }
+    for name, strategy in generated.items():
+        if draw(st.booleans()):
+            files[name] = draw(strategy)
+    name = draw(st.sampled_from(("t", "x", "1x")))
+    realize = draw(st.sampled_from(("cyclic", "sum", "trotter", "lemma4", "lemma3")))
+    coeffs = ";".join(draw(st.lists(CLI_COEFFS, min_size=1, max_size=3)))
+    orders = draw(CLI_ORDERS)
+    emit = draw(st.sampled_from(("hnn", "wirtinger", "both")))
+    argvs = [
+        ["realize", realize, *(("--coeffs", coeffs) if realize in ("cyclic", "sum") else ("-m", "m.mat")),
+         "--emit", emit],
+        ["alex", "p.pres"],
+        ["covers", "p.pres", "-N", orders, *draw(st.sampled_from(((), ("--module", "s.module"))))],
+        ["tc", "p.pres", "--subgroup", ";".join(draw(st.lists(CLI_WORDS, max_size=2))), *COSET_BUDGET],
+        ["ac-search", "p.pres", "--kill", name, *AC_BUDGET],
+        ["lot", "p.pres"],
+        ["tietze", "p.pres", "--script", "s.tz"],
+        ["verify", "p.pres", "--module", "s.module", "-N", orders, "--meridian", name, *COSET_BUDGET],
+    ]
+    return files, argvs
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@settings(PROPERTY, max_examples=100)  # eight invocations an example
+@given(cli_inputs())
+def test_cli_exit_codes_on_generated_input(cli_dir, case):
+    """Every subcommand exits 0, 1, 2 or 3, nothing escapes main, and
+    exit 3 comes with exactly one stderr line, ``error: ...``."""
+    files, argvs = case
+    for name, text in files.items():
+        (cli_dir / name).write_text(text)
+    for argv in argvs:
+        argv = [str(cli_dir / arg) if arg in files else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 3:
+            assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
