@@ -3,7 +3,7 @@ trivialization search.
 
 The move alphabet: invert a relator, conjugate a relator by a single
 generator letter, multiply a relator by another on the right, and
-introduce or remove a generator-relator pair ``(y, y z)``.  A balanced
+remove a generator-relator pair ``(y, y z)``.  A balanced
 presentation of the trivial group is AC-trivial when some finite move
 sequence reaches the empty presentation; the search below explores
 that reachability breadth-first under explicit bounds, reporting
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .presentations import Presentation, deficiency
-from .words import Word, check_generator_name, gen, inverse, product
+from .words import gen, inverse, product
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ class Multiply:
 
 
 @dataclass(frozen=True)
-class AddPair:
-    """Introduce generator ``name`` and relator ``name . z``."""
-
-    name: str
-    z: Word
-
-
-@dataclass(frozen=True)
 class RemovePair:
     """Remove generator ``name`` whose relator is exactly ``name . z``
     with ``name`` occurring nowhere else."""
@@ -82,7 +74,7 @@ class RemovePair:
     name: str
 
 
-ACMove = Union[Invert, Conjugate, Multiply, AddPair, RemovePair]
+ACMove = Union[Invert, Conjugate, Multiply, RemovePair]
 
 
 def kill_meridian(p: Presentation, g: str) -> ACPresentation:
@@ -121,19 +113,6 @@ def apply_move(p: ACPresentation, m: ACMove) -> ACPresentation:
             raise ValueError("Multiply needs distinct relators")
         relators[m.i] = product(relators[m.i], relators[m.j])
         return ACPresentation(p.generators, tuple(relators))
-    if isinstance(m, AddPair):
-        check_generator_name(m.name)
-        if m.name in p.generators:
-            raise ValueError(f"generator {m.name!r} already present")
-        if m.name in m.z.generators():
-            raise ValueError("pair word mentions the new generator")
-        unknown = m.z.generators() - set(p.generators)
-        if unknown:
-            raise ValueError(f"pair word uses unknown generators {sorted(unknown)}")
-        return ACPresentation(
-            p.generators + (m.name,),
-            p.relators + (product(gen(m.name), m.z),),
-        )
     if isinstance(m, RemovePair):
         idx = _removable_at(p, m.name)
         if idx is None:
@@ -314,8 +293,8 @@ def ac_trivialize_search(
 
     A step sets R_i *= c . R_j^e . c^-1, looping over i, then j != i,
     then e = +1, -1, then c = none or a single letter (longer
-    conjugations compose).  ``AddPair`` is never enumerated, so
-    exhaustion is relative to this restricted alphabet.  Candidates
+    conjugations compose).  No generator-relator pair is ever introduced,
+    so exhaustion is relative to this restricted alphabet.  Candidates
     longer than ``max_total_length`` in total are pruned; a pruned
     candidate or states left at ``max_depth`` give ``Budget``, not
     ``Exhausted``, and so does a candidate to key once ``max_nodes``
@@ -442,18 +421,12 @@ def _verified_found(p: ACPresentation, moves: tuple[ACMove, ...]) -> Found:
 
 
 def verify_move_sequence(p: ACPresentation, moves: Sequence[ACMove]) -> bool:
-    """True iff the moves all apply in order and the terminal state is
-    empty after maximal pair removal."""
+    """True iff the moves all apply in order and leave the empty
+    presentation."""
     try:
-        q = apply_moves(p, moves)
+        return apply_moves(p, moves).is_empty()
     except (ValueError, TypeError):
         return False
-    while True:
-        name = next((g for g in q.generators if _removable_at(q, g) is not None), None)
-        if name is None:
-            break
-        q = apply_move(q, RemovePair(name))
-    return q.is_empty()
 
 
 def format_moves(moves: Sequence[ACMove]) -> str:
@@ -466,8 +439,6 @@ def format_moves(moves: Sequence[ACMove]) -> str:
             lines.append(f"conj {m.i + 1} {m.g} {m.sign}")
         elif isinstance(m, Multiply):
             lines.append(f"mul {m.i + 1} {m.j + 1}")
-        elif isinstance(m, AddPair):
-            lines.append(f"add {m.name} {m.z}".rstrip())
         elif isinstance(m, RemovePair):
             lines.append(f"rm {m.name}")
         else:

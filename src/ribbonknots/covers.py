@@ -11,20 +11,24 @@ comparing them is the main correctness oracle of this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .constructions import KnotModuleSpec
 from .intlinalg import AbelianGroupInvariants, Matrix, cokernel_invariants, matrix
 from .laurent import LaurentPoly
-from .presentations import Presentation, weight_vector
+from .presentations import Presentation
 from .words import Word, normalize
 
 
 def _schreier(
-    p: Presentation, n: int, weights: Optional[Sequence[int]]
+    p: Presentation, n: int, weights: Sequence[int]
 ) -> tuple[dict[str, int], dict[tuple[int, str], int]]:
     """Weights mod N and the column of each Schreier generator.
+
+    ``weights`` lists the generators' images in Z/N, in order; they must
+    generate Z/N and kill every relator, so that they define a map onto it.
 
     The transversal is the breadth-first spanning tree of the coset graph
     from coset 0, generators in presentation order, positive direction
@@ -34,11 +38,11 @@ def _schreier(
     """
     if n < 1:
         raise ValueError("cover order must be >= 1")
-    if weights is None:
-        weights = weight_vector(p)
     if len(weights) != len(p.generators):
         raise ValueError("one weight per generator required")
     w = {g: weights[i] % n for i, g in enumerate(p.generators)}
+    if gcd(n, *weights) != 1 or any(sum(w[g] * e for g, e in r.syllables) % n for r in p.relators):
+        raise ValueError(f"weights do not map the group onto Z/{n}")
     tree: set[tuple[int, str]] = set()
     seen = {0}
     queue = [0]
@@ -75,9 +79,7 @@ def _walk(r: Word, w: dict[str, int], n: int) -> Iterator[tuple[int, str, int]]:
                 yield offset, g, -1
 
 
-def cyclic_cover_presentation(
-    p: Presentation, n: int, weights: Optional[Sequence[int]] = None
-) -> Presentation:
+def cyclic_cover_presentation(p: Presentation, n: int, weights: Sequence[int]) -> Presentation:
     """Presentation of the kernel of ``G -> Z/N`` (weights mod N) by
     Reidemeister-Schreier rewriting: ``N * #gens - (N - 1)`` generators
     and ``N * #relators`` relators, each relator from each start coset.
@@ -93,9 +95,7 @@ def cyclic_cover_presentation(
     return Presentation(tuple(names.values()), relators)
 
 
-def cover_homology(
-    p: Presentation, n: int, weights: Optional[Sequence[int]] = None
-) -> AbelianGroupInvariants:
+def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGroupInvariants:
     """First homology of the N-fold cyclic cover group: the exponent rows
     of :func:`cyclic_cover_presentation`, built without its words.  One
     walk of a relator sums its letters by (offset, generator); the row

@@ -17,15 +17,12 @@ from .laurent import LaurentPoly, ONE, det_lambda, laurent, normalize_unit
 from .presentations import Presentation, deficiency, weight_vector
 
 
-def alexander_matrix(
-    p: Presentation, weights: Optional[Sequence[int]] = None
-) -> Matrix:
+def alexander_matrix(p: Presentation, weights: Sequence[int]) -> Matrix:
     """Fox Jacobian of the relators, abelianized by the weight map.
 
     Entry (i, j) is the image of d(R_i)/d(g_j) under g -> t^weight(g);
     dimensions are #relators x #generators.  ``weights`` lists the
-    generators' weights in order; by default it is ``weight_vector(p)``,
-    which requires abelianization = Z.
+    generators' weights in order.
 
     One pass per relator that never leaves Z[t, t^-1], so the cost is
     linear in relator length plus output size.  At prefix weight k a
@@ -33,8 +30,6 @@ def alexander_matrix(
     to column g when e > 0 and -(t^(k-w) + ... + t^(k+ew)) when e < 0;
     then k += e*w.
     """
-    if weights is None:
-        weights = weight_vector(p)
     column = {g: j for j, g in enumerate(p.generators)}
     rows = []
     for r in p.relators:
@@ -60,7 +55,8 @@ def alexander_polynomial(
 
     Deletes the column of the first generator of weight +-1 and takes
     the determinant of the remaining square matrix.  ``weights`` is as
-    in :func:`alexander_matrix`.
+    in :func:`alexander_matrix`; by default it is ``weight_vector(p)``,
+    which requires abelianization = Z.
     """
     if deficiency(p) != 1:
         raise ValueError(f"deficiency is {deficiency(p)}, not 1")

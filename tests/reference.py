@@ -70,7 +70,6 @@ from ribbonknots import covers, presentations
 from ribbonknots.acmoves import (
     ACMove,
     ACPresentation,
-    AddPair,
     Budget,
     Conjugate,
     Exhausted,
@@ -102,7 +101,6 @@ from ribbonknots.words import (
     gen,
     inverse,
     normalize,
-    parse_word,
     product,
     substitute,
 )
@@ -213,8 +211,9 @@ def compare_realization(
     """Cross-check a realization against its module for several cover
     orders."""
     p = result.verification_presentation()
+    weights = presentations.weight_vector(p)
     return [
-        CoverReport(n, cover_homology(p, n), module_cover_homology(result.module_spec, n))
+        CoverReport(n, cover_homology(p, n, weights), module_cover_homology(result.module_spec, n))
         for n in orders
     ]
 
@@ -254,8 +253,6 @@ def parse_moves(text: str) -> tuple[ACMove, ...]:
                 moves.append(Conjugate(int(tokens[1]) - 1, tokens[2], int(tokens[3])))
             elif kind == "mul" and len(tokens) == 3:
                 moves.append(Multiply(int(tokens[1]) - 1, int(tokens[2]) - 1))
-            elif kind == "add" and len(tokens) >= 2:
-                moves.append(AddPair(tokens[1], parse_word(" ".join(tokens[2:]))))
             elif kind == "rm" and len(tokens) == 2:
                 moves.append(RemovePair(tokens[1]))
             else:

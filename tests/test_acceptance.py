@@ -52,6 +52,7 @@ from ribbonknots.presentations import (
     is_wirtinger,
     parse_presentation,
     parse_tietze_script,
+    weight_vector,
 )
 from ribbonknots.words import gen, normalize
 from reference import (
@@ -140,9 +141,11 @@ def test_criterion_3_lemma4_suite():
         res = realize_lemma4(m)
         assert res.is_ascending_hnn
         assert is_ascending_hnn_shape(res.primary_presentation)
+        primary, wirt = res.primary_presentation, res.wirtinger_presentation
+        w_primary, w_wirt = weight_vector(primary), weight_vector(wirt)
         for n in (2, 3):
-            hom_primary = cover_homology(res.primary_presentation, n)
-            hom_wirt = cover_homology(res.wirtinger_presentation, n)
+            hom_primary = cover_homology(primary, n, w_primary)
+            hom_wirt = cover_homology(wirt, n, w_wirt)
             oracle = module_cover_homology(res.module_spec, n)
             assert hom_primary == hom_wirt == oracle, (m.entries, n)
         checked += 1
@@ -164,8 +167,9 @@ def test_criterion_4_lemma3_suite():
             continue
         res = realize_lemma3_group(t)
         assert abelianization(res.primary_presentation) == Z
+        weights = weight_vector(res.primary_presentation)
         for n in (2, 3):
-            assert cover_homology(res.primary_presentation, n) == module_cover_homology(
+            assert cover_homology(res.primary_presentation, n, weights) == module_cover_homology(
                 res.module_spec, n
             ), (t.entries, n)
         checked += 1
@@ -267,7 +271,7 @@ def test_criterion_8_yoshikawa(corpus):
     assert isinstance(is_wirtinger(q), LOG)
     assert eq_up_to_unit(alexander_polynomial(p), alexander_polynomial(q))
     for n in (2, 3):
-        assert cover_homology(p, n) == cover_homology(q, n)
+        assert cover_homology(p, n, weight_vector(p)) == cover_homology(q, n, weight_vector(q))
     print("\nACCEPTANCE 8: PASS - Yoshikawa case: 4 generators, Wirtinger, invariants stable")
 
 
@@ -377,7 +381,8 @@ def _flagged(q, corpus, module_name) -> bool:
             return True
     except ValueError:
         return True
+    weights = weight_vector(q)
     for n in (2, 3, 4):
-        if cover_homology(q, n) != module_cover_homology(spec, n):
+        if cover_homology(q, n, weights) != module_cover_homology(spec, n):
             return True
     return False

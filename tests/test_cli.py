@@ -191,7 +191,7 @@ def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_pat
     # killed meridian 2).  The covers build no presentation.  Per-syllable
     # checks made 90 calls, per-token checks and cover presentations 21.
     calls, patched = count_calls(monkeypatch, words.check_generator_name)
-    assert {"ribbonknots.words", "ribbonknots.presentations", "ribbonknots.acmoves"} <= patched
+    assert {"ribbonknots.words", "ribbonknots.presentations"} <= patched
     code, out, _ = run(capsys, "realize", "cyclic", "--coeffs", "1,-1,1", "--emit", "wirtinger")
     assert code == 0
     pres = tmp_path / "spun.pres"

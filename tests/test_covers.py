@@ -32,25 +32,26 @@ from reference import (
 )
 
 SPUN_TREFOIL = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
+SPUN_WEIGHTS = weight_vector(SPUN_TREFOIL)
 RANK3_TROTTER = [[-2, -1, 1], [0, -1, 1], [-1, -2, -1]]
 
 
 def test_cover_presentation_counts():
     for n in (2, 3, 5):
-        q = cyclic_cover_presentation(SPUN_TREFOIL, n)
+        q = cyclic_cover_presentation(SPUN_TREFOIL, n, SPUN_WEIGHTS)
         assert len(q.generators) == n * 2 - (n - 1)
         assert len(q.relators) == n * 1
 
 
 def test_order_one_cover_is_the_group():
-    q = cyclic_cover_presentation(SPUN_TREFOIL, 1)
+    q = cyclic_cover_presentation(SPUN_TREFOIL, 1, SPUN_WEIGHTS)
     assert abelianization(q) == abelianization(SPUN_TREFOIL)
 
 
 def test_spun_trefoil_cover_homology():
-    assert cover_homology(SPUN_TREFOIL, 2) == AbelianGroupInvariants(1, (3,))
-    assert cover_homology(SPUN_TREFOIL, 3) == AbelianGroupInvariants(1, (2, 2))
-    assert cover_homology(SPUN_TREFOIL, 6) == AbelianGroupInvariants(3)
+    assert cover_homology(SPUN_TREFOIL, 2, SPUN_WEIGHTS) == AbelianGroupInvariants(1, (3,))
+    assert cover_homology(SPUN_TREFOIL, 3, SPUN_WEIGHTS) == AbelianGroupInvariants(1, (2, 2))
+    assert cover_homology(SPUN_TREFOIL, 6, SPUN_WEIGHTS) == AbelianGroupInvariants(3)
 
 
 def test_module_oracle_matches_by_hand():
@@ -89,16 +90,29 @@ def test_explicit_weights_and_errors():
     q = cyclic_cover_presentation(SPUN_TREFOIL, 2, weights=(1, 1))
     assert abelianization(q) == AbelianGroupInvariants(1, (3,))
     with pytest.raises(ValueError):
-        cyclic_cover_presentation(SPUN_TREFOIL, 0)
+        cyclic_cover_presentation(SPUN_TREFOIL, 0, SPUN_WEIGHTS)
     with pytest.raises(ValueError):
         cyclic_cover_presentation(SPUN_TREFOIL, 2, weights=(1,))
+
+
+def test_weights_must_map_onto_the_cyclic_group():
+    # (2, 2) sends the spun trefoil into the zero subgroup of Z/2, so the
+    # rewrite would give two disjoint copies of the group, not the kernel.
+    for weights, n in (((2, 2), 2), ((3, 3), 6), ((1, 2), 3)):
+        with pytest.raises(ValueError, match="onto"):
+            cover_homology(SPUN_TREFOIL, n, weights)
+        with pytest.raises(ValueError, match="onto"):
+            cyclic_cover_presentation(SPUN_TREFOIL, n, weights)
+    # (1, -2) is (1, 1) mod 3: a valid map that is not the weight vector.
+    assert cover_homology(SPUN_TREFOIL, 3, (1, -2)) == AbelianGroupInvariants(1, (2, 2))
 
 
 def test_rank3_trotter_n64_sides_agree():
     # 192 x 192 module matrix; the group side is a 192 x 193 exponent
     # matrix.  Each side took seconds with the dense, transform-tracking SNF.
     res = realize_trotter(matrix(RANK3_TROTTER))
-    group = cover_homology(res.verification_presentation(), 64)
+    p = res.verification_presentation()
+    group = cover_homology(p, 64, weight_vector(p))
     assert group == module_cover_homology(res.module_spec, 64)
 
 
@@ -108,7 +122,8 @@ def test_corpus_spun_trefoil_n6_singular_module_side(corpus):
     spec = parse_module_spec(
         (corpus / "spun_trefoil.module").read_text(), lambda rel: (corpus / rel).read_text()
     )
-    assert cover_homology(p, 6) == module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
+    group = cover_homology(p, 6, weight_vector(p))
+    assert group == module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
 
 
 def corpus_case(corpus, name):
@@ -136,7 +151,7 @@ def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
     cases = cover_cases(corpus)
     handed = record_cokernel_calls(monkeypatch)
     for p, spec in cases:
-        cover_homology(p, n)
+        cover_homology(p, n, weight_vector(p))
         module_cover_homology(spec, n)
     assert len(handed) == 2 * len(cases)
     for rows, cols, got in handed:
@@ -155,7 +170,7 @@ def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order(mo
     # the module side, and more at larger N.
     res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
     handed = record_cokernel_calls(monkeypatch)
-    cover_homology(res.wirtinger_presentation, 128)
+    cover_homology(res.wirtinger_presentation, 128, weight_vector(res.wirtinger_presentation))
     module_cover_homology(res.module_spec, 128)
     work = [Counter(), Counter()]
     for (rows, cols, got), w in zip(handed, work):

@@ -68,9 +68,9 @@ def test_alexander_trefoil():
 
 def test_alexander_matrix_shape_and_columns():
     p = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1")
-    m = alexander_matrix(p)
-    assert m.rows == 1 and m.cols == 2
     w = weight_vector(p)
+    m = alexander_matrix(p, w)
+    assert m.rows == 1 and m.cols == 2
     # column-choice independence across weight +-1 generators
     polys = [
         det_lambda(matrix([row[:j] + row[j + 1 :] for row in m.entries]))

@@ -9,6 +9,9 @@ name scan the package; neither scans ``bench/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +83,15 @@ def test_no_unread_private_names():
         if (names := unread_private_names(path.read_text()))
     }
     assert found == {}
+
+
+def test_cover_homology_does_not_load_the_fox_oracle():
+    # The group side of the cover oracle is checked against the module
+    # side and the Fox/Alexander oracle separately, so covers must not
+    # reach fox through its imports.
+    code = "import sys, ribbonknots.covers; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout.split()
+    loaded = {m for m in out if m.startswith("ribbonknots.")}
+    assert "ribbonknots.covers" in loaded and "ribbonknots.fox" not in loaded, loaded

@@ -18,6 +18,7 @@ import io
 import random
 import re
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -572,7 +573,16 @@ def cover_inputs(draw):
 def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
     # The abelianized walk hands cokernel_invariants the exponent rows of
     # the Reidemeister-Schreier presentation, row for row, entry for entry.
+    # Random weights that do not map the group onto Z/N are refused by both.
     p, weights, n = case
+    if gcd(n, *weights) != 1 or any(
+        sum(weights[j] * e for j, e in row.items()) % n for row in exponent_rows(p)
+    ):
+        with pytest.raises(ValueError):
+            cover_homology(p, n, weights)
+        with pytest.raises(ValueError):
+            cyclic_cover_presentation(p, n, weights)
+        return
     with pytest.MonkeyPatch.context() as mp:
         handed = record_cokernel_calls(mp)
         cover_homology(p, n, weights)
