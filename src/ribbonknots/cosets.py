@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .presentations import Presentation
-from .words import Word, gen
+from .words import IDENTITY, Word, substitute
 
 MAX_COSETS = 10_000  # default bound on the cosets an enumeration defines
 
@@ -170,12 +170,13 @@ def weight_one_certificate(
     """``"certified"`` iff killing the generator provably trivializes the
     group within the coset budget; ``"inconclusive"`` on overflow.
 
-    Triviality checking is only semi-decidable, so there is no
-    "refuted" outcome.
+    Enumerates on the other generators, with it set to 1 in each relator;
+    triviality is only semi-decidable, so there is no "refuted" outcome.
     """
     if generator not in p.generators:
         raise ValueError(f"no generator {generator!r}")
-    killed = Presentation(p.generators, p.relators + (gen(generator),))
+    rest = tuple(g for g in p.generators if g != generator)
+    killed = Presentation(rest, tuple(substitute(r, {generator: IDENTITY}) for r in p.relators))
     table = todd_coxeter(killed, (), max_cosets)
     if table.closed and table.n_cosets == 1:
         return "certified"

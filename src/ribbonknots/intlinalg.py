@@ -1,8 +1,8 @@
 """Exact linear algebra.
 
-The matrix type and the Bareiss determinant, shared by Z and
-Z[t, t^-1]; over Z, Smith normal form with transform tracking and
-cokernel invariants of relation matrices.
+The matrix type and the Bareiss determinant, shared by Z and Z[t, t^-1];
+over Z, cokernel invariants of relation matrices by sparse elimination,
+and Smith normal form with transforms, which only tests and bench call.
 
 Convention used across the repo: rows are relators, columns are
 generators.
@@ -194,10 +194,6 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             row_negate(k)
         k += 1
     return matrix(u, cols=rows), matrix(grid, cols=cols), matrix(v, cols=cols)
-
-
-def diagonal_of(s: Matrix) -> tuple[int, ...]:
-    return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
 
 
 def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGroupInvariants:

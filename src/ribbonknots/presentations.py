@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .intlinalg import (
-    AbelianGroupInvariants,
-    cokernel_invariants,
-    diagonal_invariants,
-    diagonal_of,
-    matrix,
-    smith_normal_form,
-)
+from .intlinalg import AbelianGroupInvariants, cokernel_invariants
 from .words import (
     Word,
     check_generator_name,
@@ -96,25 +89,31 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
     """Images of the generators under the projection to the infinite
     cyclic quotient; requires abelianization = Z.
 
-    Sign-normalized so the first generator with nonzero weight maps
-    to +1.
+    The weights generate the integer kernel of the exponent rows, a
+    rank-1 lattice.  From the unit vectors, Euclid's algorithm on each
+    row's values by moves b_i -= q b_k leaves one vector with a nonzero
+    value, which is dropped.  The first nonzero weight is made positive.
     """
-    n = len(p.generators)
-    e = matrix([[row.get(j, 0) for j in range(n)] for row in exponent_rows(p)], cols=n)
-    _, s, v = smith_normal_form(e)
-    diag = diagonal_of(s)
-    inv = diagonal_invariants(diag, e.cols)
+    inv = abelianization(p)
     if inv != AbelianGroupInvariants(1):
         raise ValueError(f"abelianization is {inv}, not Z")
-    # The free coordinate of Z^gens / rowspan, in the V-changed basis.
-    free = [j for j in range(e.cols) if j >= len(diag) or diag[j] == 0]
-    assert len(free) == 1
-    k = free[0]
-    weights = [v.entries[j][k] for j in range(e.cols)]
-    lead = next(w for w in weights if w != 0)
-    if lead < 0:
-        weights = [-w for w in weights]
-    return tuple(weights)
+    basis = [{j: 1} for j in range(len(p.generators))]
+    for row in exponent_rows(p):
+        dots = {i: sum(b.get(j, 0) * x for j, x in row.items())
+                for i, b in enumerate(basis) if not row.keys().isdisjoint(b)}
+        values = {i: v for i, v in dots.items() if v}
+        while len(values) > 1:
+            k = min(values, key=lambda i: abs(values[i]))
+            for i in values.keys() - {k}:
+                q = values[i] // values[k]
+                for j, c in basis[k].items():
+                    basis[i][j] = basis[i].get(j, 0) - q * c
+                values[i] -= q * values[k]
+            values = {i: v for i, v in values.items() if v}
+        basis = [b for i, b in enumerate(basis) if i not in values]
+    (kernel,) = basis
+    sign = -1 if kernel[min(j for j, w in kernel.items() if w)] < 0 else 1
+    return tuple(sign * kernel.get(j, 0) for j in range(len(p.generators)))
 
 
 def _match_wirtinger(letters: Sequence[tuple[str, int]]) -> Optional[tuple[str, str, Word]]:

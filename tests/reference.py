@@ -55,7 +55,11 @@ another way:
   dense matrix to ``intlinalg.cokernel_invariants`` as the sparse rows
   it consumes, turn such rows back into a matrix, and record the rows
   the covers and the abelianization hand it; ``count_calls``, which
-  counts the calls of a package function through all its bindings.
+  counts the calls of a package function through all its bindings;
+* ``diagonal_of``, the diagonal of a ``smith_normal_form`` result, and
+  ``weight_vector_reference``, the weight vector read off the V
+  transform of the dense exponent matrix's Smith normal form, against
+  the integer-kernel reduction of ``presentations.weight_vector``.
 """
 
 from __future__ import annotations
@@ -91,9 +95,10 @@ from ribbonknots.intlinalg import (
     det_int,
     diagonal_invariants,
     matrix,
+    smith_normal_form,
 )
 from ribbonknots.laurent import LaurentPoly, laurent
-from ribbonknots.presentations import Presentation
+from ribbonknots.presentations import Presentation, exponent_rows
 from ribbonknots.words import (
     IDENTITY,
     Word,
@@ -1028,3 +1033,30 @@ def count_calls(monkeypatch, original) -> tuple[list, set]:
                     monkeypatch.setattr(module, attr, counted)
                     patched.add(name)
     return calls, patched
+
+
+def diagonal_of(s: Matrix) -> tuple[int, ...]:
+    """The diagonal of a Smith normal form."""
+    return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
+
+
+def weight_vector_reference(p: Presentation) -> tuple[int, ...]:
+    """The weight vector as the free column of the V transform of the
+    dense exponent matrix's Smith normal form, sign-normalized so the
+    first nonzero weight is positive; requires abelianization = Z."""
+    n = len(p.generators)
+    e = matrix([[row.get(j, 0) for j in range(n)] for row in exponent_rows(p)], cols=n)
+    _, s, v = smith_normal_form(e)
+    diag = diagonal_of(s)
+    inv = diagonal_invariants(diag, e.cols)
+    if inv != AbelianGroupInvariants(1):
+        raise ValueError(f"abelianization is {inv}, not Z")
+    # The free coordinate of Z^gens / rowspan, in the V-changed basis.
+    free = [j for j in range(e.cols) if j >= len(diag) or diag[j] == 0]
+    assert len(free) == 1
+    k = free[0]
+    weights = [v.entries[j][k] for j in range(e.cols)]
+    lead = next(w for w in weights if w != 0)
+    if lead < 0:
+        weights = [-w for w in weights]
+    return tuple(weights)

@@ -32,7 +32,6 @@ from ribbonknots.fox import alexander_polynomial
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     det_int,
-    diagonal_of,
     matrix,
     smith_normal_form,
 )
@@ -49,6 +48,7 @@ from ribbonknots.presentations import (
     apply_tietze_script,
     deficiency,
     expand_length1,
+    format_presentation,
     is_wirtinger,
     parse_presentation,
     parse_tietze_script,
@@ -58,6 +58,7 @@ from ribbonknots.words import gen, normalize
 from reference import (
     cokernel_of,
     compare_realization,
+    diagonal_of,
     exponent_sums,
     fundamental_identity_holds,
     is_ascending_hnn_shape,
@@ -337,6 +338,9 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
     verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()}
     assert set(verdicts) == {"abelianization", "wirtinger-lot", "alexander", "covers-N64", "weight-1"}
     assert set(verdicts.values()) == {"PASS"}, out
+    code, out = run("verify", tmp_path / "t3.pres", "--module", tmp_path / "t3.module",
+                    "-N", "64", "--meridian", "t", "--max-cosets", "100")
+    assert code == 0, out
 
     # The degree-40 cyclic form of test_fox.py::test_alexander_degree_40_cyclic.
     rng = random.Random(0)
@@ -351,6 +355,15 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
     assert code == 0, out
     assert out.startswith("N=32: group ") and out.rstrip().endswith(" [ok]"), out
     assert len(out.splitlines()) == 1
+    for budget in ((), ("--max-cosets", "100")):
+        code, out = run("verify", tmp_path / "d40.pres", "--module", tmp_path / "d40.module",
+                        "-N", "2,3", "--meridian", "t", *budget)
+        assert code == 0, out
+    # Its expand_length1 form: 815 generators, one weight vector.
+    expanded = expand_length1(parse_presentation(pres))
+    (tmp_path / "d40x.pres").write_text(format_presentation(expanded))
+    code, out = run("covers", tmp_path / "d40x.pres", "-N", "2", "--module", tmp_path / "d40.module")
+    assert code == 0 and out.rstrip().endswith(" [ok]"), out
 
     # Each killed corpus meridian: found moves within three relator
     # multiplications, or budget where none are found there.
@@ -361,8 +374,8 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
         code = cli.main(["ac-search", str(corpus / f"{name}.pres"), "--kill", "t",
                          "--max-len", "32", "--max-depth", "3"])
         assert (code, capsys.readouterr().err.strip()) == outcome, name
-    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32, "
-          "killed meridians ac-search")
+    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32 and "
+          "verify -N 2,3, expanded degree-40 covers -N 2, killed meridians ac-search")
 
 
 def _flagged(q, corpus, module_name) -> bool:

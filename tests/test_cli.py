@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ribbonknots import cli, presentations, words
+from ribbonknots import cli, intlinalg, presentations, words
 from ribbonknots.presentations import parse_presentation
 from reference import count_calls
 
@@ -184,12 +184,29 @@ def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_covers_and_verify_run_no_smith_normal_form(capsys, corpus, monkeypatch, tmp_path):
+    # The weight vector is the integer kernel of the sparse exponent rows;
+    # the dense Smith form with both transforms is only the tests' oracle.
+    calls, _ = count_calls(monkeypatch, intlinalg.smith_normal_form)
+    code, out, _ = run(capsys, "realize", "trotter", "-m", str(corpus / "trotter_2.mat"),
+                       "--emit", "wirtinger")
+    assert code == 0
+    pres = tmp_path / "trotter.pres"
+    pres.write_text(out)
+    module = str(corpus / "trotter_2.module")
+    code, out, _ = run(capsys, "covers", str(pres), "-N", "2,3", "--module", module)
+    assert code == 0 and out.count("[ok]") == 2
+    code, _, _ = run(capsys, "verify", str(pres), "--module", module, "-N", "2,3", "--meridian", "t")
+    assert code == 0 and calls == []
+
+
 def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_path):
     # A Word does not re-check its names: realize -> verify checks each
     # distinct name of a parsed word once (u, t: 2) and each generator of
     # every presentation built (the realized pair 4, the parsed file 2, the
-    # killed meridian 2).  The covers build no presentation.  Per-syllable
-    # checks made 90 calls, per-token checks and cover presentations 21.
+    # killed meridian 1: t is substituted away).  The covers build no
+    # presentation.  Per-syllable checks made 90 calls, per-token checks and
+    # cover presentations 21.
     calls, patched = count_calls(monkeypatch, words.check_generator_name)
     assert {"ribbonknots.words", "ribbonknots.presentations"} <= patched
     code, out, _ = run(capsys, "realize", "cyclic", "--coeffs", "1,-1,1", "--emit", "wirtinger")
@@ -200,7 +217,7 @@ def test_names_are_checked_where_they_enter(capsys, corpus, monkeypatch, tmp_pat
         capsys, "verify", str(pres), "--module", str(corpus / "spun_trefoil.module"),
         "-N", "2,3", "--meridian", "t", "--max-cosets", "100",
     )
-    assert code == 0 and len(calls) == 10
+    assert code == 0 and len(calls) == 9
 
 
 def test_verify_mismatch(capsys, corpus, tmp_path):
@@ -331,11 +348,16 @@ def test_unwritable_output_path(capsys, corpus, tmp_path):
         assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
-def test_reused_parser_matches_fresh_processes(capsys, corpus):
+def test_reused_parser_matches_fresh_processes(capsys, corpus, tmp_path):
     # main() keeps one parser per process; a failed parse and a parse with
-    # an option set must leave nothing behind for the next call.
+    # an option set must leave nothing behind for the next call.  The
+    # expanded lemma-4 form's killed meridian needs 7 cosets, so a budget
+    # of 5 is inconclusive.
+    expanded = tmp_path / "lemma4_expanded.pres"
+    p = parse_presentation((corpus / "lemma4_companion.pres").read_text())
+    expanded.write_text(presentations.format_presentation(presentations.expand_length1(p)))
     verify = [
-        "verify", str(corpus / "trotter_2.pres"), "--module", str(corpus / "trotter_2.module"),
+        "verify", str(expanded), "--module", str(corpus / "lemma4_companion.module"),
         "-N", "2", "--meridian", "t",
     ]
     calls = [verify + ["--max-cosets", "0"], verify + ["--max-cosets", "5"], verify]

@@ -149,9 +149,10 @@ def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
     # Every cokernel both sides take, for the four corpus modules and
     # rank-3 Trotter, against the elimination that rescans every nonzero.
     cases = cover_cases(corpus)
+    weights = [weight_vector(p) for p, _ in cases]  # it takes a cokernel too
     handed = record_cokernel_calls(monkeypatch)
-    for p, spec in cases:
-        cover_homology(p, n, weight_vector(p))
+    for (p, spec), w in zip(cases, weights):
+        cover_homology(p, n, w)
         module_cover_homology(spec, n)
     assert len(handed) == 2 * len(cases)
     for rows, cols, got in handed:
@@ -169,9 +170,11 @@ def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order(mo
     # unit phase that did not track falling Markowitz costs wrote 79,888 on
     # the module side, and more at larger N.
     res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
+    weights = weight_vector(res.wirtinger_presentation)
     handed = record_cokernel_calls(monkeypatch)
-    cover_homology(res.wirtinger_presentation, 128, weight_vector(res.wirtinger_presentation))
+    cover_homology(res.wirtinger_presentation, 128, weights)
     module_cover_homology(res.module_spec, 128)
+    assert len(handed) == 2
     work = [Counter(), Counter()]
     for (rows, cols, got), w in zip(handed, work):
         assert cokernel_invariants([CountingRow(row, w) for row in rows], cols) == got

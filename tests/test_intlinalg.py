@@ -9,13 +9,13 @@ from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
     det_int,
-    diagonal_of,
     matrix,
     parse_matrix,
     smith_normal_form,
 )
 from reference import (
     CountingRow,
+    diagonal_of,
     factor_glnz,
     matmul,
     random_unimodular,
