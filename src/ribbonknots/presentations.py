@@ -89,29 +89,32 @@ def weight_vector(p: Presentation) -> tuple[int, ...]:
     """Images of the generators under the projection to the infinite
     cyclic quotient; requires abelianization = Z.
 
-    The weights generate the integer kernel of the exponent rows, a
-    rank-1 lattice.  From the unit vectors, Euclid's algorithm on each
-    row's values by moves b_i -= q b_k leaves one vector with a nonzero
-    value, which is dropped.  The first nonzero weight is made positive.
-    """
-    inv = abelianization(p)
-    if inv != AbelianGroupInvariants(1):
-        raise ValueError(f"abelianization is {inv}, not Z")
-    basis = [{j: 1} for j in range(len(p.generators))]
+    The weights generate the integer kernel of the exponent rows, a rank-1
+    lattice.  From the unit vectors, Euclid on each row's values (a column
+    index finds them) by moves b_i -= q b_k, b_k shortest of least value,
+    leaves one vector with a value, which is dropped.  The rows are then
+    triangular, so if each dropped value is ±1 and one vector is left, H1
+    is Z.  The first nonzero weight is made positive."""
+    basis = {j: {j: 1} for j in range(len(p.generators))}
+    near, units = {j: {j} for j in basis}, True  # column -> vectors with an entry there
     for row in exponent_rows(p):
-        dots = {i: sum(b.get(j, 0) * x for j, x in row.items())
-                for i, b in enumerate(basis) if not row.keys().isdisjoint(b)}
-        values = {i: v for i, v in dots.items() if v}
+        values = {i: v for i in set().union(*(near[j] for j in row))
+                  if i in basis and (v := sum(basis[i].get(j, 0) * x for j, x in row.items()))}
         while len(values) > 1:
-            k = min(values, key=lambda i: abs(values[i]))
+            k = min(values, key=lambda i: (abs(values[i]), len(basis[i])))
             for i in values.keys() - {k}:
                 q = values[i] // values[k]
                 for j, c in basis[k].items():
                     basis[i][j] = basis[i].get(j, 0) - q * c
+                    near[j].add(i)
                 values[i] -= q * values[k]
             values = {i: v for i, v in values.items() if v}
-        basis = [b for i, b in enumerate(basis) if i not in values]
-    (kernel,) = basis
+        for i, v in values.items():
+            units = units and v in (1, -1)
+            del basis[i]
+    if (len(basis) != 1 or not units) and (inv := abelianization(p)) != AbelianGroupInvariants(1):
+        raise ValueError(f"abelianization is {inv}, not Z")
+    (kernel,) = basis.values()
     sign = -1 if kernel[min(j for j, w in kernel.items() if w)] < 0 else 1
     return tuple(sign * kernel.get(j, 0) for j in range(len(p.generators)))
 

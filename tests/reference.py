@@ -40,7 +40,11 @@ another way:
   CLI output, so the two must agree word for word;
 * ``random_unimodular``, a product of random elementary matrices,
   ``unit_block_matrix``, a sparse matrix mostly of ±1 entries around a
-  non-unit block, and ``matmul``, the matrix product;
+  non-unit block, ``matmul``, the matrix product, and
+  ``spelled_presentation``, a presentation whose abelianized Fox matrix
+  is a given matrix over Z[t, t^-1], for the routes of
+  ``covers.cover_homology``, and ``expanded_cyclic_form``, the
+  ``expand_length1`` form of a cyclic realization, for count ladders;
 * ``exponent_sums``, the exponent vector of one word over a list of
   generators, against ``presentations.exponent_rows``, which indexes
   the generators once per presentation;
@@ -64,6 +68,7 @@ another way:
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -85,7 +90,7 @@ from ribbonknots.acmoves import (
     apply_move,
     verify_move_sequence,
 )
-from ribbonknots.constructions import KnotModuleSpec, RealizationResult
+from ribbonknots.constructions import KnotModuleSpec, RealizationResult, realize_cyclic
 from ribbonknots.cosets import CosetTable
 from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
 from ribbonknots.intlinalg import (
@@ -97,8 +102,8 @@ from ribbonknots.intlinalg import (
     matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import LaurentPoly, laurent
-from ribbonknots.presentations import Presentation, exponent_rows
+from ribbonknots.laurent import LaurentPoly, from_coeffs, laurent
+from ribbonknots.presentations import Presentation, expand_length1, exponent_rows
 from ribbonknots.words import (
     IDENTITY,
     Word,
@@ -881,6 +886,31 @@ def random_unimodular(rng, n: int, count: int) -> Matrix:
         else:
             ops.append(Negate(rng.randrange(n)))
     return replay_elementary(ops, n)
+
+
+def spelled_presentation(rows: Sequence[Mapping[int, LaurentPoly]], cols: int) -> Presentation:
+    """``<t, x0, ..., x(cols - 1) | r_i>`` with each ``r_i`` a product of
+    conjugates ``t^e xj^c t^-e``, one per term ``c t^e`` of ``rows[i][j]``.
+    Each factor has weight 0 under ``t -> 1, xj -> 0``, so the abelianized
+    Fox derivative of ``r_i`` by ``xj`` is ``rows[i][j]``."""
+    generators = ("t",) + tuple(f"x{j}" for j in range(cols))
+    relators = tuple(
+        product(*(product(gen("t", e), gen(f"x{j}", c), gen("t", -e))
+                  for j, f in row.items() for e, c in f.terms()))
+        for row in rows
+    )
+    return Presentation(generators, relators)
+
+
+def expanded_cyclic_form(d: int) -> Presentation:
+    """The ``expand_length1`` form of the cyclic realization of
+    ``alpha = 1 + (t - 1) beta`` whose d coefficients of beta are drawn from
+    ``random.Random(0)`` as in ``test_fox.py::test_alexander_degree_40_cyclic``:
+    109, 207, 411 and 815 generators at d = 5, 10, 20 and 40."""
+    rng = random.Random(0)
+    b = [rng.choice((-1, 1)) * rng.randint(6, 14) for _ in range(d)]
+    alpha = from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, d)] + [b[-1]])
+    return expand_length1(realize_cyclic(alpha).wirtinger_presentation)
 
 
 def unit_block_matrix(rng, unit_rows: int, block: int, cols: int) -> Matrix:

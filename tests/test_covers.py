@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from ribbonknots import words
+from ribbonknots import covers, words
 from ribbonknots.constructions import (
     cyclic_module,
     parse_module_spec,
@@ -25,9 +25,11 @@ from reference import (
     compare_realization,
     count_calls,
     dense,
+    expanded_cyclic_form,
     kronecker_matrix,
     matmul,
     record_cokernel_calls,
+    spelled_presentation,
     t_action,
 )
 
@@ -149,7 +151,7 @@ def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
     # Every cokernel both sides take, for the four corpus modules and
     # rank-3 Trotter, against the elimination that rescans every nonzero.
     cases = cover_cases(corpus)
-    weights = [weight_vector(p) for p, _ in cases]  # it takes a cokernel too
+    weights = [weight_vector(p) for p, _ in cases]  # it may take a cokernel too
     handed = record_cokernel_calls(monkeypatch)
     for (p, spec), w in zip(cases, weights):
         cover_homology(p, n, w)
@@ -231,10 +233,15 @@ def test_module_side_of_a_z_free_module_does_not_grow_with_the_order(corpus, mon
 
 def test_cover_work_grows_linearly_in_the_order(corpus, monkeypatch):
     # Entries handed to cokernel_invariants by each side on the ladder
-    # N = 8, 16, 32, 64: linear in N (spun trefoil: 27, 51, 99, 195 group;
-    # trotter_2: 16, 32, 64, 128 module, where the Z-free modules hand a
-    # constant 4), where a dense grid grows 4x per doubling.
+    # N = 8, 16, 32, 64: linear in N where a side writes Kronecker rows
+    # (the 3x3 Trotter form: 102, 198, 390, 774 group, 96, 192, 384, 768
+    # module; trotter_2: 16, 32, 64, 128 module), constant where it hands
+    # T^N - I (4 for the spun trefoil and lemma4_companion on both sides,
+    # 1 for trotter_2's group side), where a dense grid grows 4x per
+    # doubling.
     cases = [corpus_case(corpus, name) for name in ("spun_trefoil", "lemma4_companion", "trotter_2")]
+    res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
+    cases.append((res.wirtinger_presentation, res.module_spec))
     weights = [weight_vector(p) for p, _ in cases]
     normalized, patched = count_calls(monkeypatch, words.normalize)
     assert "ribbonknots.covers" in patched
@@ -247,4 +254,102 @@ def test_cover_work_grows_linearly_in_the_order(corpus, monkeypatch):
             counts.append([sum(map(len, rows)) for rows, _, _ in handed[-2:]])
         for (g0, m0), (g1, m1) in zip(counts, counts[1:]):
             assert g1 <= 2.0 * g0 and m1 <= 2.0 * m0, counts
+    assert counts[-1][0] > 7 * counts[0][0], counts  # the 3x3 Trotter group side's rows
     assert not normalized
+
+
+def test_group_side_of_a_unit_end_form_does_not_grow_with_the_order(corpus, monkeypatch):
+    # Once its ±t^k pivots are gone, each of these forms leaves a block
+    # with a unimodular end, so the group side hands cokernel_invariants
+    # T^N - I of one size on N = 8 -> 1024: 2 x 2 with 4 entries, where
+    # the spun trefoil's Kronecker rows held 27, 51, 99, 195 entries on
+    # N = 8 -> 64.  Bits grow with the spectral radius of T, as on the
+    # module side: 12, 23, 45, ..., 1,423 for lemma4, 2 for the others.
+    handed = record_cokernel_calls(monkeypatch)
+    for name in ("spun_trefoil", "lemma4_companion", "lemma3_companion"):
+        p, _ = corpus_case(corpus, name)
+        weights = weight_vector(p)
+        handed.clear()
+        shapes, bits = set(), []
+        for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+            cover_homology(p, n, weights)
+            [(rows, cols, _)] = handed[-1:]
+            shapes.add((len(rows), cols, sum(map(len, rows))))
+            bits.append(max(abs(x).bit_length() for row in rows for x in row.values()))
+        assert len(handed) == 8 and len(shapes) == 1, (name, shapes)
+        ((r, c, entries),) = shapes
+        assert r == c and entries <= c * c, (name, shapes)
+        assert all(b1 <= 2.2 * b0 for b0, b1 in zip(bits, bits[1:])), (name, bits)
+
+
+@pytest.mark.parametrize("rows, n, size", [
+    ([{0: [1, 2, 1], 1: [0, 2]}, {0: [2], 1: [-1, 2, 1]}], 5, 4),  # B_2 = I: 2 x 2, d = 2
+    ([{0: [1, 2]}], 4, 1),  # only the bottom end is a unit: the reversed companion
+    ([{0: [2, 3]}], 4, None),  # no unit end
+    ([{0: [0, 1], 1: [1, 1]}, {0: [3], 1: [2, 1]}], 3, 2),  # the pivot t, then 1 x 1, d = 2
+    ([{0: [1, 1]}, {0: [2]}], 3, None),  # two rows, one column
+    ([{0: [1, 1, 0, 1]}], 2, None),  # d = 3 >= N
+])
+def test_group_side_route(rows, n, size, monkeypatch):
+    # The relators of spelled_presentation have these Fox rows over x0, x1
+    # (coefficients from t^0) at weights t -> 1, x -> 0.  The group side
+    # hands T^N - I, md x md, or the Kronecker rows of the rewritten cover.
+    p = spelled_presentation([{j: from_coeffs(c) for j, c in row.items()} for row in rows],
+                             max(j for row in rows for j in row) + 1)
+    weights = (1,) + (0,) * (len(p.generators) - 1)
+    handed = record_cokernel_calls(monkeypatch)
+    cover_homology(p, n, weights)
+    [(_, cols, _)] = handed
+    assert cols == (size or len(cyclic_cover_presentation(p, n, weights).generators))
+
+
+class CountingLambdaRow(dict):
+    """A row of the Laurent elimination that counts, in ``work``, the
+    entries written into it."""
+
+    def __init__(self, entries, work: Counter) -> None:
+        super().__init__(entries)
+        self.work = work
+
+    def __setitem__(self, g, f) -> None:
+        self.work["writes"] += 1
+        super().__setitem__(g, f)
+
+
+class CountingRows(list):
+    """The row list of the Laurent elimination, which counts in ``work``
+    the rows read from it."""
+
+    def __init__(self, rows, work: Counter) -> None:
+        super().__init__(CountingLambdaRow(row, work) for row in rows)
+        self.work = work
+
+    def __getitem__(self, i):
+        self.work["visits"] += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.work["visits"] += len(self)
+        return super().__iter__()
+
+
+def test_unit_pivot_elimination_work_is_linear_in_the_relator_letters(monkeypatch):
+    # On the expand_length1 forms of cyclic realizations of degree 5 -> 40
+    # (432 -> 3,256 relator letters), the group side eliminates every
+    # ±t^k pivot over Z[t, 1/t] before N enters: 107, 408, 816, 1,624
+    # entries written and 645, 1,233, 2,457, 4,881 row visits.  A pivot
+    # search that rescans the rows for each pivot made 6,423 -> 335,772.
+    work = Counter()
+    original = covers._unit_pivots
+    monkeypatch.setattr(covers, "_unit_pivots",
+                        lambda rows, cols: original(CountingRows(rows, work), cols))
+    ladder = []
+    for d in (5, 10, 20, 40):
+        p = expanded_cyclic_form(d)
+        work.clear()
+        cover_homology(p, 2, weight_vector(p))
+        letters = sum(len(r) for r in p.relators)
+        ladder.append((letters, work["writes"], work["visits"]))
+        assert work["writes"] <= letters and work["visits"] <= 2 * letters, ladder
+    for (l0, w0, v0), (l1, w1, v1) in zip(ladder, ladder[1:]):
+        assert w1 <= 2.2 * w0 * l1 / l0 and v1 <= 2.2 * v0 * l1 / l0, ladder

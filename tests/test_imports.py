@@ -95,3 +95,25 @@ def test_cover_homology_does_not_load_the_fox_oracle():
                          env=env, check=True, timeout=60).stdout.split()
     loaded = {m for m in out if m.startswith("ribbonknots.")}
     assert "ribbonknots.covers" in loaded and "ribbonknots.fox" not in loaded, loaded
+
+
+# The standard-library modules the package imports by name.  Loading
+# anything beyond what they load costs every CLI call its start-up time.
+STDLIB_IMPORTS = ("__future__", "argparse", "dataclasses", "functools", "heapq", "math",
+                  "operator", "pathlib", "re", "sys", "typing")
+
+
+def test_cli_loads_no_module_beyond_the_stdlib_modules_it_names():
+    # In fresh interpreters: every module that `import ribbonknots.cli`
+    # loads outside the package is also loaded by importing STDLIB_IMPORTS
+    # alone, so a new import such as `fractions` fails here.
+    def loaded(code: str) -> set[str]:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                             capture_output=True, text=True, env=env, check=True, timeout=60)
+        return set(out.stdout.split())
+
+    cli = loaded("import ribbonknots.cli")
+    base = loaded("import " + ", ".join(STDLIB_IMPORTS))
+    assert "ribbonknots.cli" in cli
+    assert {m for m in cli - base if not m.startswith("ribbonknots")} == set()

@@ -24,10 +24,10 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import reference  # noqa: E402
-from ribbonknots import acmoves, cli  # noqa: E402
+from ribbonknots import acmoves, cli, covers  # noqa: E402
 from ribbonknots.acmoves import (  # noqa: E402
     ACPresentation,
     Multiply,
@@ -88,6 +88,7 @@ from reference import (  # noqa: E402
     canonical_form_reference,
     cokernel_invariants_reference,
     cokernel_of,
+    count_calls,
     dense,
     diagonal_of,
     fox_derivative,
@@ -98,6 +99,7 @@ from reference import (  # noqa: E402
     random_unimodular,
     record_cokernel_calls,
     removal_plan_reference,
+    spelled_presentation,
     todd_coxeter_reference,
     unit_block_matrix,
     weight_vector_reference,
@@ -647,8 +649,10 @@ def cover_inputs(draw):
 @PROPERTY
 @given(cover_inputs())
 def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
-    # The abelianized walk hands cokernel_invariants the exponent rows of
-    # the Reidemeister-Schreier presentation, row for row, entry for entry.
+    # Where the group side takes the Kronecker route, the abelianized walk
+    # hands cokernel_invariants the exponent rows of the Reidemeister-
+    # Schreier presentation, row for row, entry for entry.  Where it hands
+    # T^N - I instead, its invariants are those of the rewritten cover.
     # Weights that do not map the group onto Z/N are refused by both.
     p, weights, n = case
     if gcd(n, *weights) != 1 or any(
@@ -661,11 +665,114 @@ def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
         return
     with pytest.MonkeyPatch.context() as mp:
         handed = record_cokernel_calls(mp)
-        cover_homology(p, n, weights)
+        companions, _ = count_calls(mp, covers._power_minus_identity)
+        got = cover_homology(p, n, weights)
     [(rows, cols, _)] = handed
     q = cyclic_cover_presentation(p, n, weights)
+    if companions:
+        assert got == cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
+        return
     assert cols == len(q.generators) and len(rows) == len(q.relators)
     assert dense(rows, cols) == dense(exponent_rows(q), cols)
+
+
+SPUN_TREFOIL = Presentation(("t", "u"), (normalize([("u", -1), ("t", 1), ("u", 1), ("t", 1),
+                                                    ("u", -1), ("t", -1)]),))
+
+
+def spelled(*rows: dict) -> Presentation:
+    """``reference.spelled_presentation`` of rows ``{j: coefficients from
+    t^0}``, for the examples below."""
+    cols = 1 + max((j for row in rows for j in row), default=-1)
+    return spelled_presentation([{j: from_coeffs(c) for j, c in row.items()} for row in rows], cols)
+
+
+def unit_free_relator(w: Word) -> Word:
+    """``w`` times a^s b^-s, which makes its sum 0 under a -> 2, b -> 3."""
+    s = sum({"a": 2, "b": 3}[g] * e for g, e in w.syllables)
+    return product(w, gen("a", s), gen("b", -s))
+
+
+@st.composite
+def group_side_inputs(draw):
+    """A presentation, its weights and N in 1..8, drawn to reach every
+    route of the group side of cover homology.  Mostly
+    ``reference.spelled_presentation`` of an m x m matrix B over Z[t, 1/t]
+    (m <= 3, degree d <= 3, so d >= N happens) whose top coefficient B_d
+    is unimodular, or only its bottom one B_0, or neither, or with a row
+    added or removed (not square); up to two ±t^k pivots are mixed in,
+    some in rows that also touch B, and some generators x_j are rewritten
+    as x_j t^w, so that the weights and the generator of weight ±1 move;
+    or t^N ends the first relator, so that the weights map onto Z/N but
+    not onto Z.  Otherwise a presentation on a, b with weights 2, 3 (no
+    weight ±1), or the spun trefoil at 6 | N, whose cover has free rank 3."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("top", "bottom", "neither", "nonsquare", "unit-free", "spun")))
+    if kind == "spun":
+        return SPUN_TREFOIL, (1, 1), 6 * draw(st.integers(1, 3))
+    if kind == "unit-free":
+        rels = draw(st.lists(words(("a", "b"), max_size=6), max_size=3))
+        return Presentation(("a", "b"), tuple(map(unit_free_relator, rels))), (2, 3), n
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m, d = rng.randint(1, 3), rng.randint(0, 3)
+    grids = [[[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)] for _ in range(d + 1)]
+    unimodular = {"top": [d], "bottom": [0]}.get(kind, [])
+    for k in unimodular:
+        grids[k] = [list(row) for row in random_unimodular(rng, m, rng.randrange(8)).entries]
+    for k in {0, d} - set(unimodular):
+        grids[k][0] = [2 * x for x in grids[k][0]]  # an even determinant
+    rows = [{j: laurent({k: grids[k][i][j] for k in range(d + 1)}) for j in range(m)}
+            for i in range(m)]
+    if kind == "nonsquare":
+        rows = rows[1:] if rng.random() < 0.5 else rows + [rows[0]]
+    for y in range(m, m + rng.randint(0, 2)):  # a column y with a ±t^k pivot
+        for row in rows:
+            if rng.random() < 0.5:
+                row[y] = laurent({rng.randint(-1, 1): rng.choice((-2, -1, 1, 2))})
+        pivot = {y: laurent({rng.randint(-2, 2): rng.choice((-1, 1))})}
+        if rng.random() < 0.5:
+            pivot[rng.randrange(m)] = laurent({rng.randint(0, 2): rng.randint(-2, 2)})
+        rows.append(pivot)
+    p = spelled_presentation(rows, 1 + max((j for row in rows for j in row), default=m - 1))
+    weights = [1] + [0] * (len(p.generators) - 1)
+    images = {}
+    for j, g in enumerate(p.generators[1:], 1):
+        if rng.random() < 0.3:
+            weights[j] = rng.choice((-1, 1, 2))
+            images[g] = product(gen(g), gen("t", -weights[j]))
+    relators = tuple(substitute(r, images) for r in p.relators)
+    if relators and rng.random() < 0.2:
+        relators = (product(relators[0], gen("t", n)),) + relators[1:]
+    order = rng.sample(range(len(weights)), len(weights))
+    return (Presentation(tuple(p.generators[i] for i in order), relators),
+            tuple(weights[i] for i in order), n)
+
+
+# One input for each route: a 2 x 2 block with unimodular top end
+# (I t^2 + ...), only a unimodular bottom end (1 + 2t, reversed), neither
+# (2 + 3t), a ±t^k pivot left of a 1 x 1 block, a non-square block,
+# d >= N, N = 1, no weight ±1, weights onto Z/N only, and the spun
+# trefoil at 6 | N.
+@PROPERTY
+@example((spelled({0: [1, 2, 1], 1: [0, 2]}, {0: [2], 1: [-1, 2, 1]}), (1, 0, 0), 5))
+@example((spelled({0: [1, 2]}), (1, 0), 4))
+@example((spelled({0: [2, 3]}), (1, 0), 4))
+@example((spelled({0: [0, 1], 1: [1, 1]}, {0: [3], 1: [2, 1]}), (1, 0, 0), 3))
+@example((spelled({0: [1, 1]}, {0: [2]}), (1, 0), 3))
+@example((spelled({0: [1, 1, 0, 1]}), (1, 0), 2))
+@example((spelled({0: [1, -1, 1]}), (1, 0), 1))
+@example((Presentation(("a", "b"), (unit_free_relator(gen("a", 3)),)), (2, 3), 5))
+@example((Presentation(("t", "x0"), (product(spelled({0: [1, 2]}).relators[0], gen("t", 5)),)),
+          (1, 0), 5))
+@example((SPUN_TREFOIL, (1, 1), 12))
+@given(group_side_inputs())
+def test_group_side_matches_the_rewritten_cover_reference(case):
+    # Every route of cover_homology against the full-rescan elimination of
+    # the exponent rows of the Reidemeister-Schreier presentation.
+    p, weights, n = case
+    q = cyclic_cover_presentation(p, n, weights)
+    want = cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
+    assert cover_homology(p, n, weights) == want
 
 
 UNITS = st.sampled_from((-1, 1))
