@@ -203,7 +203,7 @@ def _companion(rows: list[dict], cols: list, n: int) -> Optional[list[list[int]]
     nonzero sparse rows (t on coker B = Z^(md), basis t^k e_j), or None.
     Rows shifted to start at t^0, B = B_0 + ... + B_d t^d.  If d < N and
     B_d, or else B_0 (t -> 1/t reverses each row, and B mod t^N - 1), is
-    unimodular, Euclid makes it I; then t^d e_j = -row j of B_0 ... B_(d-1)."""
+    unimodular, Euclid makes it D = diag(±1); t^d e_j = -D_jj (row j of B_0 ... B_(d-1))."""
     m = len(cols)
     lows = [min((e for f in row.values() for e in f), default=0) for row in rows]
     d = max((e - low for row, low in zip(rows, lows) for f in row.values() for e in f), default=0)
