@@ -29,7 +29,7 @@ from .laurent import (
     ONE,
     ZERO,
     augmentation,
-    div_exact_t_minus_1,
+    from_coeffs,
     laurent,
     parse_poly_line,
 )
@@ -196,7 +196,7 @@ def _realize_summands(
     xs = [x for x, _ in names]
     ws = []
     for alpha, x in zip(spec.polys, xs):
-        beta = div_exact_t_minus_1(alpha - ONE)
+        beta = (alpha - ONE) // from_coeffs([-1, 1])
         ws.append(normalize(
             syl for i, b in beta.terms() for syl in (("t", i), (x, b), ("t", -i))
         ))

@@ -21,21 +21,10 @@ from .presentations import Presentation
 from .words import Word, normalize
 
 
-def _schreier(
-    p: Presentation, n: int, weights: Sequence[int]
-) -> tuple[dict[str, int], dict[tuple[int, str], int], list[int]]:
-    """The weights by generator, the column of each Schreier generator and
-    the weighted sum of each relator.
-
+def _weight_map(p: Presentation, n: int, weights: Sequence[int]) -> tuple[dict[str, int], list[int]]:
+    """The weights by generator and the weighted sum of each relator.
     ``weights`` lists the generators' images in Z/N, in order; they must
-    generate Z/N and kill every relator, so that they define a map onto it.
-
-    The transversal is the breadth-first spanning tree of the coset graph
-    from coset 0, generators in presentation order, positive direction
-    first.  Each pair (coset c, generator g) off the tree is a Schreier
-    generator ``<g>_<c>``; columns run generator by generator, cosets
-    ascending.
-    """
+    generate Z/N and kill every relator, so that they define a map onto it."""
     if n < 1:
         raise ValueError("cover order must be >= 1")
     if len(weights) != len(p.generators):
@@ -44,6 +33,16 @@ def _schreier(
     sums = [sum(w[g] * e for g, e in r.syllables) for r in p.relators]
     if gcd(n, *weights) != 1 or any(s % n for s in sums):
         raise ValueError(f"weights do not map the group onto Z/{n}")
+    return w, sums
+
+
+def _transversal(p: Presentation, n: int, w: dict[str, int]) -> dict[tuple[int, str], int]:
+    """The column of each Schreier generator.  The transversal is the
+    breadth-first spanning tree of the coset graph from coset 0,
+    generators in presentation order, positive direction first.  Each
+    pair (coset c, generator g) off the tree is a Schreier generator
+    ``<g>_<c>``; columns run generator by generator, cosets ascending.
+    """
     tree: set[tuple[int, str]] = set()
     seen = {0}
     queue = [0]
@@ -60,7 +59,7 @@ def _schreier(
                 tree.add((bwd, g))
                 queue.append(bwd)
     pairs = [(c, g) for g in p.generators for c in range(n) if (c, g) not in tree]
-    return w, {pair: j for j, pair in enumerate(pairs)}, sums
+    return {pair: j for j, pair in enumerate(pairs)}
 
 
 def _walk(r: Word, w: dict[str, int]) -> Iterator[tuple[int, str, int]]:
@@ -85,8 +84,8 @@ def cyclic_cover_presentation(p: Presentation, n: int, weights: Sequence[int]) -
     Reidemeister-Schreier rewriting: ``N * #gens - (N - 1)`` generators
     and ``N * #relators`` relators, each relator from each start coset.
     """
-    w, column, _ = _schreier(p, n, weights)
-    names = {pair: f"{pair[1]}_{pair[0]}" for pair in column}
+    w = _weight_map(p, n, weights)[0]
+    names = {pair: f"{pair[1]}_{pair[0]}" for pair in _transversal(p, n, w)}
     walks = [list(_walk(r, w)) for r in p.relators]
     relators = tuple(
         normalize((names[pair], s) for o, g, s in walk if (pair := ((c + o) % n, g)) in names)
@@ -103,7 +102,7 @@ def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGr
     the rows without its column (Fox's fundamental formula), so Z + coker
     (T^N - I) if :func:`_unit_pivots` leaves a :func:`_companion` T.  Else
     the rows are those of :func:`cyclic_cover_presentation`."""
-    w, column, exact = _schreier(p, n, weights)
+    w, exact = _weight_map(p, n, weights)
     walks = []
     for r in p.relators:
         sums: dict[str, dict[int, int]] = {}
@@ -120,6 +119,7 @@ def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGr
             coker = cokernel_invariants(_power_minus_identity(t, n), len(t))
             return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
     rows: list[dict[int, int]] = []
+    column = _transversal(p, n, w)
     for sums in walks:
         terms = [(o, g, x) for g, f in sums.items() for o, x in _fold(f.items(), n).items() if x]
         rows += [{column[pair]: x for o, g, x in terms if (pair := ((c + o) % n, g)) in column}

@@ -58,20 +58,22 @@ class LaurentPoly:
         return LaurentPoly(self.low, tuple(-c for c in self.coeffs))
 
     def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient by long division from the top term; raises
-        ValueError when ``other`` does not divide ``self``."""
-        if other.is_zero():
+        """Exact quotient by synthetic division of the coefficient runs,
+        top first; raises ValueError when ``other`` does not divide ``self``."""
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("division by the zero polynomial")
-        quot: dict[int, int] = {}
-        rem = self
-        while not rem.is_zero():
-            if len(rem.coeffs) < len(other.coeffs) or rem.coeffs[-1] % other.coeffs[-1]:
+        rem, m = list(self.coeffs), len(b) - 1
+        quot = [0] * max(len(rem) - m, 0)
+        for k in reversed(range(len(quot))):
+            quot[k], r = divmod(rem[k + m], b[-1])
+            if r:
                 raise ValueError("inexact polynomial division")
-            c = rem.coeffs[-1] // other.coeffs[-1]
-            k = (rem.low + len(rem.coeffs)) - (other.low + len(other.coeffs))
-            quot[k] = c
-            rem = rem - other * t_power(k, c)
-        return laurent(quot)
+            for j in range(m):
+                rem[k + j] -= quot[k] * b[j]
+        if any(rem[:m]):
+            raise ValueError("inexact polynomial division")
+        return LaurentPoly(self.low - other.low, tuple(quot)) if quot else ZERO
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -105,28 +107,9 @@ def from_coeffs(coeffs: Sequence[int], low: int = 0) -> LaurentPoly:
     return laurent({low + i: c for i, c in enumerate(coeffs)})
 
 
-def t_power(k: int, coeff: int = 1) -> LaurentPoly:
-    return laurent({k: coeff})
-
-
 def augmentation(p: LaurentPoly) -> int:
     """Sum of coefficients (the evaluation t -> 1)."""
     return sum(p.coeffs)
-
-
-def div_exact_t_minus_1(p: LaurentPoly) -> LaurentPoly:
-    """The exact quotient ``p / (t - 1)``; requires augmentation(p) == 0."""
-    if augmentation(p) != 0:
-        raise ValueError("polynomial is not divisible by t - 1")
-    if p.is_zero():
-        return ZERO
-    # Synthetic division by (t - 1), low exponent first.
-    out: list[int] = []
-    acc = 0
-    for c in p.coeffs[:-1]:
-        acc += c
-        out.append(-acc)
-    return from_coeffs(out, p.low)
 
 
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:

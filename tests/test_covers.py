@@ -282,6 +282,22 @@ def test_group_side_of_a_unit_end_form_does_not_grow_with_the_order(corpus, monk
         assert all(b1 <= 2.2 * b0 for b0, b1 in zip(bits, bits[1:])), (name, bits)
 
 
+def test_the_companion_route_builds_no_schreier_transversal(corpus, monkeypatch):
+    # T^N - I needs only the weight map; the transversal that numbers the
+    # Schreier generators is built where the group side folds its rows
+    # mod N, as on the 3 x 3 Trotter form below.
+    builds, _ = count_calls(monkeypatch, covers._transversal)
+    for name in ("spun_trefoil", "lemma4_companion", "lemma3_companion"):
+        p, _ = corpus_case(corpus, name)
+        weights = weight_vector(p)
+        for n in (8, 16, 32, 64, 128, 256, 512, 1024):
+            cover_homology(p, n, weights)
+    assert not builds
+    p = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])).verification_presentation()
+    cover_homology(p, 8, weight_vector(p))
+    assert builds
+
+
 @pytest.mark.parametrize("rows, n, size", [
     ([{0: [1, 2, 1], 1: [0, 2]}, {0: [2], 1: [-1, 2, 1]}], 5, 4),  # B_2 = I: 2 x 2, d = 2
     ([{0: [1, 2]}], 4, 1),  # only the bottom end is a unit: the reversed companion

@@ -10,8 +10,9 @@ matrices mostly of units, too) against sympy and against their
 full-rescan reference, pivot for pivot, of the abelianized cover rows
 against the rewritten cover presentation, of the module side of cover
 homology (T^N - I where t has a known action) against the cokernel of
-the Kronecker matrix, of the peeling determinant over Z[t, t^-1], and
-of the CLI's exit-code contract on generated, often malformed, input."""
+the Kronecker matrix, of the peeling determinant and of exact division
+over Z[t, t^-1] against sympy, and of the CLI's exit-code contract on
+generated, often malformed, input."""
 
 import contextlib
 import io
@@ -61,7 +62,7 @@ from ribbonknots.intlinalg import (  # noqa: E402
     matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
+from ribbonknots.laurent import ONE, ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
 from ribbonknots.presentations import (  # noqa: E402
     LOG,
     Presentation,
@@ -933,6 +934,36 @@ def test_det_lambda_matches_sympy_zero_line(grid):
 @given(bordered_core())
 def test_det_lambda_matches_sympy_bordered_core(grid):
     assert det_lambda(matrix(grid)) == sympy_det(grid)
+
+
+def runs(nonzero=False):
+    """Laurent polynomials of up to eight terms, low exponent -4 to 4,
+    their end coefficients often not units."""
+    poly = st.builds(from_coeffs, st.lists(st.integers(-4, 4), max_size=8), st.integers(-4, 4))
+    return poly.filter(lambda p: not p.is_zero()) if nonzero else poly
+
+
+@PROPERTY
+@given(runs(), runs(nonzero=True), runs())
+@example(ONE, from_coeffs([-1, 1]), from_coeffs([0, 1, 2, 1], -2))
+@example(from_coeffs([1, 1]), from_coeffs([2, 2]), ZERO)  # exact over Q, not over Z
+def test_exact_division_matches_sympy(a, b, c):
+    assert (c * b) // b == c
+    with pytest.raises(ZeroDivisionError):
+        a // ZERO
+    # b divides a + b c where it divides a (a = 0, say): both outcomes
+    # are drawn.  Shifted to low 0, b has a nonzero constant term, so it
+    # divides over Z[t, 1/t] exactly when it divides over Z[t].
+    a = a + b * c
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    shifted = [sympy.Poly(p.coeffs[::-1], t, domain=sympy.ZZ) for p in (a, b)]
+    q, r = shifted[0].div(shifted[1], auto=False)
+    if r.is_zero:
+        assert a // b == from_coeffs([int(x) for x in q.all_coeffs()[::-1]], a.low - b.low)
+    else:
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            a // b
 
 
 # The CLI's exit-code contract, at small sizes only: exponents of at most
