@@ -11,13 +11,13 @@ comparing them is the main correctness oracle of this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .constructions import KnotModuleSpec
-from .intlinalg import AbelianGroupInvariants, cokernel_invariants, matrix
-from .presentations import Presentation
+from .intlinalg import AbelianGroupInvariants, bareiss_det, cokernel_invariants, divisor_chain
+from .presentations import Presentation, abelianization
 from .words import Word, normalize
 
 
@@ -96,35 +96,23 @@ def cyclic_cover_presentation(p: Presentation, n: int, weights: Sequence[int]) -
 
 
 def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGroupInvariants:
-    """First homology of the N-fold cyclic cover group.  A walk of each
-    relator sums its letters by generator and offset: a Fox row over
-    Z[t, 1/t].  For weights onto Z, one ±1, this is Z + coker P'(C_N), P'
-    the rows without its column (Fox's fundamental formula), so Z + coker
-    (T^N - I) if :func:`_unit_pivots` leaves a :func:`_companion` T.  Else
-    the rows are those of :func:`cyclic_cover_presentation`."""
+    """First homology of the N-fold cyclic cover group: for weights onto Z,
+    one ±1, Z + coker P'(C_N), P' the Fox rows over Z[t, 1/t] (summed by a
+    walk of each relator) without its column, whose ±t^k pivots go first;
+    else the abelianization of :func:`cyclic_cover_presentation`."""
     w, exact = _weight_map(p, n, weights)
-    walks = []
+    if not (unit := next((g for g in p.generators if w[g] in (1, -1)), None)) or any(exact):
+        return abelianization(cyclic_cover_presentation(p, n, weights))
+    others = [g for g in p.generators if g != unit]
+    lam = []
     for r in p.relators:
         sums: dict[str, dict[int, int]] = {}
         for o, g, s in _walk(r, w):
             f = sums.setdefault(g, {})
             f[o] = f.get(o, 0) + s
-        walks.append(sums)
-    unit = next((g for g in p.generators if w[g] in (1, -1)), None)
-    if unit and not any(exact):
-        lam = [{g: {o: x for o, x in f.items() if x} for g, f in sums.items() if g != unit}
-               for sums in walks]
-        t = _companion(*_unit_pivots(lam, [g for g in p.generators if g != unit]), n)
-        if t is not None:
-            coker = cokernel_invariants(_power_minus_identity(t, n), len(t))
-            return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
-    rows: list[dict[int, int]] = []
-    column = _transversal(p, n, w)
-    for sums in walks:
-        terms = [(o, g, x) for g, f in sums.items() for o, x in _fold(f.items(), n).items() if x]
-        rows += [{column[pair]: x for o, g, x in terms if (pair := ((c + o) % n, g)) in column}
-                 for c in range(n)]
-    return cokernel_invariants(rows, len(column))
+        lam.append({g: {o: x for o, x in f.items() if x} for g, f in sums.items() if g != unit})
+    coker = cokernel_invariants(*_cover_rows(*_unit_pivots(lam, others), n))
+    return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
 
 
 def _unit_pivots(rows: list[dict[str, dict[int, int]]], cols: list[str]) -> tuple[list, list[str]]:
@@ -161,70 +149,178 @@ def _unit_pivots(rows: list[dict[str, dict[int, int]]], cols: list[str]) -> tupl
 
 
 def module_cover_homology(spec: KnotModuleSpec, n: int) -> AbelianGroupInvariants:
-    """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone
-    (the Z is the image of the weight map), as one block-diagonal cokernel.
-
-    Where t acts on Z^d by a known T (``taction``; I + M for ``tminus1``;
-    a summand's :func:`_companion`), the block is ``T^N - I``, d x d.
-    Elsewhere the N x N cyclic shift replaces t in the presentation matrix
-    B (Kronecker substitution): sparse row (i, a) has ``c`` at column
-    ``j N + (a + e) mod N`` for each term ``c t^e`` of ``B[i][j]`` (terms
-    equal mod N added).
-    """
+    """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone, of
+    the presentation matrix or of each summand of a cyclic or sum module."""
     if n < 1:
         raise ValueError("cover order must be >= 1")
-    if spec.kind in ("cyclic", "sum"):
-        blocks = [t if (t := _companion([{0: dict(a.terms())}], [0], n)) is not None
-                  else matrix([[a]]) for a in spec.polys]
-    elif spec.kind in ("taction", "tminus1"):
-        blocks = [[[x + (i == j and spec.kind == "tminus1") for j, x in enumerate(r)]
-                   for i, r in enumerate(spec.matrix.entries)]]
-    else:
-        blocks = [spec.presentation_matrix()]
-    rows: list[dict[int, int]] = []
-    cols = 0
-    for block in blocks:
-        if isinstance(block, list):
-            rows += _power_minus_identity(block, n, cols)
-            cols += len(block)
-            continue
-        for entries in block.entries:
-            terms = []
-            for j, entry in enumerate(entries):
-                terms += [(cols + j * n, e, c) for e, c in _fold(entry.terms(), n).items() if c]
-            rows += [{j + (a + e) % n: c for j, e, c in terms} for a in range(n)]
-        cols += block.rows * n
+    rows, cols = [], 0
+    for block in [[[a]] for a in spec.polys] or [spec.presentation_matrix().entries]:
+        lam = [{j: dict(x.terms()) for j, x in enumerate(r) if not x.is_zero()} for r in block]
+        more, width = _cover_rows(lam, list(range(len(block))), n, cols)
+        rows, cols = rows + more, cols + width
     coker = cokernel_invariants(rows, cols)
     return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
 
 
-def _companion(rows: list[dict], cols: list, n: int) -> Optional[list[list[int]]]:
-    """The block companion T of a square matrix B over Z[t, 1/t] given as
-    nonzero sparse rows (t on coker B = Z^(md), basis t^k e_j), or None.
-    Rows shifted to start at t^0, B = B_0 + ... + B_d t^d.  If d < N and
-    B_d, or else B_0 (t -> 1/t reverses each row, and B mod t^N - 1), is
-    unimodular, Euclid makes it D = diag(±1); t^d e_j = -D_jj (row j of B_0 ... B_(d-1))."""
+def _cover_rows(rows: list[dict], cols: list, n: int, shift: int = 0) -> tuple[list, int]:
+    """Sparse rows presenting coker B(C_N) (columns from ``shift`` on) and their number, for
+    nonzero rows ``{column: {exponent: coefficient}}`` of B over Z[t, 1/t]: T^N - I, the
+    invariant factors of :func:`_modulus`, or the Kronecker fold (docs/cover-homology-oracle.md)."""
     m = len(cols)
     lows = [min((e for f in row.values() for e in f), default=0) for row in rows]
     d = max((e - low for row, low in zip(rows, lows) for f in row.values() for e in f), default=0)
-    if d >= n or len(rows) != m:
+    if d < n and len(rows) == m:  # rows shifted to t^0 are B_0 + ... + B_d t^d
+        coeffs = [[row.get(cols[k % m], {}).get(low + k // m, 0) for k in range(m * d + m)]
+                  for row, low in zip(rows, lows)]
+        ends = []
+        for coef in (coeffs, [r[::-1] for r in coeffs]):  # B_d last, then B_0 last
+            if (end := _monic(coef, m, d)) and end[0] in (1, -1):
+                out = _power_minus_identity(end, n)
+                return [{shift + j: x for j, x in enumerate(r) if x} for r in out], m * d
+            ends.append(end)
+        if (chain := _modulus(ends, coeffs, n)) is not None:
+            return [{shift + k: x} for k, x in enumerate(chain)], m * d
+    column = {g: shift + j * n for j, g in enumerate(cols)}
+    terms = [[(column[g], e, c) for g, f in row.items() for e, c in _fold(f.items(), n).items() if c]
+             for row in rows]
+    return [{j + (a + e) % n: c for j, e, c in t} for t in terms for a in range(n)], m * n
+
+
+def _monic(coeffs: list[list[int]], m: int, d: int) -> Optional[tuple[int, list[list[int]]]]:
+    """(δ, V) for rows (B_0 ... B_d): δ = ±det B_d, V = δ B_d^-1 (B_0 ... B_(d-1))
+    by fraction-free Gauss-Jordan, whose pivots all end as δ; None if δ = 0."""
+    a, prev = [r[m * d:] + r[: m * d] for r in coeffs], 1
+    for k in range(m):
+        i = next((i for i in range(k, m) if a[i][k]), None)
+        if i is None:
+            return None
+        a[k], a[i] = a[i], a[k]
+        a = [r if i == k else [(a[k][k] * x - r[k] * y) // prev for x, y in zip(r, a[k])]
+             for i, r in enumerate(a)]
+        prev = a[k][k]
+    return prev, [r[m:] for r in a]
+
+
+def _power_minus_identity(end: tuple[int, list[list[int]]], n: int, q: int = 0) -> list[list[int]]:
+    """Rows of T^N - I, mod q if q (else δ = ±1), T the companion of (δ, V): t^d e_j = -row j
+    of V / δ.  Rows k m + j of T^s are its rows j times T^k: squaring needs only those m."""
+    (delta, w), mod = end, (lambda v: [x % q for x in v]) if q else (lambda v: v)
+    m, md, inv = len(w), len(w[0]) if w else 0, pow(delta, -1, q) if q else delta
+
+    def times_t(v: list[int]) -> list[int]:
+        out = [0] * m + v[: md - m]
+        for x, row in zip(v[md - m:], w):
+            x = x * inv % q if q else x * inv
+            out = [y - x * z for y, z in zip(out, row)] if x else out
+        return mod(out)
+
+    full = [[int(i == j) for j in range(md)] for i in range(md)]
+    for bit in bin(n)[2:]:
+        u = [mod([sum(map(mul, x, col)) for col in zip(*full)]) for x in full[:m]]
+        full = [times_t(x) for x in u] if bit == "1" else u
+        while len(full) < md:
+            full = full + [times_t(x) for x in full[-m:]]
+    return [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(full)]
+
+
+_PRIMES: list[int] = []  # the primes below 2^61 from the top, found as first needed
+
+
+def _modulus(ends: list, coeffs: list[list[int]], n: int) -> Optional[list[int]]:
+    """The invariant factors of coker B(C_N) if D = |det B(C_N)| > 0 and its part D_2 on
+    the primes of a = det B_d is prime to c = det B_0; ``ends``: :func:`_monic` of B, B reversed."""
+    a, c = (end[0] if end else 0 for end in ends)
+    end = ends[0] or ends[1]
+    bound = 4 * prod(sum(x * x for x in r) for r in coeffs) ** n  # 4 H^2N >= 4 D^2
+    i, r, big = 0, 0, 1
+    while end and big * big <= bound:
+        if i == len(_PRIMES):
+            _PRIMES.append(next(p for p in range((_PRIMES or [2**61 + 1])[-1] - 2, 1, -2) if _is_prime(p)))
+        if end[0] % (p := _PRIMES[i]):
+            rows = _power_minus_identity(end, n, p)
+            x = bareiss_det(rows, 0, 1) if len(end[1]) > 1 else _euclid(end, rows, p)[1]
+            r, big = r + big * ((pow(end[0], n, p) * x - r) * pow(big, -1, p) % p), big * p
+        i += 1
+    d1, d2 = abs(r - big if 2 * r > big else r), 1
+    while d1 and (g := gcd(d1, a)) > 1:
+        d1, d2 = d1 // g, d2 * g
+    if not d1 or gcd(d2, c) > 1:
         return None
-    coeffs = [[row.get(cols[k % m], {}).get(low + k // m, 0) for k in range(m * d + m)]
-              for row, low in zip(rows, lows)]
-    for ends in (coeffs, [r[::-1] for r in coeffs]):
-        for r, c in enumerate(range(m * d, m * d + m)):
-            for i in range(r + 1, m):
-                while ends[i][c]:
-                    q = ends[r][c] // ends[i][c]
-                    ends[r], ends[i] = ends[i], [x - q * y for x, y in zip(ends[r], ends[i])]
-            if (p := ends[r][c]) not in (1, -1):
-                break
-            for i in set(range(m)) - {r}:  # the end becomes diagonal, p^-1 = p
-                ends[i] = [x - ends[i][c] * p * y for x, y in zip(ends[i], ends[r])]
-        else:
-            return [[int(j == i + m) for j in range(m * d)] for i in range(m * d - m)] + [
-                [-row[m * d + r] * x for x in row[: m * d]] for r, row in enumerate(ends) if d]
-    return None
+    chain = [1] * (len(coeffs[0]) - len(coeffs))
+    for end, q in zip(ends, (d1, d2)):  # T^N - I mod D_1, the reversed rows' mod D_2
+        if q > 1:
+            rows = _power_minus_identity(end, n, q)
+            x = _smith_mod(rows, q) if len(end[1]) > 1 else _euclid(end, rows, q)[0]
+            chain = [y * z for y, z in zip(chain, x)]
+    return chain
+
+
+def _euclid(end: tuple[int, list[list[int]]], rows: list[list[int]], q: int) -> tuple[list, int]:
+    """Invariant factors of (Z/q)[t]/(f, g), and Res(f, g), f = alpha / δ for end = (δ, [alpha's]),
+    g = row 0 of T^N - I: Euclid, or :func:`_smith_mod` on a part of q where lc(g) is no unit."""
+    inv, out, res = pow(end[0], -1, q), [1] * len(rows), 1
+    f = [x * inv % q for x in end[1][0]]
+    g = _reduce(rows[0] if rows else [], f, q)
+    while q > 1:
+        if (h := gcd(g[-1], q) if g else q) == 1:
+            inv = pow(g[-1], -1, q)
+            res = res * (-1) ** (len(f) * (len(g) - 1)) * pow(g[-1], len(f), q) % q
+            f, g = [x * inv % q for x in g[:-1]], _reduce(f + [1], [x * inv for x in g[:-1]], q)
+            continue
+        q1, res = 1, res if not f else 0
+        while (x := gcd(q, h)) > 1:
+            q1, q = q1 * x, q // x
+        sub = [g] if f else []
+        while 0 < len(sub) < len(f):
+            sub.append(_reduce([0] + sub[-1], f, q1))
+        out = [x * y for x, y in zip(out, [1] * (len(out) - len(f)) + _smith_mod(sub, q1))]
+    return out, res
+
+
+def _reduce(f: list[int], w: list[int], q: int) -> list[int]:
+    """f (consumed) mod the monic t^len(w) + ... + w_0 over Z/q, no zeros at the end."""
+    while len(f) > len(w):
+        x = f.pop() % q
+        for k, y in enumerate(w, len(f) - len(w)):
+            f[k] -= x * y
+    f = [x % q for x in f]
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37: exact for odd p > 37 below 3.3e24."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s t, t odd
+    return all(pow(b, (p - 1) >> s, p) == 1 or p - 1 in [pow(b, (p - 1) >> s << k, p) for k in range(s)]
+               for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def _smith_mod(a: list[list[int]], q: int) -> list[int]:
+    """The invariant factors of Z^k / (k rows of a, q Z^k) as a divisor
+    chain, by elimination over Z/q: the pivot x is a unit, or of least
+    g = gcd(x, q), made to divide its row and column; Z/g splits off."""
+    a, out = [[x % q for x in r] + [0] * (len(a) - len(r)) for r in a], []
+    while a:
+        i, j = min((gcd(x, q), i, j) for i, r in enumerate(a) for j, x in enumerate(r))[1:]
+        while True:
+            g = gcd(x := a[i][j], q)
+            if not any(r[j] % g for r in a):
+                if not any(y % g for y in a[i]):
+                    break
+                a, i, j = [list(r) for r in zip(*a)], j, i
+            k = next(k for k, r in enumerate(a) if r[j] % g)
+            h = gcd(x, a[k][j], q)
+            s = q // h  # its part prime to x / h: gcd(x + s a_kj, q) = h
+            while (f := gcd(s, x // h)) > 1:
+                s //= f
+            a[i] = [(y + s * z) % q for y, z in zip(a[i], a[k])]
+        u, p = pow(x // g, -1, q // g), a.pop(i)
+        for r in a:
+            f = r[j] // g * u % q
+            r[:] = [(y - f * z) % q for k, (y, z) in enumerate(zip(r, p)) if k != j]
+        out.append(g)
+    return divisor_chain(out)
 
 
 def _fold(terms, n: int) -> dict[int, int]:
@@ -233,16 +329,6 @@ def _fold(terms, n: int) -> dict[int, int]:
     for e, c in terms:
         out[e % n] = out.get(e % n, 0) + c
     return out
-
-
-def _power_minus_identity(a: list[list[int]], n: int, shift: int = 0) -> list[dict[int, int]]:
-    """Sparse rows of a^n - I, columns shifted by ``shift``; a^n by binary powering."""
-    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-    for bit in bin(n)[2:]:
-        for b in [out, a][: 1 + int(bit)]:  # square; times a on a 1 bit
-            out = [[sum(map(mul, row, col)) for col in zip(*b)] for row in out]
-    return [{shift + j: x - (i == j) for j, x in enumerate(r) if x != (i == j)}
-            for i, r in enumerate(out)]
 
 
 @dataclass(frozen=True)

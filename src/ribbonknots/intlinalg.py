@@ -380,13 +380,17 @@ def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGro
                     best[i] = k
                 elif best[i][3] == j and k != best[i]:
                     best[i] = key(i)
-    # (a, b) -> (gcd, lcm) keeps the group; after position a has met every
-    # later entry it divides all of them.
-    for a in range(len(nonunits)):
-        for b in range(a + 1, len(nonunits)):
-            g = gcd(nonunits[a], nonunits[b])
-            nonunits[a], nonunits[b] = g, nonunits[a] // g * nonunits[b]
-    return diagonal_invariants([1] * units + nonunits, cols)
+    return diagonal_invariants([1] * units + divisor_chain(nonunits), cols)
+
+
+def divisor_chain(xs: list[int]) -> list[int]:
+    """The positive ``xs`` (consumed) as a divisor chain with the same sum of cyclic
+    groups: (a, b) -> (gcd, lcm) keeps it; a divides all once it has met them."""
+    for a in range(len(xs)):
+        for b in range(a + 1, len(xs)):
+            g = gcd(xs[a], xs[b])
+            xs[a], xs[b] = g, xs[a] // g * xs[b]
+    return xs
 
 
 def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:

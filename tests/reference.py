@@ -44,15 +44,15 @@ another way:
   ``spelled_presentation``, a presentation whose abelianized Fox matrix
   is a given matrix over Z[t, t^-1], for the routes of
   ``covers.cover_homology``, and ``expanded_cyclic_form``, the
-  ``expand_length1`` form of a cyclic realization, for count ladders;
+  ``expand_length1`` form of the cyclic realization of ``cyclic_alpha``
+  (the degree-40 north-star polynomial at d = 40), for count ladders;
 * ``exponent_sums``, the exponent vector of one word over a list of
   generators, against ``presentations.exponent_rows``, which indexes
   the generators once per presentation;
 * ``kronecker_matrix``, the dense rN x rN integer matrix of a module at
-  cover order N, against the sparse rows that
-  ``covers.module_cover_homology`` builds where no t-action is known
-  (Trotter; a summand of degree >= N or with no unit end coefficient),
-  and as the oracle for its ``T^N - I`` blocks where one is;
+  cover order N, against the sparse rows that ``covers`` folds (a block
+  of degree >= N, or one that neither T^N - I nor the modulus route
+  takes), and as the oracle for the cokernel of every other block;
   ``t_action``, the matrix of t on a Z-free module (a cyclic one's by
   long division), against those blocks, row for row;
 * ``cokernel_of``, ``dense`` and ``record_cokernel_calls``, which hand a
@@ -902,15 +902,21 @@ def spelled_presentation(rows: Sequence[Mapping[int, LaurentPoly]], cols: int) -
     return Presentation(generators, relators)
 
 
-def expanded_cyclic_form(d: int) -> Presentation:
-    """The ``expand_length1`` form of the cyclic realization of
-    ``alpha = 1 + (t - 1) beta`` whose d coefficients of beta are drawn from
-    ``random.Random(0)`` as in ``test_fox.py::test_alexander_degree_40_cyclic``:
-    109, 207, 411 and 815 generators at d = 5, 10, 20 and 40."""
+def cyclic_alpha(d: int) -> LaurentPoly:
+    """``alpha = 1 + (t - 1) beta`` of degree d, the d coefficients of beta
+    drawn from ``random.Random(0)`` as in
+    ``test_fox.py::test_alexander_degree_40_cyclic``: at d = 40 its ends are
+    -11 and -14."""
     rng = random.Random(0)
     b = [rng.choice((-1, 1)) * rng.randint(6, 14) for _ in range(d)]
-    alpha = from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, d)] + [b[-1]])
-    return expand_length1(realize_cyclic(alpha).wirtinger_presentation)
+    return from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, d)] + [b[-1]])
+
+
+def expanded_cyclic_form(d: int) -> Presentation:
+    """The ``expand_length1`` form of the cyclic realization of
+    :func:`cyclic_alpha`: 109, 207, 411 and 815 generators at d = 5, 10, 20
+    and 40."""
+    return expand_length1(realize_cyclic(cyclic_alpha(d)).wirtinger_presentation)
 
 
 def unit_block_matrix(rng, unit_rows: int, block: int, cols: int) -> Matrix:

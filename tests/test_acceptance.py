@@ -341,6 +341,9 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
     code, out = run("verify", tmp_path / "t3.pres", "--module", tmp_path / "t3.module",
                     "-N", "64", "--meridian", "t", "--max-cosets", "100")
     assert code == 0, out
+    # Past N = 64 on the modulus route: no end of M's pencil is unimodular.
+    code, out = run("covers", tmp_path / "t3.pres", "-N", "512", "--module", tmp_path / "t3.module")
+    assert code == 0 and out.startswith("N=512: group ") and out.rstrip().endswith(" [ok]"), out
 
     # The degree-40 cyclic form of test_fox.py::test_alexander_degree_40_cyclic.
     rng = random.Random(0)
@@ -351,10 +354,11 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
     assert code == 0
     (tmp_path / "d40.pres").write_text(pres)
     (tmp_path / "d40.module").write_text("module cyclic poly 0 " + " ".join(map(str, coeffs)) + "\n")
-    code, out = run("covers", tmp_path / "d40.pres", "-N", "32", "--module", tmp_path / "d40.module")
-    assert code == 0, out
-    assert out.startswith("N=32: group ") and out.rstrip().endswith(" [ok]"), out
-    assert len(out.splitlines()) == 1
+    for n in (32, 128):
+        code, out = run("covers", tmp_path / "d40.pres", "-N", n, "--module", tmp_path / "d40.module")
+        assert code == 0, out
+        assert out.startswith(f"N={n}: group ") and out.rstrip().endswith(" [ok]"), out
+        assert len(out.splitlines()) == 1
     for budget in ((), ("--max-cosets", "100")):
         code, out = run("verify", tmp_path / "d40.pres", "--module", tmp_path / "d40.module",
                         "-N", "2,3", "--meridian", "t", *budget)
@@ -374,8 +378,9 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
         code = cli.main(["ac-search", str(corpus / f"{name}.pres"), "--kill", "t",
                          "--max-len", "32", "--max-depth", "3"])
         assert (code, capsys.readouterr().err.strip()) == outcome, name
-    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64, degree-40 covers -N 32 and "
-          "verify -N 2,3, expanded degree-40 covers -N 2, killed meridians ac-search")
+    print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64 and covers -N 512, degree-40 covers "
+          "-N 32 and -N 128 and verify -N 2,3, expanded degree-40 covers -N 2, killed meridians "
+          "ac-search")
 
 
 def _flagged(q, corpus, module_name) -> bool:

@@ -1,9 +1,11 @@
 from collections import Counter
+from math import prod
 
 import pytest
 
 from ribbonknots import covers, words
 from ribbonknots.constructions import (
+    KnotModuleSpec,
     cyclic_module,
     parse_module_spec,
     realize_cyclic,
@@ -18,12 +20,19 @@ from ribbonknots.covers import (
 )
 from ribbonknots.intlinalg import AbelianGroupInvariants, cokernel_invariants, matrix
 from ribbonknots.laurent import from_coeffs
-from ribbonknots.presentations import abelianization, parse_presentation, weight_vector
+from ribbonknots.presentations import (
+    Presentation,
+    abelianization,
+    exponent_rows,
+    parse_presentation,
+    weight_vector,
+)
 from reference import (
     CountingRow,
     cokernel_invariants_reference,
     compare_realization,
     count_calls,
+    cyclic_alpha,
     dense,
     expanded_cyclic_form,
     kronecker_matrix,
@@ -149,7 +158,9 @@ def cover_cases(corpus):
 @pytest.mark.parametrize("n", (2, 7, 24, 64))
 def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
     # Every cokernel both sides take, for the four corpus modules and
-    # rank-3 Trotter, against the elimination that rescans every nonzero.
+    # rank-3 Trotter, against the elimination that rescans every nonzero;
+    # and each presents its side's group: the cokernel of the module's
+    # Kronecker matrix, and Z less than the rewritten cover's homology.
     cases = cover_cases(corpus)
     weights = [weight_vector(p) for p, _ in cases]  # it may take a cokernel too
     handed = record_cokernel_calls(monkeypatch)
@@ -163,51 +174,66 @@ def test_cover_matrices_match_full_rescan_reference(n, corpus, monkeypatch):
         cokernel_invariants([CountingRow(row, work) for row in rows], cols)
         assert got == cokernel_invariants_reference(dense(rows, cols), want)
         assert work == want
+    for (p, spec), w, group, module in zip(cases, weights, handed[::2], handed[1::2]):
+        q = cyclic_cover_presentation(p, n, w)
+        rewritten = cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
+        assert AbelianGroupInvariants(group[2].free_rank + 1, group[2].torsion) == rewritten
+        assert module[2] == cokernel_invariants_reference(kronecker_matrix(spec, n))
 
 
-def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order(monkeypatch):
-    # Both sides of the 3x3 Trotter form at N = 128, counted by CountingRow
-    # rows: in the full-rescan reference's pivot order the group side writes
-    # 38,006 entries and the module side 44,407, none over 386 bits.  A
-    # unit phase that did not track falling Markowitz costs wrote 79,888 on
-    # the module side, and more at larger N.
+def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order():
+    # The Kronecker rows of both sides of the 3x3 Trotter form at N = 128
+    # (the rewritten cover's exponent rows and the module's Kronecker
+    # matrix, which the sides handed in before they took the modulus
+    # route), counted by CountingRow rows: in the full-rescan reference's
+    # pivot order the group side writes 38,006 entries and the module side
+    # 44,407, none over 386 bits.  A unit phase that did not track falling
+    # Markowitz costs wrote 79,888 on the module side, and more at larger N.
     res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
-    weights = weight_vector(res.wirtinger_presentation)
-    handed = record_cokernel_calls(monkeypatch)
-    cover_homology(res.wirtinger_presentation, 128, weights)
-    module_cover_homology(res.module_spec, 128)
-    assert len(handed) == 2
+    p = res.wirtinger_presentation
+    q = cyclic_cover_presentation(p, 128, weight_vector(p))
+    module = kronecker_matrix(res.module_spec, 128)
+    handed = [(exponent_rows(q), len(q.generators)),
+              ([dict(enumerate(row)) for row in module.entries], module.cols)]
     work = [Counter(), Counter()]
-    for (rows, cols, got), w in zip(handed, work):
-        assert cokernel_invariants([CountingRow(row, w) for row in rows], cols) == got
+    for (rows, cols), w in zip(handed, work):
+        cokernel_invariants([CountingRow({j: x for j, x in row.items() if x}, w) for row in rows], cols)
     assert work[0]["writes"] <= 38006 and work[1]["writes"] <= 44407, work
     assert max(w["bits"] for w in work) <= 386, work
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 6, 7, 12, 24))
 def test_module_rows_match_dense_kronecker_reference(n, corpus, monkeypatch):
-    # Where the module side substitutes the N x N shift for t (Trotter, and
-    # the spun trefoil at N <= 2, its degree), row (i, a) of the sparse rows
-    # is row i N + a of the dense grid, entry for entry.  Elsewhere the rows
-    # are T^N - I, T^N taken as N products with the reference t-action; at
-    # 6 | N the spun trefoil's T^N - I is zero.
+    # Every kind goes through its presentation matrix B.  Where B has
+    # degree d >= N (all five at N = 1, the spun trefoil at N = 2) the
+    # sparse row (i, a) is row i N + a of the dense Kronecker grid, entry
+    # for entry.  Else a cyclic or taction/tminus1 module, whose B has a
+    # unimodular end, hands T^N - I, T^N taken as N products with the
+    # reference t-action (at 6 | N the spun trefoil's is zero); and a
+    # Trotter pencil hands an md x md matrix with the Kronecker cokernel:
+    # T^N - I for trotter_2 (I - M = -1), the modulus route's invariant
+    # factors for the rank-3 form (det M = -6, det(I - M) = 19).
     handed = record_cokernel_calls(monkeypatch)
-    kronecker = 0
+    folds = 0
     for _, spec in cover_cases(corpus):
         module_cover_homology(spec, n)
-        rows, cols, _ = handed.pop()
+        rows, cols, got = handed.pop()
         assert all(0 not in row.values() for row in rows)
-        if spec.kind == "trotter" or spec.kind == "cyclic" and len(spec.polys[0].coeffs) > n:
-            kronecker += 1
+        m = spec.presentation_matrix().rows
+        if n <= max(len(x.coeffs) - 1 for row in spec.presentation_matrix().entries for x in row):
+            folds += 1
             assert dense(rows, cols) == kronecker_matrix(spec, n)
-            continue
-        t = t_action(spec)
-        power = matrix([[int(i == j) for j in range(t.cols)] for i in range(t.rows)])
-        for _ in range(n):
-            power = matmul(power, t)
-        want = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(power.entries)]
-        assert dense(rows, cols) == matrix(want)
-    assert kronecker == (3 if n <= 2 else 2)
+        elif spec.kind == "trotter":
+            assert len(rows) == cols == m
+            assert got == cokernel_invariants_reference(kronecker_matrix(spec, n))
+        else:
+            t = t_action(spec)
+            power = matrix([[int(i == j) for j in range(t.cols)] for i in range(t.rows)])
+            for _ in range(n):
+                power = matmul(power, t)
+            want = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(power.entries)]
+            assert dense(rows, cols) == matrix(want)
+    assert folds == {1: 5, 2: 1}.get(n, 0)
 
 
 def test_module_side_of_a_z_free_module_does_not_grow_with_the_order(corpus, monkeypatch):
@@ -233,28 +259,34 @@ def test_module_side_of_a_z_free_module_does_not_grow_with_the_order(corpus, mon
 
 def test_cover_work_grows_linearly_in_the_order(corpus, monkeypatch):
     # Entries handed to cokernel_invariants by each side on the ladder
-    # N = 8, 16, 32, 64: linear in N where a side writes Kronecker rows
-    # (the 3x3 Trotter form: 102, 198, 390, 774 group, 96, 192, 384, 768
-    # module; trotter_2: 16, 32, 64, 128 module), constant where it hands
-    # T^N - I (4 for the spun trefoil and lemma4_companion on both sides,
-    # 1 for trotter_2's group side), where a dense grid grows 4x per
-    # doubling.
+    # N = 8, 16, 32, 64: one count at every N where a side hands T^N - I or
+    # the modulus route's factors (4 for the spun trefoil and
+    # lemma4_companion on both sides, 1 for trotter_2, 3 for the 3x3
+    # Trotter form), where its Kronecker rows held 102, 198, 390, 774 on
+    # the group side and 96, 192, 384, 768 on the module side; and linear
+    # in N where the group side folds the block left by its ±t^k pivots:
+    # a non-square one (2 rows over x0, 1 + t and 2) holds 3N entries, where
+    # a dense grid grows fourfold per doubling.
     cases = [corpus_case(corpus, name) for name in ("spun_trefoil", "lemma4_companion", "trotter_2")]
     res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
     cases.append((res.wirtinger_presentation, res.module_spec))
     weights = [weight_vector(p) for p, _ in cases]
+    folded = spelled_presentation([{0: from_coeffs([1, 1])}, {0: from_coeffs([2])}], 1)
     normalized, patched = count_calls(monkeypatch, words.normalize)
     assert "ribbonknots.covers" in patched
     handed = record_cokernel_calls(monkeypatch)
     for (p, spec), w in zip(cases, weights):
-        counts = []
+        counts = set()
         for n in (8, 16, 32, 64):
             cover_homology(p, n, w)
             module_cover_homology(spec, n)
-            counts.append([sum(map(len, rows)) for rows, _, _ in handed[-2:]])
-        for (g0, m0), (g1, m1) in zip(counts, counts[1:]):
-            assert g1 <= 2.0 * g0 and m1 <= 2.0 * m0, counts
-    assert counts[-1][0] > 7 * counts[0][0], counts  # the 3x3 Trotter group side's rows
+            counts.add(tuple(sum(map(len, rows)) for rows, _, _ in handed[-2:]))
+        assert len(counts) == 1 and max(max(c) for c in counts) <= 9, counts
+    counts = []
+    for n in (8, 16, 32, 64):
+        cover_homology(folded, n, (1, 0))
+        counts.append(sum(map(len, handed[-1][0])))
+    assert counts == [3 * n for n in (8, 16, 32, 64)], counts
     assert not normalized
 
 
@@ -283,40 +315,98 @@ def test_group_side_of_a_unit_end_form_does_not_grow_with_the_order(corpus, monk
 
 
 def test_the_companion_route_builds_no_schreier_transversal(corpus, monkeypatch):
-    # T^N - I needs only the weight map; the transversal that numbers the
-    # Schreier generators is built where the group side folds its rows
-    # mod N, as on the 3 x 3 Trotter form below.
+    # With a generator of weight ±1 the group side needs only the weight
+    # map, whichever route the block left takes: T^N - I (the corpus
+    # forms), the modulus route (the 3 x 3 Trotter form) or the fold (d >= N
+    # for it at N = 1).  The transversal that numbers the Schreier
+    # generators is built where no weight is ±1, as for a, b -> 2, 3 below.
     builds, _ = count_calls(monkeypatch, covers._transversal)
     for name in ("spun_trefoil", "lemma4_companion", "lemma3_companion"):
         p, _ = corpus_case(corpus, name)
         weights = weight_vector(p)
         for n in (8, 16, 32, 64, 128, 256, 512, 1024):
             cover_homology(p, n, weights)
-    assert not builds
     p = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])).verification_presentation()
-    cover_homology(p, 8, weight_vector(p))
+    for n in (1, 8):
+        cover_homology(p, n, weight_vector(p))
+    assert not builds
+    cover_homology(Presentation(("a", "b"), (words.parse_word("a^3 b^-2"),)), 8, (2, 3))
     assert builds
 
 
 @pytest.mark.parametrize("rows, n, size", [
     ([{0: [1, 2, 1], 1: [0, 2]}, {0: [2], 1: [-1, 2, 1]}], 5, 4),  # B_2 = I: 2 x 2, d = 2
     ([{0: [1, 2]}], 4, 1),  # only the bottom end is a unit: the reversed companion
-    ([{0: [2, 3]}], 4, None),  # no unit end
+    ([{0: [2, 3]}], 4, 1),  # no unit end, D = 65: the modulus route
     ([{0: [0, 1], 1: [1, 1]}, {0: [3], 1: [2, 1]}], 3, 2),  # the pivot t, then 1 x 1, d = 2
-    ([{0: [1, 1]}, {0: [2]}], 3, None),  # two rows, one column
-    ([{0: [1, 1, 0, 1]}], 2, None),  # d = 3 >= N
+    ([{0: [1, 1]}, {0: [2]}], 3, 3),  # two rows, one column: the fold, N columns
+    ([{0: [1, 1, 0, 1]}], 2, 2),  # d = 3 >= N: the fold
+    ([{0: [2, 1, 2, 3]}], 6, 6),  # (1 + t)(2 - t + 3t^2): R = 0 at even N, the fold
+    ([{0: [2, 3, 3, 2]}], 4, 4),  # a = c = 2 and 2 | D: the fold
+    ([{0: [2, 1], 1: [1, 1]}, {0: [2], 1: [3]}], 4, 2),  # a = 0, c = 4: the modulus route
 ])
 def test_group_side_route(rows, n, size, monkeypatch):
     # The relators of spelled_presentation have these Fox rows over x0, x1
     # (coefficients from t^0) at weights t -> 1, x -> 0.  The group side
-    # hands T^N - I, md x md, or the Kronecker rows of the rewritten cover.
+    # hands T^N - I or the modulus route's factors, md x md, or the fold of
+    # the block, m N columns.
     p = spelled_presentation([{j: from_coeffs(c) for j, c in row.items()} for row in rows],
                              max(j for row in rows for j in row) + 1)
     weights = (1,) + (0,) * (len(p.generators) - 1)
     handed = record_cokernel_calls(monkeypatch)
     cover_homology(p, n, weights)
     [(_, cols, _)] = handed
-    assert cols == (size or len(cyclic_cover_presentation(p, n, weights).generators))
+    assert cols == size
+
+
+def test_modulus_route_does_not_grow_with_the_order(monkeypatch):
+    # Neither the 3 x 3 Trotter form (det M = 9, det(I - M) = -2; both
+    # sides) nor the degree-40 cyclic module (ends -11 and -14) has a
+    # unimodular end, so on N = 64 -> 1,024 they take the modulus route.
+    # cokernel_invariants gets the md x md diagonal of the invariant
+    # factors (3 x 3, 40 x 40), T^N - I mod D_1 and mod D_2 is md x md too,
+    # and no Kronecker row is folded (they held 3N x 3N entries).  The order
+    # D, the product of those moduli, has 203, 406, 812, 1,624 and 3,247 bits
+    # on the Trotter form, 366, 725, 1,447, 2,897 and 5,795 on degree 40.
+    folds, _ = count_calls(monkeypatch, covers._fold)
+    moduli = []
+    original = covers._power_minus_identity
+
+    def recording(end, n, q=0):
+        rows = original(end, n, q)
+        if q > 1 and q not in covers._PRIMES:  # mod D_1 or D_2, not a CRT prime
+            moduli.append((q, len(rows), {len(r) for r in rows}))
+        return rows
+
+    monkeypatch.setattr(covers, "_power_minus_identity", recording)
+    handed = record_cokernel_calls(monkeypatch)
+    res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
+    p = res.wirtinger_presentation
+    weights = weight_vector(p)
+    sides = [(lambda n: cover_homology(p, n, weights), 3),
+             (lambda n: module_cover_homology(res.module_spec, n), 3),
+             (lambda n: module_cover_homology(KnotModuleSpec("cyclic", polys=(cyclic_alpha(40),)), n), 40)]
+    for side, md in sides:
+        bits = []
+        for n in (64, 128, 256, 512, 1024):
+            moduli.clear()
+            side(n)
+            rows, cols, _ = handed[-1]
+            assert len(rows) == cols == md and not folds, (md, n, len(rows), cols)
+            assert moduli and all((k, widths) == (md, {md}) for _, k, widths in moduli), moduli
+            bits.append(prod(q for q, _, _ in moduli).bit_length())
+            assert all(b1 <= 2.2 * b0 for b0, b1 in zip(bits, bits[1:])), (md, bits)
+
+
+def test_the_crt_primes_are_the_61_bit_primes_from_the_top():
+    # The modulus route's CRT primes, found by Miller-Rabin as first needed,
+    # against sympy: each is prime, has 61 bits, and is the prime just
+    # below the one before it.
+    sympy = pytest.importorskip("sympy")
+    module_cover_homology(KnotModuleSpec("cyclic", polys=(from_coeffs([2, -3, 2]),)), 100)
+    assert len(covers._PRIMES) >= 4
+    for p, below in zip(covers._PRIMES, [2**61] + covers._PRIMES):
+        assert sympy.isprime(p) and p.bit_length() == 61 and sympy.prevprime(below) == p
 
 
 class CountingLambdaRow(dict):

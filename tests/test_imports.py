@@ -88,13 +88,16 @@ def test_no_unread_private_names():
 def test_cover_homology_does_not_load_the_fox_oracle():
     # The group side of the cover oracle is checked against the module
     # side and the Fox/Alexander oracle separately, so covers must not
-    # reach fox through its imports.
+    # reach fox through its imports, nor take the Alexander check's
+    # determinant over Z[t, 1/t]: the modulus route bounds det B(C_N) by
+    # Hadamard's inequality instead.
     code = "import sys, ribbonknots.covers; print(*sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout.split()
     loaded = {m for m in out if m.startswith("ribbonknots.")}
     assert "ribbonknots.covers" in loaded and "ribbonknots.fox" not in loaded, loaded
+    assert "det_lambda" not in (SCANNED[0] / "covers.py").read_text()
 
 
 # The standard-library modules the package imports by name.  Loading

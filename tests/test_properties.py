@@ -19,7 +19,7 @@ import io
 import random
 import re
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -57,6 +57,7 @@ from ribbonknots.fox import alexander_matrix  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
     Matrix,
+    cokernel_invariants,
     det_int,
     diagonal_invariants,
     matrix,
@@ -648,13 +649,17 @@ def cover_inputs(draw):
 
 
 @PROPERTY
+@example((Presentation(("a", "b"), (normalize([("a", 9), ("b", -6)]),)), (2, 3), 5))
+@example((Presentation(("t", "x"), (normalize([("x", 2), ("t", 4)]),)), (1, 0), 4))
 @given(cover_inputs())
 def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
-    # Where the group side takes the Kronecker route, the abelianized walk
-    # hands cokernel_invariants the exponent rows of the Reidemeister-
-    # Schreier presentation, row for row, entry for entry.  Where it hands
-    # T^N - I instead, its invariants are those of the rewritten cover.
-    # Weights that do not map the group onto Z/N are refused by both.
+    # Where the group side builds the Schreier transversal (no weight ±1,
+    # or weights onto Z/N only, as in the examples), it hands cokernel_invariants the
+    # exponent rows of the Reidemeister-Schreier presentation, row for row,
+    # entry for entry.  Where a weight is ±1 it hands T^N - I, the modulus
+    # route's factors or the fold of its reduced block instead, and its
+    # invariants are those of the rewritten cover.  Weights that do not map
+    # the group onto Z/N are refused by both.
     p, weights, n = case
     if gcd(n, *weights) != 1 or any(
         sum(weights[j] * e for j, e in row.items()) % n for row in exponent_rows(p)
@@ -666,11 +671,11 @@ def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
         return
     with pytest.MonkeyPatch.context() as mp:
         handed = record_cokernel_calls(mp)
-        companions, _ = count_calls(mp, covers._power_minus_identity)
+        builds, _ = count_calls(mp, covers._transversal)
         got = cover_homology(p, n, weights)
     [(rows, cols, _)] = handed
     q = cyclic_cover_presentation(p, n, weights)
-    if companions:
+    if not builds:
         assert got == cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
         return
     assert cols == len(q.generators) and len(rows) == len(q.relators)
@@ -829,6 +834,100 @@ def test_module_cover_homology_matches_the_kronecker_cokernel(case):
     coker = cokernel_invariants_reference(kronecker_matrix(spec, n))
     want = AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
     assert module_cover_homology(spec, n) == want
+
+
+class BlockSpec:
+    """A module presented by any square matrix over Z[t, 1/t], for the module
+    side of cover homology and ``reference.kronecker_matrix``."""
+
+    polys = ()
+
+    def __init__(self, grid) -> None:
+        self.grid = matrix(grid)
+
+    def presentation_matrix(self) -> Matrix:
+        return self.grid
+
+
+@st.composite
+def modulus_blocks(draw, sizes=(3, 3, 40)):
+    """An m x m matrix B over Z[t, 1/t] (m, its degree d and N up to
+    ``sizes``; each row from t^-1, t^0 or t^1), drawn to reach the modulus
+    route's cases: ends B_d and B_0 whose determinants a and c are coprime
+    non-units ("any"); a first row (alpha, 0, ...) with alpha = t + t^2
+    mod 2, so that 2 divides a, c and D ("shared"), or alpha = t mod 2, which
+    leaves D odd ("split"); the first row times 1 + t at even N, so R = 0
+    ("zero"); and for m >= 2 a first row of constants, so a = 0 after the
+    row shift ("a0").  Unit ends and d >= N come up too.  The kinds that
+    fold the Kronecker rows by design keep N <= 12."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("any", "shared", "any", "split", "zero", "a0")))
+    m, d = rng.randint(1, sizes[0]), rng.randint(1, sizes[1])
+    n = rng.randint(1, sizes[2] if kind in ("any", "split", "a0") else min(sizes[2], 12))
+    while True:  # about one try in four has coprime non-unit ends
+        ends = [[[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)] for _ in range(d + 1)]
+        a, c = det_int(matrix(ends[d])), det_int(matrix(ends[0]))
+        if kind != "any" or abs(a) > 1 and abs(c) > 1 and gcd(a, c) == 1:
+            break
+    grid = [[from_coeffs([ends[k][i][j] for k in range(d + 1)], low) for j in range(m)]
+            for i, low in enumerate(rng.choices((-1, 0, 1), k=m))]
+    if kind in ("shared", "split"):
+        beta = [rng.choice((-2, -1, 1, 2)) for _ in range(4)]
+        odd = (0, 1, 1, 0) if kind == "shared" else (0, 1, 0, 0)
+        grid[0] = [from_coeffs([2 * b + o for b, o in zip(beta, odd)])] + [ZERO] * (m - 1)
+    elif kind == "zero":
+        grid[0] = [x * from_coeffs([1, 1]) for x in grid[0]]
+        n += n % 2
+    elif kind == "a0" and m > 1:
+        grid[0] = [from_coeffs([rng.choice((-3, -2, 2, 3))]) for _ in range(m)]
+    return grid, n
+
+
+TROTTER3 = [[from_coeffs([1 - x, x]) if i == j else from_coeffs([-x, x]) for j, x in enumerate(row)]
+            for i, row in enumerate([[2, 1, 0], [0, 2, 1], [1, 0, 2]])]
+
+
+# One input per case: gcd(a, c) = 2 with D odd; 2 dividing a, c and D (the
+# fold); R = 0; a = 0 after the row shift (c = 4); the 3 x 3 Trotter form.
+@PROPERTY
+@example(([[from_coeffs([2, -3, 2])]], 7))
+@example(([[from_coeffs([2, 3, 3, 2])]], 5))
+@example(([[from_coeffs([2, 1, 2, 3])]], 6))
+@example(([[from_coeffs([2, 1]), from_coeffs([1, 1])], [from_coeffs([2]), from_coeffs([3])]], 4))
+@example((TROTTER3, 16))
+@given(modulus_blocks())
+def test_both_sides_of_a_block_match_the_kronecker_cokernel(case):
+    # The group side of the spelled presentation (its Fox rows are B) and
+    # the module side of B, against Z plus the full-rescan cokernel of B
+    # with the N x N shift for t.
+    grid, n = case
+    spec = BlockSpec(grid)
+    coker = cokernel_invariants_reference(kronecker_matrix(spec, n))
+    want = AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
+    p = spelled_presentation([{j: x for j, x in enumerate(row) if not x.is_zero()} for row in grid],
+                             len(grid))
+    assert cover_homology(p, n, (1,) + (0,) * len(grid)) == want
+    assert module_cover_homology(spec, n) == want
+
+
+@settings(PROPERTY, max_examples=40)  # sympy's determinant and resultant, about 10 ms an example
+@example(([[from_coeffs([2, -3, 2])]], 7))
+@example(([[from_coeffs([2, 1]), from_coeffs([1, 1])], [from_coeffs([2]), from_coeffs([3])]], 4))
+@given(modulus_blocks(sizes=(2, 2, 12)))
+def test_the_cover_order_is_the_resultant(case):
+    # The order of coker B(C_N), which the modulus route computes by CRT,
+    # against sympy: |Res(t^N - 1, det B)|, and infinite where it is 0.
+    sympy = pytest.importorskip("sympy")
+    grid, n = case
+    t = sympy.Symbol("t")
+    det = sympy.Matrix([[sum(c * t ** (e + 1) for e, c in x.terms()) for x in row] for row in grid]).det()
+    res = abs(sympy.resultant(t ** n - 1, sympy.expand(det), t))
+    rows = [{j: dict(x.terms()) for j, x in enumerate(row) if not x.is_zero()} for row in grid]
+    coker = cokernel_invariants(*covers._cover_rows(rows, list(range(len(grid))), n))
+    if res:
+        assert coker.free_rank == 0 and prod(coker.torsion) == res
+    else:
+        assert coker.free_rank > 0
 
 
 # Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
