@@ -1,11 +1,12 @@
 """Finite cyclic covers: homology computed two independent ways.
 
-For a group G with a weight map onto Z, the kernel of the composite
-G -> Z -> Z/N has a presentation computable by Reidemeister-Schreier
-rewriting.  Its abelianization is Z (from the free base coordinate)
-plus the module A / (t^N - 1) A, where A is the metabelian module the
-constructions are supposed to realize.  Computing both sides and
-comparing them is the main correctness oracle of this package.
+For a group G with a map onto Z, the kernel of G -> Z -> Z/N is the
+fundamental group of the N-fold cyclic cover of the presentation complex,
+whose boundary is the Fox matrix at t -> C_N.  Its abelianization is Z
+plus the module A / (t^N - 1) A, where A is the module the constructions
+realize.  Comparing the two is the main correctness oracle of this
+package.  `cyclic_cover_presentation` (Reidemeister-Schreier) is public
+and the tests' reference; nothing here calls it.
 """
 
 from __future__ import annotations
@@ -17,23 +18,22 @@ from typing import Iterator, Optional, Sequence
 
 from .constructions import KnotModuleSpec
 from .intlinalg import AbelianGroupInvariants, bareiss_det, cokernel_invariants, divisor_chain
-from .presentations import Presentation, abelianization
+from .presentations import Presentation
 from .words import Word, normalize
 
 
-def _weight_map(p: Presentation, n: int, weights: Sequence[int]) -> tuple[dict[str, int], list[int]]:
-    """The weights by generator and the weighted sum of each relator.
-    ``weights`` lists the generators' images in Z/N, in order; they must
-    generate Z/N and kill every relator, so that they define a map onto it."""
+def _weight_map(p: Presentation, n: int, weights: Sequence[int]) -> dict[str, int]:
+    """The weights by generator.  ``weights`` lists the generators' images
+    in Z, in order; they must kill every relator (a map onto a subgroup of
+    Z) and generate Z/N, so that the composite maps the group onto Z/N."""
     if n < 1:
         raise ValueError("cover order must be >= 1")
     if len(weights) != len(p.generators):
         raise ValueError("one weight per generator required")
     w = dict(zip(p.generators, weights))
-    sums = [sum(w[g] * e for g, e in r.syllables) for r in p.relators]
-    if gcd(n, *weights) != 1 or any(s % n for s in sums):
-        raise ValueError(f"weights do not map the group onto Z/{n}")
-    return w, sums
+    if gcd(n, *weights) != 1 or any(sum(w[g] * e for g, e in r.syllables) for r in p.relators):
+        raise ValueError(f"weights do not map the group to Z and onto Z/{n}")
+    return w
 
 
 def _transversal(p: Presentation, n: int, w: dict[str, int]) -> dict[tuple[int, str], int]:
@@ -84,7 +84,7 @@ def cyclic_cover_presentation(p: Presentation, n: int, weights: Sequence[int]) -
     Reidemeister-Schreier rewriting: ``N * #gens - (N - 1)`` generators
     and ``N * #relators`` relators, each relator from each start coset.
     """
-    w = _weight_map(p, n, weights)[0]
+    w = _weight_map(p, n, weights)
     names = {pair: f"{pair[1]}_{pair[0]}" for pair in _transversal(p, n, w)}
     walks = [list(_walk(r, w)) for r in p.relators]
     relators = tuple(
@@ -96,13 +96,12 @@ def cyclic_cover_presentation(p: Presentation, n: int, weights: Sequence[int]) -
 
 
 def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGroupInvariants:
-    """First homology of the N-fold cyclic cover group: for weights onto Z,
-    one ±1, Z + coker P'(C_N), P' the Fox rows over Z[t, 1/t] (summed by a
-    walk of each relator) without its column, whose ±t^k pivots go first;
-    else the abelianization of :func:`cyclic_cover_presentation`."""
-    w, exact = _weight_map(p, n, weights)
-    if not (unit := next((g for g in p.generators if w[g] in (1, -1)), None)) or any(exact):
-        return abelianization(cyclic_cover_presentation(p, n, weights))
+    """First homology of the N-fold cyclic cover group from the Fox rows P over
+    Z[t, 1/t] (summed by a walk of each relator), whose ±t^k pivots go first:
+    Z + coker P'(C_N), P' without the column of a generator of weight ±1; else
+    coker P(C_N) less the Z^(N-1) of the cover's N vertices."""
+    w = _weight_map(p, n, weights)
+    unit = next((g for g in p.generators if w[g] in (1, -1)), None)
     others = [g for g in p.generators if g != unit]
     lam = []
     for r in p.relators:
@@ -112,7 +111,8 @@ def cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGr
             f[o] = f.get(o, 0) + s
         lam.append({g: {o: x for o, x in f.items() if x} for g, f in sums.items() if g != unit})
     coker = cokernel_invariants(*_cover_rows(*_unit_pivots(lam, others), n))
-    return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)
+    free = coker.free_rank + 1 if unit else coker.free_rank - (n - 1)
+    return AbelianGroupInvariants(free, coker.torsion)
 
 
 def _unit_pivots(rows: list[dict[str, dict[int, int]]], cols: list[str]) -> tuple[list, list[str]]:

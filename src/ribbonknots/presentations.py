@@ -195,8 +195,9 @@ def expand_length1(p: Presentation) -> Presentation:
     """Tietze-expand a Wirtinger presentation until every edge label is a
     single generator with exponent +1.
 
-    Fresh generators are named ``v1, v2, ...``; negative single-letter
-    labels are handled by reversing the edge instead of expanding.
+    Fresh generators take the unused names of ``v1, v2, ...``; negative
+    single-letter labels are handled by reversing the edge instead of
+    expanding.
     """
     log = is_wirtinger(p)
     if isinstance(log, NotWirtinger):
@@ -228,15 +229,12 @@ def expand_length1(p: Presentation) -> Presentation:
 
 
 def _fresh_names(prefix: str, taken: Iterable[str]):
-    used = set(taken)
-    i = 1
+    """``prefix1``, ``prefix2``, ... without the names in ``taken``."""
+    used, i = set(taken), 0
     while True:
-        name = f"{prefix}{i}"
-        if name in used:
-            raise ValueError(f"fresh-name collision on {name!r}")
-        used.add(name)
-        yield name
         i += 1
+        if (name := f"{prefix}{i}") not in used:
+            yield name
 
 
 def introduce_generator(p: Presentation, name: str, defining: Word) -> Presentation:

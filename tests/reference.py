@@ -55,6 +55,9 @@ another way:
   takes), and as the oracle for the cokernel of every other block;
   ``t_action``, the matrix of t on a Z-free module (a cyclic one's by
   long division), against those blocks, row for row;
+* ``relative_cover_homology``, the group side from every column of the
+  Fox matrix less the Z^(N-1) of the cover's vertices, against
+  ``covers.cover_homology``, which drops the column of a weight ±1;
 * ``cokernel_of``, ``dense`` and ``record_cokernel_calls``, which hand a
   dense matrix to ``intlinalg.cokernel_invariants`` as the sparse rows
   it consumes, turn such rows back into a matrix, and record the rows
@@ -980,6 +983,25 @@ def kronecker_matrix(spec: KnotModuleSpec, n: int) -> Matrix:
                 for a in range(n):
                     grid[i * n + a][j * n + (a + e) % n] += c
     return matrix(grid, cols=r * n)
+
+
+def relative_cover_homology(p: Presentation, n: int, weights: Sequence[int]) -> AbelianGroupInvariants:
+    """First homology of the N-fold cyclic cover from every column of the
+    Fox matrix: coker P(C_N) is the homology of the cover relative to its
+    N vertices, which is its homology plus Z^(N-1).  P comes from the
+    free-group-ring derivatives, t -> C_N is written into a dense grid and
+    the cokernel is the full-rescan reference's, so no code of ``covers``
+    runs."""
+    w = dict(zip(p.generators, weights))
+    k = len(p.generators)
+    grid = [[0] * (k * n) for _ in range(len(p.relators) * n)]
+    for i, r in enumerate(p.relators):
+        for j, g in enumerate(p.generators):
+            for e, c in abelianize_to_lambda(fox_derivative(r, g), w).terms():
+                for a in range(n):
+                    grid[i * n + a][j * n + (a + e) % n] += c
+    coker = cokernel_invariants_reference(matrix(grid, cols=k * n))
+    return AbelianGroupInvariants(coker.free_rank - (n - 1), coker.torsion)
 
 
 def t_action(spec: KnotModuleSpec) -> Matrix:

@@ -76,6 +76,27 @@ def test_covers_without_module(capsys, corpus):
     assert out.strip() == "N=3: Z + Z/7"
 
 
+def test_covers_two_oracles_with_no_generator_of_weight_one(capsys, corpus, tmp_path):
+    # <a, b | a^2 b^-3> is the trefoil group with weights (3, 2), so the
+    # group side keeps every Fox column; the bytes are those its
+    # abelianized Reidemeister-Schreier rewrite gave.
+    pres = tmp_path / "a2b3.pres"
+    pres.write_text("gens a b\nrel a^2 b^-3\n")
+    code, out, _ = run(capsys, "covers", str(pres), "-N", "1,2,3,4,5,6,12,64",
+                       "--module", str(corpus / "spun_trefoil.module"))
+    assert code == 0
+    assert out == (
+        "N=1: group Z | module Z [ok]\n"
+        "N=2: group Z + Z/3 | module Z + Z/3 [ok]\n"
+        "N=3: group Z + Z/2 + Z/2 | module Z + Z/2 + Z/2 [ok]\n"
+        "N=4: group Z + Z/3 | module Z + Z/3 [ok]\n"
+        "N=5: group Z | module Z [ok]\n"
+        "N=6: group Z + Z + Z | module Z + Z + Z [ok]\n"
+        "N=12: group Z + Z + Z | module Z + Z + Z [ok]\n"
+        "N=64: group Z + Z/3 | module Z + Z/3 [ok]\n"
+    )
+
+
 def test_tc(capsys, corpus, tmp_path):
     pres = tmp_path / "z5.pres"
     pres.write_text("gens x\nrel x^5\n")

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from ribbonknots import covers, words
+from ribbonknots import covers, presentations, words
 from ribbonknots.constructions import (
     KnotModuleSpec,
     cyclic_module,
@@ -109,13 +109,15 @@ def test_explicit_weights_and_errors():
 def test_weights_must_map_onto_the_cyclic_group():
     # (2, 2) sends the spun trefoil into the zero subgroup of Z/2, so the
     # rewrite would give two disjoint copies of the group, not the kernel.
-    for weights, n in (((2, 2), 2), ((3, 3), 6), ((1, 2), 3)):
+    # (1, -2) is (1, 1) mod 3, a map onto Z/3 that is not one onto Z: the
+    # relator's weighted sum is 3.  Both functions refuse such weights.
+    for weights, n in (((2, 2), 2), ((3, 3), 6), ((1, 2), 3), ((1, -2), 3)):
         with pytest.raises(ValueError, match="onto"):
             cover_homology(SPUN_TREFOIL, n, weights)
         with pytest.raises(ValueError, match="onto"):
             cyclic_cover_presentation(SPUN_TREFOIL, n, weights)
-    # (1, -2) is (1, 1) mod 3: a valid map that is not the weight vector.
-    assert cover_homology(SPUN_TREFOIL, 3, (1, -2)) == AbelianGroupInvariants(1, (2, 2))
+    # (-1, -1): a valid map that is not the weight vector.
+    assert cover_homology(SPUN_TREFOIL, 3, (-1, -1)) == AbelianGroupInvariants(1, (2, 2))
 
 
 def test_rank3_trotter_n64_sides_agree():
@@ -315,11 +317,11 @@ def test_group_side_of_a_unit_end_form_does_not_grow_with_the_order(corpus, monk
 
 
 def test_the_companion_route_builds_no_schreier_transversal(corpus, monkeypatch):
-    # With a generator of weight ±1 the group side needs only the weight
-    # map, whichever route the block left takes: T^N - I (the corpus
-    # forms), the modulus route (the 3 x 3 Trotter form) or the fold (d >= N
-    # for it at N = 1).  The transversal that numbers the Schreier
-    # generators is built where no weight is ±1, as for a, b -> 2, 3 below.
+    # The group side needs only the weight map, whichever route the block
+    # left takes: T^N - I (the corpus forms), the modulus route (the 3 x 3
+    # Trotter form) or the fold (d >= N for it at N = 1; every Fox column
+    # kept where no weight is ±1, as for a, b -> 2, 3 and 3, 2 below).
+    # Only cyclic_cover_presentation numbers the Schreier generators.
     builds, _ = count_calls(monkeypatch, covers._transversal)
     for name in ("spun_trefoil", "lemma4_companion", "lemma3_companion"):
         p, _ = corpus_case(corpus, name)
@@ -329,9 +331,30 @@ def test_the_companion_route_builds_no_schreier_transversal(corpus, monkeypatch)
     p = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])).verification_presentation()
     for n in (1, 8):
         cover_homology(p, n, weight_vector(p))
+    for word, weights in (("a^3 b^-2", (2, 3)), ("a^2 b^-3", (3, 2))):
+        for n in (1, 8, 64):
+            cover_homology(Presentation(("a", "b"), (words.parse_word(word),)), n, weights)
     assert not builds
-    cover_homology(Presentation(("a", "b"), (words.parse_word("a^3 b^-2"),)), 8, (2, 3))
+    cyclic_cover_presentation(SPUN_TREFOIL, 8, SPUN_WEIGHTS)
     assert builds
+
+
+def test_cover_homology_calls_no_rewrite_and_no_abelianization(corpus, monkeypatch):
+    # Every group side goes through the Fox rows over Z[t, 1/t]: no package
+    # code rewrites the cover, numbers its Schreier generators or
+    # abelianizes a presentation, on the corpus forms, the 3 x 3 Trotter
+    # form or a^2 b^-3, which has no generator of weight ±1.
+    forms = [parse_presentation(path.read_text()) for path in sorted(corpus.glob("*.pres"))]
+    forms += [realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])).wirtinger_presentation,
+              parse_presentation("gens a b\nrel a^2 b^-3")]
+    weights = [weight_vector(p) for p in forms]  # it may abelianize
+    guarded = (covers.cyclic_cover_presentation, covers._transversal, presentations.abelianization)
+    counts = [count_calls(monkeypatch, f) for f in guarded]
+    assert all(patched for _, patched in counts)
+    for p, w in zip(forms, weights):
+        for n in (1, 2, 7, 64):
+            cover_homology(p, n, w)
+    assert [calls for calls, _ in counts] == [[], [], []]
 
 
 @pytest.mark.parametrize("rows, n, size", [

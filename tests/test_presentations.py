@@ -6,7 +6,8 @@ import pytest
 from ribbonknots import presentations
 from ribbonknots.constructions import realize_cyclic
 from ribbonknots.intlinalg import AbelianGroupInvariants
-from ribbonknots.laurent import from_coeffs
+from ribbonknots.fox import alexander_polynomial
+from ribbonknots.laurent import eq_up_to_unit, from_coeffs
 from ribbonknots.presentations import (
     LOG,
     NotWirtinger,
@@ -253,6 +254,17 @@ def test_expand_handles_negative_single_letter_labels():
         e.label == IDENTITY or e.label.syllables[0][1] == 1 for e in qlog.edges
     )
     assert abelianization(q) == abelianization(p)
+
+
+def test_expand_skips_fresh_names_already_taken():
+    # The presentation names a generator v1, so the fresh one is v2.
+    p = parse_presentation("gens t v1\nrel v1 = t v1 t v1^-1 t^-1")
+    q = expand_length1(p)
+    assert q.generators == ("t", "v1", "v2")
+    log = is_wirtinger(q)
+    assert isinstance(log, LOG)
+    assert all(len(e.label) == 1 for e in log.edges)
+    assert eq_up_to_unit(alexander_polynomial(q), alexander_polynomial(p))
 
 
 def test_tietze_roundtrip_preserves_invariants():

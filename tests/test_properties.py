@@ -7,12 +7,13 @@ the lemma that lets it skip joins that cancel nothing), of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
 one-pass Alexander matrix, of the sparse cokernel invariants (on
 matrices mostly of units, too) against sympy and against their
-full-rescan reference, pivot for pivot, of the abelianized cover rows
-against the rewritten cover presentation, of the module side of cover
-homology (T^N - I where t has a known action) against the cokernel of
-the Kronecker matrix, of the peeling determinant and of exact division
-over Z[t, t^-1] against sympy, and of the CLI's exit-code contract on
-generated, often malformed, input."""
+full-rescan reference, pivot for pivot, of the group side of cover
+homology against the rewritten cover presentation and against every
+column of the Fox matrix less the cover's vertices, of the module side
+of cover homology (T^N - I where t has a known action) against the
+cokernel of the Kronecker matrix, of the peeling determinant and of
+exact division over Z[t, t^-1] against sympy, and of the CLI's
+exit-code contract on generated, often malformed, input."""
 
 import contextlib
 import io
@@ -90,7 +91,6 @@ from reference import (  # noqa: E402
     canonical_form_reference,
     cokernel_invariants_reference,
     cokernel_of,
-    count_calls,
     dense,
     diagonal_of,
     fox_derivative,
@@ -99,7 +99,7 @@ from reference import (  # noqa: E402
     match_wirtinger_reference,
     matmul,
     random_unimodular,
-    record_cokernel_calls,
+    relative_cover_homology,
     removal_plan_reference,
     spelled_presentation,
     todd_coxeter_reference,
@@ -648,38 +648,35 @@ def cover_inputs(draw):
         return p, weight_vector(p), n
 
 
+def maps_onto(p: Presentation, weights, n: int) -> bool:
+    """Whether the weights kill every relator and generate Z/N: a map of
+    the group to Z and onto Z/N, the contract of both cover functions."""
+    return gcd(n, *weights) == 1 and not any(
+        sum(weights[j] * e for j, e in row.items()) for row in exponent_rows(p))
+
+
+def refused_by_both(p: Presentation, weights, n: int) -> None:
+    for f in (cover_homology, cyclic_cover_presentation):
+        with pytest.raises(ValueError, match="onto"):
+            f(p, n, weights)
+
+
 @PROPERTY
 @example((Presentation(("a", "b"), (normalize([("a", 9), ("b", -6)]),)), (2, 3), 5))
 @example((Presentation(("t", "x"), (normalize([("x", 2), ("t", 4)]),)), (1, 0), 4))
 @given(cover_inputs())
 def test_cover_rows_are_the_exponent_rows_of_the_rewritten_cover(case):
-    # Where the group side builds the Schreier transversal (no weight ±1,
-    # or weights onto Z/N only, as in the examples), it hands cokernel_invariants the
-    # exponent rows of the Reidemeister-Schreier presentation, row for row,
-    # entry for entry.  Where a weight is ±1 it hands T^N - I, the modulus
-    # route's factors or the fold of its reduced block instead, and its
-    # invariants are those of the rewritten cover.  Weights that do not map
-    # the group onto Z/N are refused by both.
+    # The group side's invariants are those of the exponent rows of the
+    # Reidemeister-Schreier presentation, whether a weight is ±1 or none is
+    # (the first example).  Weights that do not map the group to Z and onto
+    # Z/N are refused by both, as in the second example, onto Z/4 only.
     p, weights, n = case
-    if gcd(n, *weights) != 1 or any(
-        sum(weights[j] * e for j, e in row.items()) % n for row in exponent_rows(p)
-    ):
-        with pytest.raises(ValueError):
-            cover_homology(p, n, weights)
-        with pytest.raises(ValueError):
-            cyclic_cover_presentation(p, n, weights)
+    if not maps_onto(p, weights, n):
+        refused_by_both(p, weights, n)
         return
-    with pytest.MonkeyPatch.context() as mp:
-        handed = record_cokernel_calls(mp)
-        builds, _ = count_calls(mp, covers._transversal)
-        got = cover_homology(p, n, weights)
-    [(rows, cols, _)] = handed
     q = cyclic_cover_presentation(p, n, weights)
-    if not builds:
-        assert got == cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
-        return
-    assert cols == len(q.generators) and len(rows) == len(q.relators)
-    assert dense(rows, cols) == dense(exponent_rows(q), cols)
+    want = cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
+    assert cover_homology(p, n, weights) == want
 
 
 SPUN_TREFOIL = Presentation(("t", "u"), (normalize([("u", -1), ("t", 1), ("u", 1), ("t", 1),
@@ -710,8 +707,9 @@ def group_side_inputs(draw):
     some in rows that also touch B, and some generators x_j are rewritten
     as x_j t^w, so that the weights and the generator of weight ±1 move;
     or t^N ends the first relator, so that the weights map onto Z/N but
-    not onto Z.  Otherwise a presentation on a, b with weights 2, 3 (no
-    weight ±1), or the spun trefoil at 6 | N, whose cover has free rank 3."""
+    not onto Z, which both cover functions refuse.  Otherwise a
+    presentation on a, b with weights 2, 3 (no weight ±1), or the spun
+    trefoil at 6 | N, whose cover has free rank 3."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(("top", "bottom", "neither", "nonsquare", "unit-free", "spun")))
     if kind == "spun":
@@ -757,8 +755,8 @@ def group_side_inputs(draw):
 # One input for each route: a 2 x 2 block with unimodular top end
 # (I t^2 + ...), only a unimodular bottom end (1 + 2t, reversed), neither
 # (2 + 3t), a ±t^k pivot left of a 1 x 1 block, a non-square block,
-# d >= N, N = 1, no weight ±1, weights onto Z/N only, and the spun
-# trefoil at 6 | N.
+# d >= N, N = 1, no weight ±1, weights onto Z/N only (refused), and the
+# spun trefoil at 6 | N.
 @PROPERTY
 @example((spelled({0: [1, 2, 1], 1: [0, 2]}, {0: [2], 1: [-1, 2, 1]}), (1, 0, 0), 5))
 @example((spelled({0: [1, 2]}), (1, 0), 4))
@@ -774,11 +772,28 @@ def group_side_inputs(draw):
 @given(group_side_inputs())
 def test_group_side_matches_the_rewritten_cover_reference(case):
     # Every route of cover_homology against the full-rescan elimination of
-    # the exponent rows of the Reidemeister-Schreier presentation.
+    # the exponent rows of the Reidemeister-Schreier presentation; weights
+    # onto Z/N only (t^N ends the first relator) are refused by both.
     p, weights, n = case
+    if not maps_onto(p, weights, n):
+        refused_by_both(p, weights, n)
+        return
     q = cyclic_cover_presentation(p, n, weights)
     want = cokernel_invariants_reference(dense(exponent_rows(q), len(q.generators)))
     assert cover_homology(p, n, weights) == want
+
+
+@PROPERTY
+@given(group_side_inputs())
+def test_every_fox_column_less_the_cover_vertices_gives_the_group_side(case):
+    # Where a weight is ±1 the group side drops that generator's column and
+    # adds Z.  Keeping every column instead presents the homology of the
+    # cover relative to its N vertices, so taking away Z^(N-1) must give
+    # the same group: the claim of the unit-free route, checked without
+    # the rewritten cover.
+    p, weights, n = case
+    assume(maps_onto(p, weights, n) and {1, -1} & set(weights))
+    assert cover_homology(p, n, weights) == relative_cover_homology(p, n, weights)
 
 
 UNITS = st.sampled_from((-1, 1))
