@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .intlinalg import Matrix, matrix
-from .laurent import LaurentPoly, ONE, det_lambda, laurent, normalize_unit
+from .laurent import LaurentPoly, det_lambda, from_coeffs, laurent, normalize_unit
 from .presentations import Presentation, deficiency, weight_vector
 
 
@@ -53,22 +53,20 @@ def alexander_polynomial(
     """Alexander polynomial of a deficiency-1 presentation with infinite
     cyclic abelianization, normalized up to units.
 
-    Deletes the column of the first generator of weight +-1 and takes
-    the determinant of the remaining square matrix.  ``weights`` is as
-    in :func:`alexander_matrix`; by default it is ``weight_vector(p)``,
+    Deletes the column j of least nonzero |weight|, the first on ties,
+    and divides the determinant of the remaining square matrix by
+    1 + t + ... + t^(|w_j| - 1): by Fox's fundamental formula each minor
+    is, up to units, the polynomial times (t^|w_j| - 1)/(t - 1).  ``weights`` is as in
+    :func:`alexander_matrix`; by default it is ``weight_vector(p)``,
     which requires abelianization = Z.
     """
     if deficiency(p) != 1:
         raise ValueError(f"deficiency is {deficiency(p)}, not 1")
     if weights is None:
         weights = weight_vector(p)
-    drop = next((j for j, w in enumerate(weights) if abs(w) == 1), None)
-    if drop is None:
-        raise ValueError("no generator of weight +-1")
-    if not p.relators:
-        return ONE  # free group of rank 1: unknot module
+    if not any(weights):
+        raise ValueError("every generator has weight 0")
+    size, drop = min((abs(w), j) for j, w in enumerate(weights) if w)
     m = alexander_matrix(p, weights)
-    reduced = [
-        [entry for j, entry in enumerate(row) if j != drop] for row in m.entries
-    ]
-    return normalize_unit(det_lambda(matrix(reduced)))
+    minor = [[entry for j, entry in enumerate(row) if j != drop] for row in m.entries]
+    return normalize_unit(det_lambda(matrix(minor, cols=m.cols - 1)) // from_coeffs([1] * size))

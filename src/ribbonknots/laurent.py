@@ -126,49 +126,49 @@ def eq_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 
 def det_lambda(m: Matrix) -> LaurentPoly:
-    """Exact determinant over Z[t, t^-1].
+    """Exact determinant over Z[t, t^-1], by one pivot loop over sparse rows.
 
-    While some row or column holds at most one nonzero entry, expand
-    along it: a zero row or column gives 0, a lone entry a_ij multiplies
-    a running factor by (-1)^(i+j) a_ij and its row and column go.  One
-    scan peels every lone entry it finds.  The core that is left takes
-    :func:`bareiss_det`.  The empty matrix has determinant 1.
+    Each step takes, at least Markowitz cost (row nonzeros - 1)(column
+    nonzeros - 1), an entry that is alone in its row or column or is a
+    unit +-t^k.  A unit first clears its column by row operations with
+    multiples of t^-k, so nothing is divided.  The determinant then
+    expands along the pivot's row or column, signed by the pivot's
+    position among the rows and columns left.  A zero row or column
+    gives 0; the core no pivot reaches takes :func:`bareiss_det`, which
+    gives 1 on the empty matrix.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows: Sequence[Sequence[LaurentPoly]] = m.entries
+    rows = {i: {j: p for j, p in enumerate(row) if p.coeffs} for i, row in enumerate(m.entries)}
+    cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
     factor = ONE
     while len(rows) > 1:
-        row_nz = [[j for j, p in enumerate(row) if p.coeffs] for row in rows]
-        col_nz: list[list[int]] = [[] for _ in rows]
-        for i, js in enumerate(row_nz):
-            for j in js:
-                col_nz[j].append(i)
-        if not all(row_nz) or not all(col_nz):
+        if not all(rows.values()) or not all(cols.values()):
             return ZERO
-        lone = {(i, js[0]) for i, js in enumerate(row_nz) if len(js) == 1}
-        lone |= {(ii[0], j) for j, ii in enumerate(col_nz) if len(ii) == 1}
-        if not lone:
+        pivots = [((len(row) - 1) * (len(cols[j]) - 1), i, j) for i, row in rows.items()
+                  for j, p in row.items() if len(row) == 1 or len(cols[j]) == 1 or p.coeffs in ((1,), (-1,))]
+        if not pivots:
             break
-        gone_rows = {i for i, _ in lone}
-        gone_cols = {j for _, j in lone}
-        if len(gone_rows) < len(lone) or len(gone_cols) < len(lone):
-            return ZERO  # two lone rows on one column, or two lone columns on one row
-        # Expand from the bottom row up: a row's index stays put, a
-        # column's index drops by the peeled columns left of it.
-        peeled: list[int] = []
-        for i, j in sorted(lone, reverse=True):
-            entry = rows[i][j]
-            if (i + j - sum(c < j for c in peeled)) % 2:
-                entry = -entry
-            factor = factor * entry
-            peeled.append(j)
-        rows = [
-            [p for j, p in enumerate(row) if j not in gone_cols]
-            for i, row in enumerate(rows)
-            if i not in gone_rows
-        ]
-    det = bareiss_det(rows, ZERO, ONE)
+        _, i, j = min(pivots)
+        pivot = rows.pop(i)
+        if len(pivot) > 1:  # a unit, unless alone in its column: clear that column
+            inverse = LaurentPoly(-pivot[j].low, pivot[j].coeffs)
+            for r in cols[j] - {i}:
+                c = rows[r][j] * inverse
+                for k, p in pivot.items():
+                    q = rows[r].pop(k, ZERO) - c * p
+                    cols[k].discard(r)
+                    if q.coeffs:
+                        rows[r][k] = q
+                        cols[k].add(r)
+        for k in pivot:
+            cols[k].discard(i)
+        for r in cols.pop(j):
+            del rows[r][j]
+        sign = sum(r < i for r in rows) + sum(k < j for k in cols)
+        factor = factor * (-pivot[j] if sign % 2 else pivot[j])
+    core = [[row.get(k, ZERO) for k in sorted(cols)] for _, row in sorted(rows.items())]
+    det = bareiss_det(core, ZERO, ONE)
     return det if factor == ONE else factor * det
 
 

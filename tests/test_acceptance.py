@@ -368,6 +368,14 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
     (tmp_path / "d40x.pres").write_text(format_presentation(expanded))
     code, out = run("covers", tmp_path / "d40x.pres", "-N", "2", "--module", tmp_path / "d40.module")
     assert code == 0 and out.rstrip().endswith(" [ok]"), out
+    # Its Alexander polynomial is a Tietze invariant: the same bytes.
+    assert run("alex", tmp_path / "d40x.pres") == run("alex", tmp_path / "d40.pres")
+    code, out = run("verify", tmp_path / "d40x.pres", "--module", tmp_path / "d40.module",
+                    "-N", "2,3", "--meridian", "t", "--max-cosets", "100")
+    verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+    assert [verdicts[k] for k in ("alexander", "covers-N2", "covers-N3")] == ["PASS"] * 3, out
+    # The weight-1 certificate of 815 generators ends inconclusive at this budget.
+    assert (code, verdicts["weight-1"]) in ((0, "PASS"), (2, "INCONCLUSIVE")), out
 
     # Each killed corpus meridian: found moves within three relator
     # multiplications, or budget where none are found there.
@@ -379,8 +387,8 @@ def test_criterion_10_north_star_inputs_through_the_cli(tmp_path, capsys, corpus
                          "--max-len", "32", "--max-depth", "3"])
         assert (code, capsys.readouterr().err.strip()) == outcome, name
     print("\nACCEPTANCE 10: PASS - 3x3 Trotter verify -N 64 and covers -N 512, degree-40 covers "
-          "-N 32 and -N 128 and verify -N 2,3, expanded degree-40 covers -N 2, killed meridians "
-          "ac-search")
+          "-N 32 and -N 128 and verify -N 2,3, expanded degree-40 covers -N 2, alex and "
+          "verify -N 2,3, killed meridians ac-search")
 
 
 def _flagged(q, corpus, module_name) -> bool:

@@ -97,6 +97,18 @@ def test_covers_two_oracles_with_no_generator_of_weight_one(capsys, corpus, tmp_
     )
 
 
+def test_alex_and_verify_with_no_generator_of_weight_one(capsys, corpus, tmp_path):
+    # The minor that drops b (weight 2) is (1 + t)(1 - t + t^2); dividing
+    # by 1 + t leaves the trefoil's polynomial.
+    pres = tmp_path / "a2b3.pres"
+    pres.write_text("gens a b\nrel a^2 b^-3\n")
+    assert run(capsys, "alex", str(pres)) == (0, "poly 0 1 -1 1\n", "")
+    code, out, _ = run(capsys, "verify", str(pres), "--module", str(corpus / "spun_trefoil.module"),
+                       "-N", "2,3", "--meridian", "a", "--max-cosets", "100")
+    assert code == 1  # not a Wirtinger presentation
+    assert "alexander       PASS          1 - t + t^2 vs 1 - t + t^2\n" in out
+
+
 def test_tc(capsys, corpus, tmp_path):
     pres = tmp_path / "z5.pres"
     pres.write_text("gens x\nrel x^5\n")

@@ -5,14 +5,15 @@ rotation against every slice, its direct conjugation against two
 reduced products, its removal plan against the Word-level planner, and
 the lemma that lets it skip joins that cancel nothing), of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
-one-pass Alexander matrix, of the sparse cokernel invariants (on
+one-pass Alexander matrix, of the Alexander polynomial under Tietze
+moves, of the sparse cokernel invariants (on
 matrices mostly of units, too) against sympy and against their
 full-rescan reference, pivot for pivot, of the group side of cover
 homology against the rewritten cover presentation and against every
 column of the Fox matrix less the cover's vertices, of the module side
 of cover homology (T^N - I where t has a known action) against the
-cokernel of the Kronecker matrix, of the peeling determinant and of
-exact division over Z[t, t^-1] against sympy, and of the CLI's
+cokernel of the Kronecker matrix, of the pivoting determinant (on
+sparse matrices of units, too) and of exact division over Z[t, t^-1] against sympy, and of the CLI's
 exit-code contract on generated, often malformed, input."""
 
 import contextlib
@@ -45,7 +46,9 @@ from ribbonknots.acmoves import (  # noqa: E402
 from ribbonknots.constructions import (  # noqa: E402
     AdmissibilityError,
     KnotModuleSpec,
+    realize_cyclic,
     realize_lemma4,
+    realize_sum,
     realize_trotter,
 )
 from ribbonknots.cosets import todd_coxeter, weight_one_certificate  # noqa: E402
@@ -54,7 +57,7 @@ from ribbonknots.covers import (  # noqa: E402
     cyclic_cover_presentation,
     module_cover_homology,
 )
-from ribbonknots.fox import alexander_matrix  # noqa: E402
+from ribbonknots.fox import alexander_matrix, alexander_polynomial  # noqa: E402
 from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
     Matrix,
@@ -64,12 +67,14 @@ from ribbonknots.intlinalg import (  # noqa: E402
     matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import ONE, ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
+from ribbonknots.laurent import ONE, ZERO, det_lambda, eq_up_to_unit, from_coeffs, laurent  # noqa: E402
 from ribbonknots.presentations import (  # noqa: E402
     LOG,
     Presentation,
     _match_wirtinger,
+    expand_length1,
     exponent_rows,
+    introduce_generator,
     is_wirtinger,
     weight_vector,
 )
@@ -945,7 +950,6 @@ def test_the_cover_order_is_the_resultant(case):
         assert coker.free_rank > 0
 
 
-# Entries have low exponent >= -SHIFT, so t^SHIFT times an entry lies in Z[t].
 SHIFT = 2
 
 
@@ -1016,24 +1020,39 @@ def bordered_core(draw):
     return draw(permuted(grid))
 
 
+@st.composite
+def sparse_units(draw):
+    """Up to 6 x 6, each entry 0, +-t^k (k in -3..3) or a binomial of gap
+    1 or 2: units that are not alone in their row or column, so the pivot
+    loop clears their columns by row operations."""
+    unit = st.builds(lambda s, k: from_coeffs([s], k), st.sampled_from((-1, 1)), st.integers(-3, 3))
+    ends = st.sampled_from((-2, -1, 1, 2))
+    binomial = st.builds(lambda a, b, gap, k: from_coeffs([a] + [0] * (gap - 1) + [b], k),
+                         ends, ends, st.integers(1, 2), st.integers(-3, 1))
+    entry = st.one_of(st.just(ZERO), st.just(ZERO), unit, unit, binomial)
+    return draw(st.integers(1, 6).flatmap(lambda n: squares(n, entry)))
+
+
 def sympy_det(grid):
     """The determinant from sympy's ``DomainMatrix`` over Z[t], after
-    multiplying every entry by t^SHIFT, shifted back."""
+    multiplying every entry by t^s, s = -(least low exponent), shifted
+    back."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
     ring = sympy.ZZ[sympy.Symbol("t")]
     n = len(grid)
+    shift = max(-p.low for row in grid for p in row)
     cells = [
-        [ring.ring.from_dict({(k + SHIFT,): c for k, c in p.terms()}) for p in row]
+        [ring.ring.from_dict({(k + shift,): c for k, c in p.terms()}) for p in row]
         for row in grid
     ]
     det = DomainMatrix(cells, (n, n), ring).det()
-    return laurent({k - SHIFT * n: int(c) for (k,), c in det.terms()})
+    return laurent({k - shift * n: int(c) for (k,), c in det.terms()})
 
 
 @PROPERTY
-@given(block_diagonal())
+@given(st.one_of(block_diagonal(), sparse_units()))
 def test_det_lambda_matches_sympy_block_diagonal(grid):
     assert det_lambda(matrix(grid)) == sympy_det(grid)
 
@@ -1048,6 +1067,33 @@ def test_det_lambda_matches_sympy_zero_line(grid):
 @given(bordered_core())
 def test_det_lambda_matches_sympy_bordered_core(grid):
     assert det_lambda(matrix(grid)) == sympy_det(grid)
+
+
+@st.composite
+def tietze_moves(draw):
+    """A cyclic or sum Wirtinger form of polynomials 1 + (t - 1) beta,
+    beta of degree 0 to 3, with the product of those polynomials; and the
+    form after ``expand_length1`` and up to three introductions of new
+    generators s1, s2, ... by words in the generators already there."""
+    betas = draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4), min_size=1, max_size=3))
+    polys = [from_coeffs([1 - b[0]] + [b[i - 1] - b[i] for i in range(1, len(b))] + [b[-1]])
+             for b in betas]
+    p = (realize_cyclic(polys[0]) if len(polys) == 1 else realize_sum(polys)).wirtinger_presentation
+    expanded = draw(st.booleans())
+    q = expand_length1(p) if expanded else p
+    for k in range(1, draw(st.integers(0 if expanded else 1, 3)) + 1):
+        q = introduce_generator(q, f"s{k}", draw(words(q.generators, max_size=4)))
+    return p, q, prod(polys, start=ONE)
+
+
+@PROPERTY
+@given(tietze_moves())
+def test_alexander_polynomial_is_a_tietze_invariant(case):
+    # The elementary ideals of the Alexander matrix are Tietze invariants
+    # (Crowell-Fox, ch. VII), so no module data is needed.
+    p, q, alpha = case
+    assert eq_up_to_unit(alexander_polynomial(p), alpha)
+    assert eq_up_to_unit(alexander_polynomial(q), alpha)
 
 
 def runs(nonzero=False):
