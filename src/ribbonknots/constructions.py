@@ -1,6 +1,6 @@
 """Realization of knot modules by group presentations.
 
-Four constructions, each taking exact module data and producing a
+Five constructions, each taking exact module data and producing a
 deficiency-1 presentation (plus a Wirtinger rewriting where one exists):
 
 * ``realize_trotter``  -- square integer matrix M with det(M) != 0 and

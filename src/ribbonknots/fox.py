@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .intlinalg import Matrix, matrix
-from .laurent import LaurentPoly, det_lambda, from_coeffs, laurent, normalize_unit
+from .laurent import ZERO, LaurentPoly, det_lambda, from_coeffs, laurent, normalize_unit
 from .presentations import Presentation, deficiency, weight_vector
 
 
@@ -33,17 +33,20 @@ def alexander_matrix(p: Presentation, weights: Sequence[int]) -> Matrix:
     column = {g: j for j, g in enumerate(p.generators)}
     rows = []
     for r in p.relators:
-        entries: list[dict[int, int]] = [{} for _ in p.generators]
+        entries: dict[int, dict[int, int]] = {}
         k = 0
         for g, e in r.syllables:
             j = column[g]
             w = weights[j]
-            entry = entries[j]
+            entry = entries.setdefault(j, {})
             sign = 1 if e > 0 else -1
             for i in range(min(e, 0), max(e, 0)):
                 entry[k + i * w] = entry.get(k + i * w, 0) + sign
             k += e * w
-        rows.append([laurent(entry) for entry in entries])
+        row = [ZERO] * len(p.generators)
+        for j, entry in entries.items():
+            row[j] = laurent(entry)
+        rows.append(row)
     return matrix(rows, cols=len(p.generators))
 
 

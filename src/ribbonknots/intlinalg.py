@@ -11,7 +11,6 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, heapreplace
 from math import gcd
 from typing import Sequence, TypeVar
 
@@ -213,12 +212,8 @@ def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGro
     dropped.  The recorded pivots become a divisor chain by one gcd/lcm
     pass.
 
-    The ±1 pivots come first.  A unit phase takes them in the same order
-    from heaps, without re-keying rows: a unit pivot clears its column
-    exactly and drops its row and column, so only keys in its columns and
-    in the rows it changed can fall, and only those are looked at again.
-    After it the search is incremental: ``best[i]`` is the least key over
-    the entries of live row ``i``, so the pivot is ``min(best.values())``.
+    The search is incremental: ``best[i]`` is the least key over the
+    entries of live row ``i``, so the pivot is ``min(best.values())``.
     After a step, the rows whose entries changed (each row a row operation
     touched, and the pivot row once reduced) are re-keyed by a scan of the
     row.  In any other row only the cost of an entry in a column whose
@@ -236,93 +231,13 @@ def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGro
             for j in row:
                 index.setdefault(j, set()).add(i)
 
-    # Unit phase: the ±1 pivots, in the order of the key below, which among
-    # them is (cost, i, j) and within one column orders them by (row nnz, i).
-    # by_col[j] is a heap of those pairs; a top record whose entry is gone is
-    # dropped, one whose row was resized renewed.  bound[j], on the heap, is
-    # at most the least key of column j: it is lowered wherever a key may
-    # fall, and checked when popped, so a pivot is the least key of all.
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for i, row in live.items():
-        for j, x in row.items():
-            if x == 1 or x == -1:
-                heappush(by_col.setdefault(j, []), (len(row), i))
-
-    def least(j: int) -> tuple[int, int, int] | None:
-        """The least key of a ±1 entry of column ``j``, if any."""
-        h = by_col.get(j, [])
-        while h:
-            n, i = h[0]
-            row = live.get(i, {})
-            if row.get(j) not in (1, -1):
-                heappop(h)
-            elif len(row) != n:
-                heapreplace(h, (len(row), i))
-            else:
-                return (n - 1) * (len(index[j]) - 1), i, j
-        return None
-
-    def lower(k: tuple[int, int, int] | None) -> None:
-        if k and (k[2] not in bound or k < bound[k[2]]):
-            bound[k[2]] = k
-            heappush(heap, k)
-
-    bound = {j: ((h[0][0] - 1) * (len(index[j]) - 1), h[0][1], j) for j, h in by_col.items()}
-    heap = list(bound.values())
-    heapify(heap)
-    units = 0
-    while heap:
-        k = heappop(heap)
-        c, i0, j0 = k
-        if bound.get(j0) != k:
-            continue
-        del bound[j0]
-        pivot_row = live.get(i0, {})
-        if pivot_row.get(j0) not in (1, -1) or (len(pivot_row) - 1) * (len(index[j0]) - 1) != c:
-            lower(least(j0))
-            continue
-        # The row operations of the core's loop, written again here because
-        # they also track each column's nonzero count (row i0 leaves them all)
-        # and which rows got shorter.
-        p = pivot_row.pop(j0)
-        del live[i0], by_col[j0]
-        grew = dict.fromkeys(pivot_row, -1)
-        for j in pivot_row:
-            index[j].discard(i0)
-        for i in index.pop(j0) - {i0}:
-            row = live[i]
-            q = row.pop(j0) * p
-            n = len(row)
-            for j, x in pivot_row.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    if j not in row:
-                        index[j].add(i)
-                        grew[j] += 1
-                    row[j] = y
-                else:
-                    del row[j]
-                    index[j].discard(i)
-                    grew[j] -= 1
-            if not row:
-                del live[i]
-            # The ±1 entries whose key may have fallen: each of a shorter row,
-            # and the rewritten ones of any other.
-            for j in row if len(row) <= n else pivot_row:
-                if row.get(j) in (1, -1):
-                    heappush(by_col.setdefault(j, []), (len(row), i))
-                    lower(((len(row) - 1) * (len(index[j]) - 1), i, j))
-        for j, d in grew.items():
-            if d < 0:
-                lower(least(j))
-        units += 1
-
     def key(i: int) -> tuple[int, int, int, int]:
         row = live[i]
         row_cost = len(row) - 1
         return min([(abs(x), row_cost * (len(index[j]) - 1), i, j) for j, x in row.items()])
 
     best = {i: key(i) for i in live}
+    units = 0
     nonunits: list[int] = []
     while live:
         i0, j0 = min(best.values())[2:]

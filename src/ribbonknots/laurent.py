@@ -140,7 +140,10 @@ def det_lambda(m: Matrix) -> LaurentPoly:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     rows = {i: {j: p for j, p in enumerate(row) if p.coeffs} for i, row in enumerate(m.entries)}
-    cols = {j: {i for i, row in rows.items() if j in row} for j in range(m.cols)}
+    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
     factor = ONE
     while len(rows) > 1:
         if not all(rows.values()) or not all(cols.values()):

@@ -29,10 +29,10 @@ another way:
   against the flat-table ``cosets.todd_coxeter``;
 * ``act`` and ``trace``, the action of words on a closed coset table;
 * ``cokernel_invariants_reference``, the sparse elimination that
-  rescans every nonzero for each pivot, against the unit phase and the
-  incremental pivot search of ``intlinalg.cokernel_invariants``, which
-  must take the same pivots; ``CountingRow``, a row that counts the
-  entries an elimination writes into it, shows whether they did;
+  rescans every nonzero for each pivot, against the incremental pivot
+  search of ``intlinalg.cokernel_invariants``, which must take the same
+  pivots; ``CountingRow``, a row that counts the entries an elimination
+  writes into it, shows whether they did;
 * ``lift_glnz_reference``, the GL(r, Z) lift as a factorization into
   ``AddMultiple``/``Swap``/``Negate`` operations, each lifted to a
   ``FreeEndo`` and composed one at a time, against the Nielsen moves of

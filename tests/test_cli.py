@@ -217,6 +217,22 @@ def test_verify_computes_weight_vector_once(capsys, corpus, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_verify_eliminates_once_per_side_and_order(capsys, corpus, monkeypatch):
+    # weight_vector proves H1 = Z on a Wirtinger form without elimination,
+    # so the abelianization row costs no cokernel; only the two sides of
+    # each cover order call cokernel_invariants.  Calling abelianization
+    # first made 5 calls here.
+    calls, patched = count_calls(monkeypatch, intlinalg.cokernel_invariants)
+    assert "ribbonknots.covers" in patched
+    code, out, _ = run(
+        capsys, "verify", str(corpus / "spun_trefoil.pres"),
+        "--module", str(corpus / "spun_trefoil.module"),
+        "-N", "2,3", "--meridian", "t", "--max-cosets", "100",
+    )
+    assert code == 0 and out.startswith("abelianization  PASS          Z\n")
+    assert len(calls) == 4
+
+
 def test_covers_and_verify_run_no_smith_normal_form(capsys, corpus, monkeypatch, tmp_path):
     # The weight vector is the integer kernel of the sparse exponent rows;
     # the dense Smith form with both transforms is only the tests' oracle.

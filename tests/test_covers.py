@@ -189,8 +189,9 @@ def test_trotter_cover_elimination_does_no_more_work_than_the_reference_order():
     # matrix, which the sides handed in before they took the modulus
     # route), counted by CountingRow rows: in the full-rescan reference's
     # pivot order the group side writes 38,006 entries and the module side
-    # 44,407, none over 386 bits.  A unit phase that did not track falling
-    # Markowitz costs wrote 79,888 on the module side, and more at larger N.
+    # 44,407, none over 386 bits.  A unit pivot search that did not track
+    # falling Markowitz costs wrote 79,888 on the module side, and more at
+    # larger N.
     res = realize_trotter(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]))
     p = res.wirtinger_presentation
     q = cyclic_cover_presentation(p, 128, weight_vector(p))

@@ -13,6 +13,7 @@ from reference import (
     RING_ONE,
     RING_ZERO,
     abelianize_to_lambda,
+    count_calls,
     cyclic_alpha,
     expanded_cyclic_form,
     fox_derivative,
@@ -122,6 +123,20 @@ def test_alexander_laurent_operations_grow_linearly_on_expanded_forms(monkeypatc
         assert work["ops"] <= 3 * letters, ladder
     for (l0, n0), (l1, n1) in zip(ladder, ladder[1:]):
         assert n1 <= 2.2 * n0 * l1 / l0, ladder
+
+
+def test_alexander_matrix_builds_only_its_nonzero_cells(monkeypatch):
+    # The expanded degree-40 form has 815 generators and 814 relators but
+    # only 2,442 nonzero Fox cells; building every cell of the dense grid
+    # made 663,410 laurent calls.
+    p = expanded_cyclic_form(40)
+    weights = weight_vector(p)
+    calls, patched = count_calls(monkeypatch, laurent)
+    assert "ribbonknots.fox" in patched
+    m = alexander_matrix(p, weights)
+    nonzero = sum(bool(entry.coeffs) for row in m.entries for entry in row)
+    assert nonzero == 2442
+    assert len(calls) <= nonzero
 
 
 def test_alexander_unknot_and_errors():

@@ -102,8 +102,8 @@ def test_cover_homology_does_not_load_the_fox_oracle():
 
 # The standard-library modules the package imports by name.  Loading
 # anything beyond what they load costs every CLI call its start-up time.
-STDLIB_IMPORTS = ("__future__", "argparse", "dataclasses", "functools", "heapq", "math",
-                  "operator", "pathlib", "re", "sys", "typing")
+STDLIB_IMPORTS = ("__future__", "argparse", "dataclasses", "functools", "math", "operator",
+                  "pathlib", "re", "sys", "typing")
 
 
 def test_cli_loads_no_module_beyond_the_stdlib_modules_it_names():

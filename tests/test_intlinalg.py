@@ -1,10 +1,7 @@
-import heapq
 import random
-from collections import Counter
 
 import pytest
 
-from ribbonknots import intlinalg
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
@@ -14,13 +11,11 @@ from ribbonknots.intlinalg import (
     smith_normal_form,
 )
 from reference import (
-    CountingRow,
     diagonal_of,
     factor_glnz,
     matmul,
     random_unimodular,
     replay_elementary,
-    unit_block_matrix,
 )
 
 
@@ -115,54 +110,10 @@ def test_cokernel_invariants():
     # an all-unit identity, with and without signs
     assert cokernel_invariants([{i: 1} for i in range(5)], 5) == AbelianGroupInvariants(0)
     assert cokernel_invariants([{i: (-1) ** i} for i in range(5)], 6) == AbelianGroupInvariants(1)
-    # no unit at all: the core phase alone
+    # no unit at all: every pivot reduces its row
     assert cokernel_invariants([{0: 2, 1: 4}, {0: 6, 1: 3}], 2) == AbelianGroupInvariants(0, (18,))
     rows = [{0: 2}, {1: 4}, {2: 6}]
     assert cokernel_invariants(rows, 3) == AbelianGroupInvariants(0, (2, 2, 12))
-
-
-def test_unit_phase_meets_every_case(monkeypatch):
-    # The generator of the cokernel property tests, at their sizes, reaches
-    # each case of the unit phase; those tests compare the elimination with
-    # the full-rescan reference.  The rows count a ±1 written where they
-    # had no entry (``fill``) and a row left empty by a cancellation
-    # (``emptied``), and ``shared`` counts inputs in which a column holds a
-    # ±1 and a non-unit.  The heap functions, wrapped by the names intlinalg
-    # imports, see the (row nnz, i) records of each column's ±1 entries: a
-    # Markowitz cost fell when a record is pushed again with a smaller row
-    # nnz, and rose when ``heapreplace`` renews one with a larger.
-    events: Counter = Counter()
-
-    def heappush(h, item):
-        events["fell"] += len(item) == 2 and any(i == item[1] and n > item[0] for n, i in h)
-        heapq.heappush(h, item)
-
-    def heapreplace(h, item):
-        events["rose"] += item[0] > h[0][0]
-        return heapq.heapreplace(h, item)
-
-    class Row(CountingRow):
-        cancelled = False
-
-        def __setitem__(self, j, x):
-            events["fill"] += j not in self and x in (1, -1)
-            super().__setitem__(j, x)
-
-        def __delitem__(self, j):
-            super().__delitem__(j)
-            self.cancelled = not self
-
-    monkeypatch.setattr(intlinalg, "heappush", heappush)
-    monkeypatch.setattr(intlinalg, "heapreplace", heapreplace)
-    rng = random.Random(26)
-    for _ in range(200):
-        m = unit_block_matrix(rng, rng.randint(1, 8), rng.randint(0, 4), rng.randint(1, 12))
-        columns = [{abs(x) == 1 for x in col if x} for col in zip(*m.entries)]
-        events["shared"] += any(kinds == {True, False} for kinds in columns)
-        rows = [Row({j: x for j, x in enumerate(r) if x}, Counter()) for r in m.entries]
-        cokernel_invariants(rows, m.cols)
-        events["emptied"] += sum(row.cancelled and not row for row in rows)
-    assert all(events[e] for e in ("rose", "fell", "shared", "fill", "emptied")), events
 
 
 def test_invariants_validation():

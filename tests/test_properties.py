@@ -505,9 +505,8 @@ def block_circulant_matrices(max_rank=3, max_order=8):
 def unit_block_matrices(draw):
     """``reference.unit_block_matrix`` of up to 15 x 12: ±1 rows around a
     non-unit block of up to 4 x 4, with copied, negated and summed rows,
-    permuted (``test_intlinalg::test_unit_phase_meets_every_case`` checks
-    that this generator, at these sizes, reaches every case of the unit
-    phase)."""
+    permuted, so that unit pivots fill, empty rows and move the Markowitz
+    costs of other entries up and down."""
     rng = random.Random(draw(st.integers(0, 2**32)))  # one draw, not one per cell
     return unit_block_matrix(rng, draw(st.integers(1, 8)), draw(st.integers(0, 4)),
                              draw(st.integers(1, 12)))
