@@ -37,9 +37,6 @@ class ACPresentation(Presentation):
             raise ValueError("presentation is not balanced")
         super().__post_init__()
 
-    def is_empty(self) -> bool:
-        return not self.generators
-
     def total_length(self) -> int:
         return sum(len(r) for r in self.relators)
 
@@ -424,7 +421,7 @@ def verify_move_sequence(p: ACPresentation, moves: Sequence[ACMove]) -> bool:
     """True iff the moves all apply in order and leave the empty
     presentation."""
     try:
-        return apply_moves(p, moves).is_empty()
+        return not apply_moves(p, moves).generators
     except (ValueError, TypeError):
         return False
 

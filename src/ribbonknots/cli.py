@@ -36,7 +36,7 @@ from .presentations import (
     parse_tietze_script,
     weight_vector,
 )
-from .words import parse_word
+from .words import parse_int, parse_word
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -95,12 +95,12 @@ def _load_module_spec(path: str) -> constructions.KnotModuleSpec:
 
 
 def _parse_orders(text: str) -> list[int]:
-    """Comma-separated orders, each read by the token rule of
-    :func:`_positive_int`; a leading '-' only selects the message."""
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not all(tok.removeprefix("-").isdecimal() for tok in tokens):
+    """Comma-separated orders, each read by :func:`parse_int` as every
+    input integer is; a leading '-' only selects the message."""
+    try:
+        orders = [parse_int(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
         raise CLIError(f"bad cover-order list {text!r}")
-    orders = [int(tok) for tok in tokens]
     if not orders or any(n < 1 for n in orders):
         raise CLIError("cover orders must be positive integers")
     return orders
@@ -116,7 +116,11 @@ def _write_or_stdout(text: str, path: Optional[str]) -> None:
         raise CLIError(f"cannot write {path}: {exc}")
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process: building it takes tens of
+    times as long as a ``parse_args`` call, and parsing leaves no state
+    on it."""
     parser = _Parser(prog="ribbonknots", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,7 +206,7 @@ def _cmd_realize(args) -> int:
         result = builder(parse_matrix(_read(args.matrix)))
 
     want_wirtinger = args.emit in ("wirtinger", "both")
-    if want_wirtinger and not result.wirtinger_available:
+    if want_wirtinger and result.wirtinger_presentation is None:
         raise CLIError(
             f"construction {args.construction} has no Wirtinger form; use --emit hnn"
         )
@@ -215,7 +219,7 @@ def _cmd_realize(args) -> int:
         )
     if args.dot:
         # Validate and write the DOT file first, so a failure leaves stdout empty.
-        if not result.wirtinger_available:
+        if result.wirtinger_presentation is None:
             raise CLIError("--dot needs a Wirtinger form")
         log = is_wirtinger(result.wirtinger_presentation)
         if isinstance(log, NotWirtinger):
@@ -242,9 +246,10 @@ def _cmd_covers(args) -> int:
         if spec is None:
             print(f"N={n}: {inv}")
         else:
-            report = covers.CoverReport(n, inv, covers.module_cover_homology(spec, n))
-            print(report)
-            if not report.agrees:
+            module = covers.module_cover_homology(spec, n)
+            verdict = "ok" if inv == module else "MISMATCH"
+            print(f"N={n}: group {inv} | module {module} [{verdict}]")
+            if inv != module:
                 code = EXIT_MISMATCH
     return code
 
@@ -327,13 +332,10 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             rows.append(("alexander", "FAIL", str(exc)))
         for n in orders:
-            report = covers.CoverReport(
-                n, covers.cover_homology(p, n, weights), covers.module_cover_homology(spec, n)
-            )
-            rows.append(
-                (f"covers-N{n}", "PASS" if report.agrees else "FAIL",
-                 f"{report.group_invariants} vs {report.module_invariants}")
-            )
+            group = covers.cover_homology(p, n, weights)
+            module = covers.module_cover_homology(spec, n)
+            rows.append((f"covers-N{n}", "PASS" if group == module else "FAIL",
+                         f"{group} vs {module}"))
         cert = weight_one_certificate(p, args.meridian, args.max_cosets)
         rows.append(
             ("weight-1", "PASS" if cert == "certified" else "INCONCLUSIVE", cert)
@@ -365,14 +367,6 @@ _COMMANDS = {
     "tietze": _cmd_tietze,
     "verify": _cmd_verify,
 }
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """The parser, built once per process: building it takes tens of
-    times as long as a ``parse_args`` call, and parsing leaves no state
-    on it."""
-    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -83,7 +83,7 @@ _PENCILS = {
 
 
 def cyclic_module(alpha: LaurentPoly) -> KnotModuleSpec:
-    alpha = _shift_low_to_zero(alpha)
+    alpha = LaurentPoly(0, alpha.coeffs)  # times the unit t^-low
     if augmentation(alpha) != 1:
         raise AdmissibilityError(
             f"augmentation is {augmentation(alpha)}, must be 1"
@@ -94,7 +94,7 @@ def cyclic_module(alpha: LaurentPoly) -> KnotModuleSpec:
 def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
     if not polys:
         raise AdmissibilityError("direct sum needs at least one summand")
-    shifted = tuple(_shift_low_to_zero(p) for p in polys)
+    shifted = tuple(LaurentPoly(0, p.coeffs) for p in polys)
     for p in shifted:
         if augmentation(p) != 1:
             raise AdmissibilityError(f"summand {p} has augmentation != 1")
@@ -142,25 +142,13 @@ def _shift_identity(m: Matrix, c: int) -> Matrix:
     )
 
 
-def _shift_low_to_zero(p: LaurentPoly) -> LaurentPoly:
-    """Multiply by the unit t^-low (does not change the cyclic module)."""
-    if p.is_zero():
-        return p
-    return LaurentPoly(0, p.coeffs)
-
-
 @dataclass(frozen=True)
 class RealizationResult:
     primary_presentation: Presentation
     wirtinger_presentation: Optional[Presentation]
-    meridian: str
     module_spec: KnotModuleSpec
     fg_commutator: Optional[bool] = None
     is_ascending_hnn: bool = False
-
-    @property
-    def wirtinger_available(self) -> bool:
-        return self.wirtinger_presentation is not None
 
     def verification_presentation(self) -> Presentation:
         return self.wirtinger_presentation or self.primary_presentation
@@ -208,7 +196,7 @@ def _realize_summands(
     # Finitely generated commutator subgroup needs extremal coefficients
     # of alpha equal to +-1.
     fg_all = all(abs(a.coeffs[0]) == 1 and abs(a.coeffs[-1]) == 1 for a in spec.polys)
-    return RealizationResult(primary, wirtinger, "t", spec, fg_commutator=fg_all)
+    return RealizationResult(primary, wirtinger, spec, fg_commutator=fg_all)
 
 
 def _wirtinger(xs: Sequence[str], ss: Sequence[str], words: Sequence[Word]) -> Presentation:
@@ -254,7 +242,7 @@ def realize_trotter(m: Matrix) -> RealizationResult:
             product(gen("t"), gen(ys[i]), gen("t", -1), gen(ys[i], -1), gen(xs[i]))
         )
     primary = Presentation(("t", *xs, *ys), tuple(primary_rels))
-    return RealizationResult(primary, _wirtinger(xs, ss, prod_x), "t", spec)
+    return RealizationResult(primary, _wirtinger(xs, ss, prod_x), spec)
 
 
 def lift_glnz(m: Matrix) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
@@ -339,7 +327,7 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     ss = [f"s{i}" for i in range(1, r + 1)]
     primary = _hnn(xs, [product(gen(x), w) for x, w in zip(xs, mu)])
     wirtinger = _wirtinger(xs, ss, [inverse(w) for w in nu])
-    return RealizationResult(primary, wirtinger, "t", spec, is_ascending_hnn=True)
+    return RealizationResult(primary, wirtinger, spec, is_ascending_hnn=True)
 
 
 def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
@@ -352,7 +340,7 @@ def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     r = t_matrix.rows
     tau, _ = lift_glnz(t_matrix)
     primary = _hnn([f"x{i}" for i in range(1, r + 1)], tau)
-    return RealizationResult(primary, None, "t", spec)
+    return RealizationResult(primary, None, spec)
 
 
 def parse_module_spec(text: str, read_file) -> KnotModuleSpec:

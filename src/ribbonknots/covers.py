@@ -11,7 +11,6 @@ and the tests' reference; nothing here calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -330,22 +329,3 @@ def _fold(terms, n: int) -> dict[int, int]:
         out[e % n] = out.get(e % n, 0) + c
     return out
 
-
-@dataclass(frozen=True)
-class CoverReport:
-    """Both homology computations for one cover order."""
-
-    order: int
-    group_invariants: AbelianGroupInvariants
-    module_invariants: AbelianGroupInvariants
-
-    @property
-    def agrees(self) -> bool:
-        return self.group_invariants == self.module_invariants
-
-    def __str__(self) -> str:
-        verdict = "ok" if self.agrees else "MISMATCH"
-        return (
-            f"N={self.order}: group {self.group_invariants} | "
-            f"module {self.module_invariants} [{verdict}]"
-        )

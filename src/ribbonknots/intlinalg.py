@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, TypeVar
 
+from .words import parse_int
+
 R = TypeVar("R")
 
 
@@ -325,7 +327,7 @@ def parse_matrix(text: str) -> Matrix:
     if not lines:
         raise ValueError("empty matrix file")
     try:
-        rows, cols = (int(tok) for tok in lines[0].split())
+        rows, cols = (parse_int(tok) for tok in lines[0].split())
     except ValueError:
         raise ValueError(f"bad matrix header {lines[0]!r}")
     if len(lines) - 1 != rows:
@@ -333,7 +335,7 @@ def parse_matrix(text: str) -> Matrix:
     grid = []
     for ln in lines[1:]:
         try:
-            row = [int(tok) for tok in ln.split()]
+            row = [parse_int(tok) for tok in ln.split()]
         except ValueError:
             raise ValueError(f"non-integer matrix entry in {ln!r}")
         if len(row) != cols:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .intlinalg import Matrix, bareiss_det
+from .words import parse_int
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def parse_poly_line(text: str) -> LaurentPoly:
     if not tokens or tokens[0] != "poly":
         raise ValueError(f"expected a 'poly' line, got {text!r}")
     try:
-        numbers = [int(tok) for tok in tokens[1:]]
+        numbers = [parse_int(tok) for tok in tokens[1:]]
     except ValueError:
         raise ValueError(f"non-integer token in poly line {text!r}")
     if not numbers:
@@ -198,6 +199,6 @@ def format_poly_line(p: LaurentPoly) -> str:
 def parse_coeffs(text: str) -> LaurentPoly:
     """Parse the CLI shorthand ``c0,c1,...,cn`` (low = 0)."""
     try:
-        return from_coeffs([int(tok) for tok in text.split(",")])
+        return from_coeffs([parse_int(tok.strip()) for tok in text.split(",")])
     except ValueError:
         raise ValueError(f"bad coefficient list {text!r}")

@@ -19,6 +19,7 @@ from .words import (
     gen,
     inverse,
     normalize,
+    parse_int,
     parse_word,
     product,
     substitute,
@@ -360,7 +361,7 @@ def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
             if len(tokens) < 3:
                 raise ValueError(f"bad elim line {line!r}")
             try:
-                index = int(tokens[-1])
+                index = parse_int(tokens[-1])
             except ValueError:
                 raise ValueError(f"bad relator index in {line!r}")
             steps.append(

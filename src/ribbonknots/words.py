@@ -26,6 +26,13 @@ def check_generator_name(name: str) -> str:
     return name
 
 
+def parse_int(token: str) -> int:
+    """An input integer: an optional '-', then decimal digits only."""
+    if not token.removeprefix("-").isdecimal():
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in named free-group generators."""
@@ -140,7 +147,7 @@ def parse_word(text: str) -> Word:
         if "^" in token:
             name, _, exp_text = token.partition("^")
             try:
-                exp = int(exp_text)
+                exp = parse_int(exp_text)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}")
         else:

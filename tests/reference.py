@@ -95,7 +95,7 @@ from ribbonknots.acmoves import (
 )
 from ribbonknots.constructions import KnotModuleSpec, RealizationResult, realize_cyclic
 from ribbonknots.cosets import CosetTable
-from ribbonknots.covers import CoverReport, cover_homology, module_cover_homology
+from ribbonknots.covers import cover_homology, module_cover_homology
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     Matrix,
@@ -220,13 +220,13 @@ def fundamental_identity_holds(w: Word, generators: list[str]) -> bool:
 
 def compare_realization(
     result: RealizationResult, orders: Sequence[int]
-) -> list[CoverReport]:
-    """Cross-check a realization against its module for several cover
-    orders."""
+) -> list[tuple[int, AbelianGroupInvariants, AbelianGroupInvariants]]:
+    """``(N, group side, module side)`` of a realization's N-fold cyclic
+    cover for each order."""
     p = result.verification_presentation()
     weights = presentations.weight_vector(p)
     return [
-        CoverReport(n, cover_homology(p, n, weights), module_cover_homology(result.module_spec, n))
+        (n, cover_homology(p, n, weights), module_cover_homology(result.module_spec, n))
         for n in orders
     ]
 
@@ -414,7 +414,7 @@ def removal_plan_reference(p: ACPresentation) -> Optional[tuple[ACMove, ...]]:
     starts with the generator.
     """
     moves: list[ACMove] = []
-    while not p.is_empty():
+    while p.generators:
         ripe = None
         for name in p.generators:
             count = sum(

@@ -81,9 +81,8 @@ def test_criterion_1_spun_trefoil_pipeline():
         3: AbelianGroupInvariants(1, (2, 2)),
         6: AbelianGroupInvariants(3),
     }
-    for rep in compare_realization(res, [2, 3, 6]):
-        assert rep.agrees
-        assert rep.group_invariants == expected[rep.order]
+    for n, group, module in compare_realization(res, [2, 3, 6]):
+        assert group == module == expected[n]
     assert weight_one_certificate(w, "t", 100) == "certified"
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"pipeline took {elapsed:.2f}s"
@@ -119,8 +118,8 @@ def test_criterion_2_trotter_randomized_suite():
         assert eq_up_to_unit(
             alexander_polynomial(res.wirtinger_presentation), target
         )
-        for rep in compare_realization(res, [2, 3, 4]):
-            assert rep.agrees, (m.entries, rep)
+        for n, group, module in compare_realization(res, [2, 3, 4]):
+            assert group == module, (m.entries, n, group, module)
         checked += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

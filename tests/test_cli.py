@@ -383,6 +383,41 @@ def test_cover_orders_take_the_same_token_rule(capsys, corpus):
     assert code == 0 and out.startswith("N=2: ")
 
 
+def test_file_and_coeff_integers_take_the_same_token_rule(capsys, corpus, tmp_path):
+    # Every integer in a file or in --coeffs is an optional '-' and decimal
+    # digits, as -N reads its orders: int() would also take '_' and '+'.
+    # With those dropped each input is valid, so only the rule rejects it.
+    _, alpha, _ = run(capsys, "realize", "cyclic", "--coeffs", "1,-10,10", "--emit", "wirtinger")
+    files = {
+        "word.pres": "gens t u\nrel u^-1 t u t u^-1_0 t^-1\n",
+        "plus.pres": "gens t u\nrel u^-1 t u t^+1 u^-1 t^-1\n",
+        "entry.mat": "1 1\n1_0\n",
+        "alpha.pres": alpha,
+        "poly.module": "module cyclic poly 0 1 -1_0 1_0\n",
+        "index.tz": "elim b t +0\n",
+    }
+    calls = (
+        ("alex", "{d}/word.pres"),
+        ("alex", "{d}/plus.pres"),
+        ("realize", "cyclic", "--coeffs=1_0,-1_0,1"),
+        ("realize", "trotter", "-m", "{d}/entry.mat"),
+        ("covers", "{d}/alpha.pres", "-N", "2", "--module", "{d}/poly.module"),
+        ("tietze", "{c}/yoshikawa.pres", "--script", "{d}/index.tz"),
+    )
+    for d, want in ((tmp_path / "bad", 3), (tmp_path / "good", 0)):
+        def clean(text):
+            return text if want else text.replace("_", "").replace("+", "")
+
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(clean(text))
+        for argv in calls:
+            code, out, err = run(capsys, *(clean(a).format(d=d, c=corpus) for a in argv))
+            assert code == want, (argv, err)
+            if want:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_unwritable_output_path(capsys, corpus, tmp_path):
     target = str(tmp_path / "missing-dir" / "out.txt")
     pres = str(corpus / "spun_trefoil.pres")

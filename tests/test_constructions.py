@@ -59,7 +59,6 @@ def test_presentation_matrices():
 
 def test_cyclic_realization_shape():
     res = realize_cyclic(from_coeffs([1, -1, 1]))
-    assert res.meridian == "t"
     assert res.fg_commutator is True
     w = res.wirtinger_presentation
     assert len(w.generators) == 2 and len(w.relators) == 1
@@ -169,7 +168,6 @@ def test_lemma3_realization():
     t = matrix([[0, 1], [-1, 1]])
     res = realize_lemma3_group(t)
     assert res.wirtinger_presentation is None
-    assert not res.wirtinger_available
     assert str(abelianization(res.primary_presentation)) == "Z"
     assert res.verification_presentation() is res.primary_presentation
 

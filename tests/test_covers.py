@@ -13,7 +13,6 @@ from ribbonknots.constructions import (
     trotter_module,
 )
 from ribbonknots.covers import (
-    CoverReport,
     cover_homology,
     cyclic_cover_presentation,
     module_cover_homology,
@@ -76,25 +75,18 @@ def test_module_oracle_matches_by_hand():
 
 def test_compare_realization_agrees():
     res = realize_cyclic(from_coeffs([1, -1, 1]))
-    reports = compare_realization(res, [2, 3, 6])
-    assert all(r.agrees for r in reports)
-    assert [r.order for r in reports] == [2, 3, 6]
+    triples = compare_realization(res, [2, 3, 6])
+    assert all(group == module for _, group, module in triples)
+    assert [n for n, _, _ in triples] == [2, 3, 6]
     res = realize_trotter(matrix([[2]]))
-    assert all(r.agrees for r in compare_realization(res, [2, 3, 4]))
-
-
-def test_report_str_and_mismatch():
-    ok = CoverReport(2, AbelianGroupInvariants(1), AbelianGroupInvariants(1))
-    bad = CoverReport(2, AbelianGroupInvariants(1), AbelianGroupInvariants(2))
-    assert "ok" in str(ok) and "MISMATCH" in str(bad)
-    assert not bad.agrees
+    assert all(group == module for _, group, module in compare_realization(res, [2, 3, 4]))
 
 
 def test_free_rank_at_least_one():
     res = realize_cyclic(from_coeffs([2, -3, 2]))
-    for rep in compare_realization(res, [2, 3, 4]):
-        assert rep.agrees
-        assert rep.group_invariants.free_rank >= 1
+    for _, group, module in compare_realization(res, [2, 3, 4]):
+        assert group == module
+        assert group.free_rank >= 1
 
 
 def test_explicit_weights_and_errors():

@@ -79,6 +79,10 @@ def _cases() -> dict[str, list[str]]:
             "verify", f"{name}.pres", "--module", f"{name}.module", "-N", "2,3,6",
             "--meridian", "t", "--max-cosets", "100",
         ]
+    # N=2 agrees; N=3 gives Z + Z/7 against Z + Z/2 + Z/2, so exit 1.
+    cases["covers-mismatch"] = [
+        "covers", "trotter_2.pres", "-N", "2,3", "--module", "spun_trefoil.module"
+    ]
     cases["verify-mutant"] = [
         "verify", "mut.pres", "--module", "spun_trefoil.module", "-N", "2,3",
         "--meridian", "t", "--max-cosets", "100",
