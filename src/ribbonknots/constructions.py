@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intlinalg import Matrix, det_int, matrix, parse_matrix
+from .intlinalg import Matrix, bareiss_det, matrix, parse_matrix
 from .laurent import (
     LaurentPoly,
     ONE,
@@ -53,24 +53,23 @@ class KnotModuleSpec:
     polys: tuple[LaurentPoly, ...] = ()
     matrix: Optional[Matrix] = None
 
-    def presentation_matrix(self) -> Matrix:
-        """The square matrix presenting the module over Z[t, 1/t]."""
+    def lambda_rows(self) -> list[dict[int, dict[int, int]]]:
+        """The module's square presentation over Z[t, 1/t] as sparse rows
+        ``{column: {exponent: coefficient}}``: diag(alpha_i), or the pencil."""
         if self.kind in ("cyclic", "sum"):
-            n = len(self.polys)
-            return matrix(
-                [[self.polys[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-            )
+            return [{i: dict(a.terms())} for i, a in enumerate(self.polys)]
         if self.kind not in _PENCILS:
             raise ValueError(f"unknown module kind {self.kind!r}")
         (a_m, a_i), (b_m, b_i) = _PENCILS[self.kind]
-        m = self.matrix
-        assert m is not None
+        cells = [[{0: b_m * x + b_i * (i == j), 1: a_m * x + a_i * (i == j)} for j, x in enumerate(r)]
+                 for i, r in enumerate(self.matrix.entries)]
+        return [{j: {e: c for e, c in f.items() if c} for j, f in enumerate(r) if any(f.values())}
+                for r in cells]
 
-        def entry(i: int, j: int) -> LaurentPoly:
-            d = int(i == j)
-            return laurent({1: a_m * m[i, j] + a_i * d, 0: b_m * m[i, j] + b_i * d})
-
-        return matrix([[entry(i, j) for j in range(m.cols)] for i in range(m.rows)])
+    def presentation_matrix(self) -> Matrix:
+        """:meth:`lambda_rows` as a grid of Laurent polynomials."""
+        rows = self.lambda_rows()
+        return matrix([[laurent(row[j]) if j in row else ZERO for j in range(len(rows))] for row in rows])
 
 
 # Matrix kinds as a pencil t A + B, with A and B given as the
@@ -102,44 +101,30 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
 
 
 def trotter_module(m: Matrix) -> KnotModuleSpec:
-    _require_square(m)
-    if det_int(m) == 0:
-        raise AdmissibilityError("det(M) = 0")
-    if det_int(_shift_identity(m, -1)) == 0:
-        raise AdmissibilityError("det(M - I) = 0")
-    return KnotModuleSpec("trotter", matrix=m)
+    return _matrix_module("trotter", m, ("M", "M - I"), -1)
 
 
 def tminus1_module(m: Matrix) -> KnotModuleSpec:
-    return _unimodular_pair("tminus1", m, ("M", "I + M"), 1)
+    return _matrix_module("tminus1", m, ("M", "I + M"), 1)
 
 
 def taction_module(t: Matrix) -> KnotModuleSpec:
-    return _unimodular_pair("taction", t, ("T", "T - I"), -1)
+    return _matrix_module("taction", t, ("T", "T - I"), -1)
 
 
-def _unimodular_pair(
-    kind: str, m: Matrix, labels: tuple[str, str], c: int
-) -> KnotModuleSpec:
-    """Spec of ``kind`` when both ``m`` and ``m + c I`` are unimodular."""
-    _require_square(m)
-    for label, a in zip(labels, (m, _shift_identity(m, c))):
-        d = abs(det_int(a))
-        if d != 1:
-            raise AdmissibilityError(f"|det({label})| = {d}, must be 1")
-    return KnotModuleSpec(kind, matrix=m)
-
-
-def _require_square(m: Matrix) -> None:
+def _matrix_module(kind: str, m: Matrix, labels: tuple[str, str], c: int) -> KnotModuleSpec:
+    """Spec of ``kind`` when ``m`` is square and det(m) and det(m + c I),
+    named ``labels``, are nonzero for trotter and +-1 for the others."""
     if m.rows != m.cols or m.rows == 0:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
-
-
-def _shift_identity(m: Matrix, c: int) -> Matrix:
-    """``M + c I``."""
-    return matrix(
-        [[m[i, j] + c * (i == j) for j in range(m.cols)] for i in range(m.rows)]
-    )
+    for label, shift in zip(labels, (0, c)):
+        d = bareiss_det([[x + shift * (i == j) for j, x in enumerate(r)]
+                         for i, r in enumerate(m.entries)], 0, 1)
+        if kind == "trotter" and d == 0:
+            raise AdmissibilityError(f"det({label}) = 0")
+        if kind != "trotter" and abs(d) != 1:
+            raise AdmissibilityError(f"|det({label})| = {abs(d)}, must be 1")
+    return KnotModuleSpec(kind, matrix=m)
 
 
 @dataclass(frozen=True)

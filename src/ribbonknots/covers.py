@@ -148,14 +148,13 @@ def _unit_pivots(rows: list[dict[str, dict[int, int]]], cols: list[str]) -> tupl
 
 
 def module_cover_homology(spec: KnotModuleSpec, n: int) -> AbelianGroupInvariants:
-    """Predicted homology ``Z + A / (t^N - 1) A`` from module data alone, of
-    the presentation matrix or of each summand of a cyclic or sum module."""
+    """Predicted homology ``Z + A / (t^N - 1) A`` from the spec's rows over
+    Z[t, 1/t]: a pencil whole, each summand of a cyclic or sum module alone."""
     if n < 1:
         raise ValueError("cover order must be >= 1")
-    rows, cols = [], 0
-    for block in [[[a]] for a in spec.polys] or [spec.presentation_matrix().entries]:
-        lam = [{j: dict(x.terms()) for j, x in enumerate(r) if not x.is_zero()} for r in block]
-        more, width = _cover_rows(lam, list(range(len(block))), n, cols)
+    lam, rows, cols = spec.lambda_rows(), [], 0
+    for block, keys in [([r], [*r]) for r in lam] if spec.polys else [(lam, [*range(len(lam))])]:
+        more, width = _cover_rows(block, keys, n, cols)
         rows, cols = rows + more, cols + width
     coker = cokernel_invariants(rows, cols)
     return AbelianGroupInvariants(coker.free_rank + 1, coker.torsion)

@@ -174,8 +174,6 @@ def is_wirtinger(p: Presentation) -> Union[LOG, NotWirtinger]:
 
 
 def _spans_tree(vertices: Sequence[str], edges: Sequence[LOGEdge]) -> bool:
-    if len(edges) != len(vertices) - 1:
-        return False
     parent = {v: v for v in vertices}
 
     def find(x: str) -> str:

@@ -173,8 +173,17 @@ def test_lemma3_realization():
 
 
 def test_realize_dispatch():
-    spec = cyclic_module(from_coeffs([1, -1, 1]))
-    assert realize(spec).module_spec == spec
+    # Every kind goes to its construction and comes back as the same spec.
+    specs = [
+        cyclic_module(from_coeffs([1, -1, 1])),
+        sum_module([from_coeffs([1, -1, 1]), from_coeffs([2, -1])]),
+        trotter_module(matrix([[2, 1], [0, 2]])),
+        tminus1_module(matrix([[0, 1], [1, 1]])),
+        taction_module(matrix([[0, 1], [-1, 1]])),
+    ]
+    assert [s.kind for s in specs] == ["cyclic", "sum", "trotter", "tminus1", "taction"]
+    for spec in specs:
+        assert realize(spec).module_spec == spec
 
 
 def test_parse_module_spec(tmp_path):

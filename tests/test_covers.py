@@ -10,6 +10,8 @@ from ribbonknots.constructions import (
     parse_module_spec,
     realize_cyclic,
     realize_trotter,
+    taction_module,
+    tminus1_module,
     trotter_module,
 )
 from ribbonknots.covers import (
@@ -18,7 +20,7 @@ from ribbonknots.covers import (
     module_cover_homology,
 )
 from ribbonknots.intlinalg import AbelianGroupInvariants, cokernel_invariants, matrix
-from ribbonknots.laurent import from_coeffs
+from ribbonknots.laurent import from_coeffs, laurent
 from ribbonknots.presentations import (
     Presentation,
     abelianization,
@@ -110,6 +112,26 @@ def test_weights_must_map_onto_the_cyclic_group():
             cyclic_cover_presentation(SPUN_TREFOIL, n, weights)
     # (-1, -1): a valid map that is not the weight vector.
     assert cover_homology(SPUN_TREFOIL, 3, (-1, -1)) == AbelianGroupInvariants(1, (2, 2))
+
+
+@pytest.mark.parametrize("spec, want", [
+    (trotter_module(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])),
+     {3: (2, 266), 64: (1261, 9349868816554519625331753120911942387163825692761235298095)}),
+    (tminus1_module(matrix([[0, 1], [1, 1]])), {3: (4, 4), 64: (10610209857723, 53051049288615)}),
+    (taction_module(matrix([[0, 1], [-1, 1]])), {3: (2, 2), 64: (3,)}),
+], ids=["trotter", "tminus1", "taction"])
+def test_module_side_of_a_pencil_builds_no_laurent_polynomial(spec, want, monkeypatch):
+    # The module side reads the spec's sparse rows over Z[t, 1/t]: no grid
+    # of Laurent polynomials is built and taken apart again.
+    grids = []
+    original = KnotModuleSpec.presentation_matrix
+    monkeypatch.setattr(KnotModuleSpec, "presentation_matrix",
+                        lambda self: grids.append(self) or original(self))
+    calls, patched = count_calls(monkeypatch, laurent)
+    assert patched
+    for n in (3, 64):
+        assert module_cover_homology(spec, n) == AbelianGroupInvariants(1, want[n])
+    assert grids == [] and calls == []
 
 
 def test_rank3_trotter_n64_sides_agree():

@@ -39,6 +39,13 @@ INPUTS = {
     "mut.pres": "gens t u\nrel u^-1 t u t^2 u^-1 t^-2\n",
     "bad.tz": "elim b t 7\n",
     "rank3.mat": "3 3\n0 1 0\n0 0 1\n1 1 0\n",
+    "d0.pres": "gens t u\nrel u\nrel u^2\n",
+    "nonsq.mat": "2 3\n1 0 0\n0 1 0\n",
+    "header.mat": "2\n",
+    "short.mat": "2 2\n1 0\n",
+    "nopoly.module": "module cyclic 0 1 -1 1\n",
+    "intro.tz": "intro\n",
+    "elim.tz": "elim u t z 0\n",
 }
 
 PAIRS = ("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion")
@@ -87,6 +94,14 @@ def _cases() -> dict[str, list[str]]:
         "verify", "mut.pres", "--module", "spun_trefoil.module", "-N", "2,3",
         "--meridian", "t", "--max-cosets", "100",
     ]
+    # H_1 = Z/5: every row after the abelianization is skipped.
+    cases["verify-not-z"] = [
+        "verify", "z5.pres", "--module", "spun_trefoil.module", "-N", "2", "--meridian", "x",
+    ]
+    # H_1 = Z but deficiency 0: no Alexander polynomial, and the covers disagree.
+    cases["verify-deficiency"] = [
+        "verify", "d0.pres", "--module", "spun_trefoil.module", "-N", "2", "--meridian", "t",
+    ]
     cases["tc-subgroup"] = ["tc", "spun_trefoil.pres", "--subgroup", "t", "--max-cosets", "1000"]
     cases["tc-z5"] = ["tc", "z5.pres", "--max-cosets", "50"]
     cases["tc-overflow"] = ["tc", "free.pres", "--max-cosets", "10"]
@@ -103,6 +118,14 @@ def _cases() -> dict[str, list[str]]:
     cases["err-bad-coeffs"] = ["realize", "cyclic", "--coeffs", "1,x"]
     cases["err-augmentation"] = ["realize", "cyclic", "--coeffs", "1,1"]
     cases["err-trotter-inadmissible"] = ["realize", "trotter", "-m", "bad.mat"]
+    cases["err-nonsquare-matrix"] = ["realize", "trotter", "-m", "nonsq.mat"]
+    cases["err-lemma4-inadmissible"] = ["realize", "lemma4", "-m", "bad.mat"]
+    cases["err-lemma3-inadmissible"] = ["realize", "lemma3", "-m", "bad.mat"]
+    cases["err-matrix-header"] = ["realize", "trotter", "-m", "header.mat"]
+    cases["err-matrix-rows"] = ["realize", "trotter", "-m", "short.mat"]
+    cases["err-module-line"] = [
+        "covers", "spun_trefoil.pres", "-N", "2", "--module", "nopoly.module"
+    ]
     cases["err-ragged-matrix"] = ["realize", "lemma4", "-m", "ragged.mat"]
     cases["err-bad-word"] = ["alex", "badword.pres"]
     cases["err-unknown-generator"] = ["alex", "unknown.pres"]
@@ -112,6 +135,8 @@ def _cases() -> dict[str, list[str]]:
     ]
     cases["err-ac-deficiency"] = ["ac-search", "z5.pres", "--kill", "x", "--max-len", "8", "--max-depth", "2"]
     cases["err-tietze-index"] = ["tietze", "yoshikawa.pres", "--script", "bad.tz"]
+    cases["err-tietze-intro"] = ["tietze", "spun_trefoil.pres", "--script", "intro.tz"]
+    cases["err-tietze-unknown"] = ["tietze", "spun_trefoil.pres", "--script", "elim.tz"]
     return cases
 
 

@@ -867,6 +867,10 @@ class BlockSpec:
     def presentation_matrix(self) -> Matrix:
         return self.grid
 
+    def lambda_rows(self) -> list[dict]:
+        return [{j: dict(x.terms()) for j, x in enumerate(row) if not x.is_zero()}
+                for row in self.grid.entries]
+
 
 @st.composite
 def modulus_blocks(draw, sizes=(3, 3, 40)):
