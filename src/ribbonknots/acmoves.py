@@ -14,9 +14,10 @@ codes in (name, sign) order with their least rotations cached, keyed as
 their ``Word`` relators would be (Havas-Ramsay, IJAC 2003).  Conjugate
 factors are built once per relator.  A removal plan, spelled from the
 code strings, is tried only on new states that a join cancelling letters
-built; a candidate is keyed only when the outcome can depend on it, so
-most of the never-expanded last level stays unkeyed.  Only the path
-found is spelled out as moves, and replayed on ``Word`` relators.
+built; a candidate is keyed only when the outcome can depend on it, on
+the never-expanded last level only against the candidates of its
+relator lengths.  Only the path found is spelled out as moves, and
+replayed on ``Word`` relators.
 """
 
 from __future__ import annotations
@@ -163,15 +164,21 @@ def pack(p: ACPresentation) -> Packed:
     return Packed(relators, tuple(_least_rotation(r, inv) for r in relators))
 
 
+def _cyclic_core(s: str) -> str:
+    """The cyclically reduced core of a freely reduced ``s``."""
+    i, j = 0, len(s)
+    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
+        i, j = i + 1, j - 1
+    return s[i:j]
+
+
 def _least_rotation(s: str, inv: dict[int, int]) -> str:
     """Least rotation of the cyclically reduced conjugate of ``s`` or of
     its inverse.  It starts with the least code, so only the rotations
     starting there, found by ``str.find``, are sliced and compared."""
-    i, j = 0, len(s)
-    while j - i >= 2 and ord(s[i]) ^ ord(s[j - 1]) == 1:
-        i, j = i + 1, j - 1
-    n = j - i
-    forward = s[i:j] * 2
+    core = _cyclic_core(s)
+    n = len(core)
+    forward = core * 2
     backward = forward[::-1].translate(inv)
     least = min(forward + backward, default="")
     starts = []
@@ -300,25 +307,27 @@ def ac_trivialize_search(
 
     States are ``Packed``, so a candidate re-keys only the relator it
     changed.  Codes order letters as ``(name, sign)`` pairs do, so
-    ``canonical_form`` partitions states as it did on ``Word`` relators,
-    and the outcome and the moves found are those of the ``Word``-based
-    search.  Paths are ``(i, j, e, c)`` steps, spelled as moves only
-    when found.  The factors w = c . R^e . c^-1 of each relator string
-    are built once, with their lengths, so a join R_i . w that cancels
-    nothing is pruned by length before its string is built.
-    ``removal_plan`` finds no plan unless some generator occurs exactly
-    once, and a join that cancels nothing never has one: a generator
-    occurs once in it only if it did in its state, which then had no
-    plan, and pair removal is confluent, so every removal sequence of
-    the join replays on its state.  So only a cancelling join with a
-    generator occurring once is tried; other candidates are queued
-    unkeyed, and the queue is keyed, in generation order, before a
-    tried candidate and at the end of each level but the last.
-    The last level's states are never expanded, so it is keyed only on
-    demand: at its end only when nothing was pruned and no new state has
-    been seen there yet, as then a new state decides ``Budget`` against
-    ``Exhausted``.  The search stops at the first level that keeps no
-    new state, whatever ``max_depth`` is.
+    ``canonical_form`` partitions states as on ``Word`` relators, and
+    the outcome and moves found are those of the ``Word``-based search.
+    Paths are ``(i, j, e, c)`` steps, spelled as moves only when found.
+    Each relator's factors w = c . R^e . c^-1 are built once, with their
+    lengths, so a join R_i . w that cancels nothing is pruned by length
+    before its string is built.  A removal plan needs a generator
+    occurring once, and a join that cancels nothing has no plan: a
+    generator occurs once in it only if it did in its state, which then
+    had no plan, and pair removal is confluent.  So only a cancelling
+    join with a generator occurring once is tried, if new; the others
+    are queued unkeyed, and off the last level the queue is keyed in
+    generation order before a tried candidate and at the level's end.
+    The last level is never expanded, so there a tried key missing from
+    ``seen`` is compared only with the queued candidates of its
+    signature, the sorted cyclically reduced relator lengths, which
+    equal keys share; while keying the whole queue could fill ``seen``,
+    it is keyed in order instead.  That level's end, when nothing was
+    pruned and no new state seen, keys the queue up to its first new
+    state, which decides ``Budget`` against ``Exhausted``.  The search
+    stops at the first level that keeps no new state, whatever
+    ``max_depth`` is.
     """
     if max_total_length < 1 or max_depth < 1 or max_nodes < 1:
         raise ValueError("bounds must be positive")
@@ -343,28 +352,63 @@ def ac_trivialize_search(
         ws = [u if c is None else _conjugate(c, u) for u in (r, r[::-1].translate(inv)) for c in letters]
         return [(w, len(w), w and chr(ord(w[0]) ^ 1)) for w in ws]
 
-    queue: list[tuple] = []  # unkeyed (node, i, j, v, new), in generation order
+    queue: list = []  # (node, i, j, v, new) in generation order, None once keyed
+    by_lengths: dict[tuple, list[int]] = {}  # last level: queue[:indexed] unkeyed, by signature
+    indexed = 0
 
-    def settle() -> bool:
-        """Key the queue into ``seen`` in order and empty it.  A new
-        state sets ``grew`` and, off the last level, joins
-        ``next_frontier``.  True when the last state queued was new."""
-        nonlocal grew, full
+    def key_of(entry: tuple) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        ((_, least), _), i, _, _, new = entry
+        keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
+        return keyed, canonical_form(keyed)
+
+    def settle(until_new: bool = False) -> bool:
+        """Key the unkeyed queue into ``seen`` in order and empty it.  A new
+        state sets ``grew`` and, off the last level, joins ``next_frontier``;
+        on the last level ``until_new`` stops the keying at it.  True when
+        the last state keyed was new."""
+        nonlocal grew, full, indexed
         fresh = False
-        for ((relators, least), path), i, j, v, new in queue:
+        for entry in filter(None, queue):
             if len(seen) == max_nodes:
                 full, fresh = True, False
                 break
-            keyed = least[:i] + (_least_rotation(new, inv),) + least[i + 1 :]
-            key = canonical_form(keyed)
+            keyed, key = key_of(entry)
             fresh = key not in seen
             if fresh:
                 seen.add(key)
                 grew = True
                 if not leaf:
+                    ((relators, _), path), i, j, v, new = entry
                     next_frontier.append((Packed(relators[:i] + (new,) + relators[i + 1 :], keyed),
                                           path + ((i, j, *variants[v]),)))
+                elif until_new:
+                    break
         queue.clear()
+        by_lengths.clear()
+        indexed = 0
+        return fresh
+
+    def is_new() -> bool:
+        """Whether the state queued last is new.  On the last level, unless
+        keying the queue could fill ``seen``, only the queued candidates of
+        its signature are keyed, and only if ``seen`` lacks its key."""
+        nonlocal grew, indexed
+        if not leaf or len(seen) + len(queue) >= max_nodes:
+            return settle()
+        keyed, key = key_of(queue.pop())
+        if key in seen:
+            return False
+        grew = True
+        for k in range(indexed, len(queue)):  # unkeyed, as keying only reaches indexed entries
+            ((_, least), _), i, _, _, new = queue[k]
+            lengths = sorted([*map(len, least[:i] + least[i + 1 :]), len(_cyclic_core(new))])
+            by_lengths.setdefault(tuple(lengths), []).append(k)
+        indexed = len(queue)
+        for k in by_lengths.pop(tuple(sorted(map(len, keyed))), ()):
+            seen.add(key_of(queue[k])[1])
+            queue[k] = None
+        fresh = key not in seen
+        seen.add(key)
         return fresh
 
     frontier: list[tuple[Packed, tuple]] = [(start, ())]
@@ -398,7 +442,7 @@ def ac_trivialize_search(
                             continue
                         queue.append((node, i, j, v, new))
                         state = others + new
-                        if 1 not in [state.count(a) + state.count(b) for a, b in pairs] or not settle():
+                        if 1 not in [state.count(a) + state.count(b) for a, b in pairs] or not is_new():
                             continue
                         plan = removal_plan(p.generators, relators[:i] + (new,) + relators[i + 1 :])
                         if plan is not None:
@@ -406,7 +450,7 @@ def ac_trivialize_search(
                             moves = [m for step in steps for m in _compound_move(*step)]
                             return _verified_found(p, tuple(moves) + plan)
         if not leaf or not (truncated or grew):
-            settle()
+            settle(until_new=leaf)
         frontier = next_frontier
     return Budget() if truncated or grew or full else Exhausted()
 

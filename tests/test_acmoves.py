@@ -264,9 +264,10 @@ def test_search_keys_no_state_on_the_last_level_of_a_budget_search(corpus, monke
     """Killed trotter_2 at --max-len 32 prunes candidates on its third
     level, none of which has a generator occurring once, so at depth 3
     the outcome is ``Budget`` without keying that level: the search keys
-    the start state and its first two levels (1 + 20 + 240 candidates),
-    as the depth-2 search does to tell ``Budget`` from ``Exhausted`` on
-    its unpruned last level."""
+    the start state and its first two levels (1 + 20 + 240 candidates).
+    The depth-2 search tells ``Budget`` from ``Exhausted`` on its
+    unpruned last level by keying it up to the first new state, the
+    first of its 240 candidates (1 + 20 + 1)."""
     import ribbonknots.acmoves as acmoves
 
     calls = []
@@ -282,7 +283,25 @@ def test_search_keys_no_state_on_the_last_level_of_a_budget_search(corpus, monke
     assert len(calls) == 261
     calls.clear()
     assert ac_trivialize_search(killed, 32, 2) == Budget()
-    assert len(calls) == 261
+    assert len(calls) == 22
+
+
+def test_search_keys_only_the_ripe_candidates_signature_on_the_last_level(corpus, monkeypatch):
+    """Killed lemma4_companion and lemma3_companion at (32, 2) find their
+    plans on the last level.  Each ripe candidate there is compared only
+    with the queued candidates of its sorted cyclically reduced relator
+    lengths, so the searches make 86 and 95 ``canonical_form`` calls;
+    keying every candidate queued before a ripe one makes 3,247 and
+    1,521."""
+    import ribbonknots.acmoves as acmoves
+
+    calls, _ = count_calls(monkeypatch, acmoves.canonical_form)
+    for name, moves, bound in (("lemma4_companion", 12, 100), ("lemma3_companion", 14, 110)):
+        calls.clear()
+        killed = kill_meridian(parse_presentation((corpus / f"{name}.pres").read_text()), "t")
+        out = ac_trivialize_search(killed, 32, 2)
+        assert isinstance(out, Found) and len(out.moves) == moves
+        assert len(calls) <= bound, name
 
 
 def test_search_node_budget_bounds_the_states_kept(corpus, monkeypatch):

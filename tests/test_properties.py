@@ -33,6 +33,7 @@ import reference  # noqa: E402
 from ribbonknots import acmoves, cli, covers  # noqa: E402
 from ribbonknots.acmoves import (  # noqa: E402
     ACPresentation,
+    Budget,
     Multiply,
     _conjugate,
     _least_rotation,
@@ -218,6 +219,28 @@ def test_canonical_form_spells_the_word_key(p):
 def test_ac_search_matches_word_reference(p, max_len, depth):
     out = ac_trivialize_search(p, max_len, depth)
     assert out == ac_trivialize_search_reference(p, max_len, depth)
+
+
+@PROPERTY
+@given(balanced(), st.integers(1, 10), st.integers(1, 3), st.integers(1, 40))
+def test_ac_search_node_budget_only_cuts_the_search(p, max_len, depth, max_nodes):
+    """A node budget small enough to bite, on the last level too, where
+    candidates are keyed out of order, gives ``Budget`` or the outcome
+    of the unbudgeted search, and keeps at most ``max_nodes`` distinct
+    keys; the default budget gives the unbudgeted outcome."""
+    expected = ac_trivialize_search_reference(p, max_len, depth)
+    assert ac_trivialize_search(p, max_len, depth) == expected
+    keys = set()
+
+    def counted(least):
+        key = canonical_form(least)
+        keys.add(key)
+        return key
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acmoves, "canonical_form", counted)
+        assert ac_trivialize_search(p, max_len, depth, max_nodes) in (expected, Budget())
+    assert len(keys) <= max_nodes
 
 
 def ripe(q: ACPresentation) -> bool:
