@@ -34,7 +34,7 @@ from .laurent import (
     parse_poly_line,
 )
 from .presentations import Presentation
-from .words import Word, gen, inverse, normalize, power, product, substitute
+from .words import Word, gen, input_lines, inverse, normalize, power, product, substitute
 
 
 class AdmissibilityError(ValueError):
@@ -60,7 +60,7 @@ class KnotModuleSpec:
             return [{i: dict(a.terms())} for i, a in enumerate(self.polys)]
         if self.kind not in _PENCILS:
             raise ValueError(f"unknown module kind {self.kind!r}")
-        (a_m, a_i), (b_m, b_i) = _PENCILS[self.kind]
+        (a_m, a_i), (b_m, b_i), _, _ = _PENCILS[self.kind]
         cells = [[{0: b_m * x + b_i * (i == j), 1: a_m * x + a_i * (i == j)} for j, x in enumerate(r)]
                  for i, r in enumerate(self.matrix.entries)]
         return [{j: {e: c for e, c in f.items() if c} for j, f in enumerate(r) if any(f.values())}
@@ -73,11 +73,12 @@ class KnotModuleSpec:
 
 
 # Matrix kinds as a pencil t A + B, with A and B given as the
-# coefficients (of M, of I).
+# coefficients (of M, of I); then the names of M and M + c I, whose
+# determinants admit the matrix, and the shift c.
 _PENCILS = {
-    "trotter": ((1, 0), (-1, 1)),  # t M + (I - M)
-    "tminus1": ((0, 1), (-1, -1)),  # t I - (I + M): t acts by I + M
-    "taction": ((0, 1), (-1, 0)),  # t I - T
+    "trotter": ((1, 0), (-1, 1), ("M", "M - I"), -1),  # t M + (I - M)
+    "tminus1": ((0, 1), (-1, -1), ("M", "I + M"), 1),  # t I - (I + M): t acts by I + M
+    "taction": ((0, 1), (-1, 0), ("T", "T - I"), -1),  # t I - T
 }
 
 
@@ -101,22 +102,23 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
 
 
 def trotter_module(m: Matrix) -> KnotModuleSpec:
-    return _matrix_module("trotter", m, ("M", "M - I"), -1)
+    return _matrix_module("trotter", m)
 
 
 def tminus1_module(m: Matrix) -> KnotModuleSpec:
-    return _matrix_module("tminus1", m, ("M", "I + M"), 1)
+    return _matrix_module("tminus1", m)
 
 
 def taction_module(t: Matrix) -> KnotModuleSpec:
-    return _matrix_module("taction", t, ("T", "T - I"), -1)
+    return _matrix_module("taction", t)
 
 
-def _matrix_module(kind: str, m: Matrix, labels: tuple[str, str], c: int) -> KnotModuleSpec:
+def _matrix_module(kind: str, m: Matrix) -> KnotModuleSpec:
     """Spec of ``kind`` when ``m`` is square and det(m) and det(m + c I),
-    named ``labels``, are nonzero for trotter and +-1 for the others."""
+    named in ``_PENCILS``, are nonzero for trotter and +-1 for the others."""
     if m.rows != m.cols or m.rows == 0:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
+    _, _, labels, c = _PENCILS[kind]
     for label, shift in zip(labels, (0, c)):
         d = bareiss_det([[x + shift * (i == j) for j, x in enumerate(r)]
                          for i, r in enumerate(m.entries)], 0, 1)
@@ -133,7 +135,6 @@ class RealizationResult:
     wirtinger_presentation: Optional[Presentation]
     module_spec: KnotModuleSpec
     fg_commutator: Optional[bool] = None
-    is_ascending_hnn: bool = False
 
     def verification_presentation(self) -> Presentation:
         return self.wirtinger_presentation or self.primary_presentation
@@ -312,7 +313,7 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     ss = [f"s{i}" for i in range(1, r + 1)]
     primary = _hnn(xs, [product(gen(x), w) for x, w in zip(xs, mu)])
     wirtinger = _wirtinger(xs, ss, [inverse(w) for w in nu])
-    return RealizationResult(primary, wirtinger, spec, is_ascending_hnn=True)
+    return RealizationResult(primary, wirtinger, spec)
 
 
 def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
@@ -335,9 +336,7 @@ def parse_module_spec(text: str, read_file) -> KnotModuleSpec:
     or ``module {trotter|tminus1|taction} <matrix-file>`` where the
     matrix file is resolved by the ``read_file`` callback.
     """
-    lines = [
-        ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln
-    ]
+    lines = input_lines(text)
     if len(lines) != 1:
         raise ValueError("module-spec file must contain exactly one module line")
     tokens = lines[0].split(None, 2)
@@ -348,13 +347,8 @@ def parse_module_spec(text: str, read_file) -> KnotModuleSpec:
         return cyclic_module(parse_poly_line(payload))
     if kind == "sum":
         return sum_module([parse_poly_line(part.strip()) for part in payload.split(";")])
-    if kind in ("trotter", "tminus1", "taction"):
-        m = parse_matrix(read_file(payload.strip()))
-        return {
-            "trotter": trotter_module,
-            "tminus1": tminus1_module,
-            "taction": taction_module,
-        }[kind](m)
+    if kind in _PENCILS:
+        return _matrix_module(kind, parse_matrix(read_file(payload.strip())))
     raise ValueError(f"unknown module kind {kind!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, TypeVar
 
-from .words import parse_int
+from .words import input_lines, parse_int
 
 R = TypeVar("R")
 
@@ -100,13 +100,6 @@ def bareiss_det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
                 grid[i][j] = (grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]) // prev
         prev = grid[k][k]
     return prev if sign > 0 else -prev
-
-
-def det_int(m: Matrix) -> int:
-    """Exact integer determinant (see :func:`bareiss_det`)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    return bareiss_det(m.entries, 0, 1)
 
 
 def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -297,7 +290,8 @@ def cokernel_invariants(rows: Sequence[dict[int, int]], cols: int) -> AbelianGro
                     best[i] = k
                 elif best[i][3] == j and k != best[i]:
                     best[i] = key(i)
-    return diagonal_invariants([1] * units + divisor_chain(nonunits), cols)
+    chain = divisor_chain(nonunits)
+    return AbelianGroupInvariants(cols - units - len(chain), tuple(d for d in chain if d > 1))
 
 
 def divisor_chain(xs: list[int]) -> list[int]:
@@ -310,25 +304,17 @@ def divisor_chain(xs: list[int]) -> list[int]:
     return xs
 
 
-def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:
-    """Invariants of the cokernel of a Smith normal form with diagonal
-    ``diag`` and ``cols`` columns."""
-    nonzero = [d for d in diag if d != 0]
-    return AbelianGroupInvariants(
-        free_rank=cols - len(nonzero),
-        torsion=tuple(d for d in nonzero if d >= 2),
-    )
-
-
 def parse_matrix(text: str) -> Matrix:
     """Parse the matrix file format: ``rows cols`` header then rows of
     whitespace-separated integers; ``#`` starts a comment line."""
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    lines = input_lines(text)
     if not lines:
         raise ValueError("empty matrix file")
     try:
         rows, cols = (parse_int(tok) for tok in lines[0].split())
     except ValueError:
+        rows = cols = -1
+    if min(rows, cols) < 0:
         raise ValueError(f"bad matrix header {lines[0]!r}")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} matrix rows, found {len(lines) - 1}")

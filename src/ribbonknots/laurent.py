@@ -122,10 +122,6 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(0, tuple(sign * c for c in p.coeffs))
 
 
-def eq_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
-    return normalize_unit(p) == normalize_unit(q)
-
-
 def det_lambda(m: Matrix) -> LaurentPoly:
     """Exact determinant over Z[t, t^-1], by one pivot loop over sparse rows.
 

@@ -17,6 +17,7 @@ from .words import (
     check_generator_name,
     cyclic_letters,
     gen,
+    input_lines,
     inverse,
     normalize,
     parse_int,
@@ -305,10 +306,7 @@ def parse_presentation(text: str) -> Presentation:
     """
     generators: Optional[tuple[str, ...]] = None
     relators: list[Word] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in input_lines(text):
         head = line.split(None, 1)[0]
         rest = line[len(head) :]
         if head == "gens":
@@ -346,10 +344,7 @@ def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
     """Parse Tietze script lines: ``intro <name> <word>`` and
     ``elim <name> <word> <relator-index>``; an empty word is 1."""
     steps = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in input_lines(text):
         tokens = line.split()
         if tokens[0] == "intro":
             if len(tokens) < 2:

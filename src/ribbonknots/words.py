@@ -33,6 +33,12 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+def input_lines(text: str) -> list[str]:
+    """The lines of an input file, stripped, without ``#`` comments and
+    blank lines."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in named free-group generators."""

@@ -63,10 +63,13 @@ another way:
   it consumes, turn such rows back into a matrix, and record the rows
   the covers and the abelianization hand it; ``count_calls``, which
   counts the calls of a package function through all its bindings;
-* ``diagonal_of``, the diagonal of a ``smith_normal_form`` result, and
+* ``diagonal_of``, the diagonal of a ``smith_normal_form`` result,
+  ``diagonal_invariants``, the cokernel of such a diagonal, and
   ``weight_vector_reference``, the weight vector read off the V
   transform of the dense exponent matrix's Smith normal form, against
-  the integer-kernel reduction of ``presentations.weight_vector``.
+  the integer-kernel reduction of ``presentations.weight_vector``;
+* ``det_int``, the integer determinant by ``intlinalg.bareiss_det``, and
+  ``eq_up_to_unit``, equality of Laurent polynomials up to a unit +-t^k.
 """
 
 from __future__ import annotations
@@ -99,13 +102,12 @@ from ribbonknots.covers import cover_homology, module_cover_homology
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     Matrix,
+    bareiss_det,
     cokernel_invariants,
-    det_int,
-    diagonal_invariants,
     matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import LaurentPoly, from_coeffs, laurent
+from ribbonknots.laurent import LaurentPoly, from_coeffs, laurent, normalize_unit
 from ribbonknots.presentations import Presentation, expand_length1, exponent_rows
 from ribbonknots.words import (
     IDENTITY,
@@ -1098,6 +1100,16 @@ def diagonal_of(s: Matrix) -> tuple[int, ...]:
     return tuple(s.entries[i][i] for i in range(min(s.rows, s.cols)))
 
 
+def diagonal_invariants(diag: Sequence[int], cols: int) -> AbelianGroupInvariants:
+    """Invariants of the cokernel of a Smith normal form with diagonal
+    ``diag`` and ``cols`` columns."""
+    nonzero = [d for d in diag if d != 0]
+    return AbelianGroupInvariants(
+        free_rank=cols - len(nonzero),
+        torsion=tuple(d for d in nonzero if d >= 2),
+    )
+
+
 def weight_vector_reference(p: Presentation) -> tuple[int, ...]:
     """The weight vector as the free column of the V transform of the
     dense exponent matrix's Smith normal form, sign-normalized so the
@@ -1118,3 +1130,14 @@ def weight_vector_reference(p: Presentation) -> tuple[int, ...]:
     if lead < 0:
         weights = [-w for w in weights]
     return tuple(weights)
+
+
+def det_int(m: Matrix) -> int:
+    """Exact integer determinant (see ``intlinalg.bareiss_det``)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return bareiss_det(m.entries, 0, 1)
+
+
+def eq_up_to_unit(p: LaurentPoly, q: LaurentPoly) -> bool:
+    return normalize_unit(p) == normalize_unit(q)

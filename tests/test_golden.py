@@ -43,6 +43,7 @@ INPUTS = {
     "nonsq.mat": "2 3\n1 0 0\n0 1 0\n",
     "header.mat": "2\n",
     "short.mat": "2 2\n1 0\n",
+    "negative.mat": "0 -2\n",
     "nopoly.module": "module cyclic 0 1 -1 1\n",
     "intro.tz": "intro\n",
     "elim.tz": "elim u t z 0\n",
@@ -123,6 +124,7 @@ def _cases() -> dict[str, list[str]]:
     cases["err-lemma3-inadmissible"] = ["realize", "lemma3", "-m", "bad.mat"]
     cases["err-matrix-header"] = ["realize", "trotter", "-m", "header.mat"]
     cases["err-matrix-rows"] = ["realize", "trotter", "-m", "short.mat"]
+    cases["err-matrix-negative"] = ["realize", "trotter", "-m", "negative.mat"]
     cases["err-module-line"] = [
         "covers", "spun_trefoil.pres", "-N", "2", "--module", "nopoly.module"
     ]

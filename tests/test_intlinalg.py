@@ -5,12 +5,12 @@ import pytest
 from ribbonknots.intlinalg import (
     AbelianGroupInvariants,
     cokernel_invariants,
-    det_int,
     matrix,
     parse_matrix,
     smith_normal_form,
 )
 from reference import (
+    det_int,
     diagonal_of,
     factor_glnz,
     matmul,
@@ -131,3 +131,6 @@ def test_matrix_file_roundtrip():
         parse_matrix("1 2\n1\n")
     with pytest.raises(ValueError):
         parse_matrix("")
+    for header in ("0 -2", "-1 2"):
+        with pytest.raises(ValueError, match=f"^bad matrix header '{header}'$"):
+            parse_matrix(header + "\n")

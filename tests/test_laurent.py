@@ -9,7 +9,6 @@ from ribbonknots.laurent import (
     ZERO,
     augmentation,
     det_lambda,
-    eq_up_to_unit,
     format_poly_line,
     from_coeffs,
     laurent,
@@ -17,6 +16,7 @@ from ribbonknots.laurent import (
     parse_coeffs,
     parse_poly_line,
 )
+from reference import eq_up_to_unit
 
 
 def random_poly(rng, max_deg=4, max_coeff=5):

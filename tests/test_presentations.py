@@ -7,7 +7,7 @@ from ribbonknots import presentations
 from ribbonknots.constructions import realize_cyclic
 from ribbonknots.intlinalg import AbelianGroupInvariants
 from ribbonknots.fox import alexander_polynomial
-from ribbonknots.laurent import eq_up_to_unit, from_coeffs
+from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import (
     LOG,
     NotWirtinger,
@@ -40,6 +40,7 @@ from ribbonknots.words import (
 from reference import (
     count_calls,
     dense,
+    eq_up_to_unit,
     expanded_cyclic_form,
     exponent_sums,
     match_wirtinger_reference,

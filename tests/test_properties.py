@@ -63,12 +63,10 @@ from ribbonknots.intlinalg import (  # noqa: E402
     AbelianGroupInvariants,
     Matrix,
     cokernel_invariants,
-    det_int,
-    diagonal_invariants,
     matrix,
     smith_normal_form,
 )
-from ribbonknots.laurent import ONE, ZERO, det_lambda, eq_up_to_unit, from_coeffs, laurent  # noqa: E402
+from ribbonknots.laurent import ONE, ZERO, det_lambda, from_coeffs, laurent  # noqa: E402
 from ribbonknots.presentations import (  # noqa: E402
     LOG,
     Presentation,
@@ -98,7 +96,10 @@ from reference import (  # noqa: E402
     cokernel_invariants_reference,
     cokernel_of,
     dense,
+    det_int,
+    diagonal_invariants,
     diagonal_of,
+    eq_up_to_unit,
     fox_derivative,
     kronecker_matrix,
     least_rotation_reference,
