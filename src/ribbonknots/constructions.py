@@ -43,11 +43,9 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class KnotModuleSpec:
-    """Input module data in one of the supported forms.
-
-    ``kind`` is one of ``cyclic``, ``trotter``, ``tminus1``, ``taction``,
-    ``sum``; ``polys`` is used by cyclic/sum, ``matrix`` by the rest.
-    """
+    """Input module data; ``kind`` is the word after ``module`` in a
+    module-spec line.  :func:`cyclic_module` and :func:`sum_module` fill
+    ``polys``, :func:`matrix_module` fills ``matrix``."""
 
     kind: str
     polys: tuple[LaurentPoly, ...] = ()
@@ -101,21 +99,9 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
     return KnotModuleSpec("sum", polys=shifted)
 
 
-def trotter_module(m: Matrix) -> KnotModuleSpec:
-    return _matrix_module("trotter", m)
-
-
-def tminus1_module(m: Matrix) -> KnotModuleSpec:
-    return _matrix_module("tminus1", m)
-
-
-def taction_module(t: Matrix) -> KnotModuleSpec:
-    return _matrix_module("taction", t)
-
-
-def _matrix_module(kind: str, m: Matrix) -> KnotModuleSpec:
-    """Spec of ``kind`` when ``m`` is square and det(m) and det(m + c I),
-    named in ``_PENCILS``, are nonzero for trotter and +-1 for the others."""
+def matrix_module(kind: str, m: Matrix) -> KnotModuleSpec:
+    """Spec of ``kind``, a key of ``_PENCILS``, when ``m`` is square and
+    det(m) and det(m + c I) are nonzero for trotter and +-1 for the others."""
     if m.rows != m.cols or m.rows == 0:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
     _, _, labels, c = _PENCILS[kind]
@@ -216,7 +202,7 @@ def realize_trotter(m: Matrix) -> RealizationResult:
     ``s_i = y_i t y_i^-1``, so ``x_i = s_i t^-1`` and each relator says
     ``s_i = Y_i t Y_i^-1`` with ``Y_i = prod_j (s_j t^-1)^(m_ij)``.
     """
-    spec = trotter_module(m)
+    spec = matrix_module("trotter", m)
     r = m.rows
     xs = [f"x{i}" for i in range(1, r + 1)]
     ys = [f"y{i}" for i in range(1, r + 1)]
@@ -306,7 +292,7 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     each ``x_j`` in the ``s_k t^-1`` and yields
     ``< t, s_1..s_r | s_i = X_i^-1 t X_i >``.
     """
-    spec = tminus1_module(m)
+    spec = matrix_module("tminus1", m)
     r = m.rows
     mu, nu = lift_glnz(m)
     xs = [f"x{i}" for i in range(1, r + 1)]
@@ -322,7 +308,7 @@ def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     Presentation ``< t, x_1..x_r | t x_i t^-1 = tau(x_i) >`` with tau a
     lift of T.  No Wirtinger form is claimed for this construction.
     """
-    spec = taction_module(t_matrix)
+    spec = matrix_module("taction", t_matrix)
     r = t_matrix.rows
     tau, _ = lift_glnz(t_matrix)
     primary = _hnn([f"x{i}" for i in range(1, r + 1)], tau)
@@ -348,7 +334,7 @@ def parse_module_spec(text: str, read_file) -> KnotModuleSpec:
     if kind == "sum":
         return sum_module([parse_poly_line(part.strip()) for part in payload.split(";")])
     if kind in _PENCILS:
-        return _matrix_module(kind, parse_matrix(read_file(payload.strip())))
+        return matrix_module(kind, parse_matrix(read_file(payload.strip())))
     raise ValueError(f"unknown module kind {kind!r}")
 
 

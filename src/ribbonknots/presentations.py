@@ -9,7 +9,8 @@ since it never changes the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .intlinalg import AbelianGroupInvariants, cokernel_invariants
 from .words import (
@@ -332,24 +333,18 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TietzeStep:
-    kind: str  # "intro" | "elim"
-    name: str
-    word: Word
-    relator_index: int = -1
-
-
-def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
-    """Parse Tietze script lines: ``intro <name> <word>`` and
-    ``elim <name> <word> <relator-index>``; an empty word is 1."""
+def parse_tietze_script(text: str) -> tuple[Callable[[Presentation], Presentation], ...]:
+    """Parse each line, ``intro <name> <word>`` or ``elim <name> <word>
+    <relator-index>`` (an empty word is 1), to the move it names: the
+    introduction or elimination with the line's arguments."""
     steps = []
     for line in input_lines(text):
         tokens = line.split()
         if tokens[0] == "intro":
             if len(tokens) < 2:
                 raise ValueError(f"bad intro line {line!r}")
-            steps.append(TietzeStep("intro", tokens[1], parse_word(" ".join(tokens[2:]))))
+            steps.append(partial(introduce_generator, name=tokens[1],
+                                 defining=parse_word(" ".join(tokens[2:]))))
         elif tokens[0] == "elim":
             if len(tokens) < 3:
                 raise ValueError(f"bad elim line {line!r}")
@@ -357,18 +352,16 @@ def parse_tietze_script(text: str) -> tuple[TietzeStep, ...]:
                 index = parse_int(tokens[-1])
             except ValueError:
                 raise ValueError(f"bad relator index in {line!r}")
-            steps.append(
-                TietzeStep("elim", tokens[1], parse_word(" ".join(tokens[2:-1])), index)
-            )
+            steps.append(partial(eliminate_generator, target=tokens[1],
+                                 replacement=parse_word(" ".join(tokens[2:-1])), relator_index=index))
         else:
             raise ValueError(f"unrecognized script line {line!r}")
     return tuple(steps)
 
 
-def apply_tietze_script(p: Presentation, steps: Sequence[TietzeStep]) -> Presentation:
+def apply_tietze_script(
+    p: Presentation, steps: Sequence[Callable[[Presentation], Presentation]]
+) -> Presentation:
     for step in steps:
-        if step.kind == "intro":
-            p = introduce_generator(p, step.name, step.word)
-        else:
-            p = eliminate_generator(p, step.name, step.word, step.relator_index)
+        p = step(p)
     return p

@@ -74,6 +74,9 @@ def test_move_validation():
         apply_move(p, Multiply(0, 0))
     with pytest.raises(ValueError):
         apply_move(p, Conjugate(0, "z", 1))
+    q = ACPresentation(("t", "u"), (parse_word("u t"), gen("t")))
+    with pytest.raises(ValueError, match=r"^conjugation sign must be \+-1$"):
+        apply_move(q, Conjugate(0, "t", 2))
 
 
 def test_remove_pair_strict_pattern():
@@ -84,6 +87,9 @@ def test_remove_pair_strict_pattern():
     # y occurs in both relators: not removable
     with pytest.raises(ValueError):
         apply_move(p, RemovePair("y"))
+    # w is not a generator of p
+    with pytest.raises(ValueError, match="^no relator of the form w . z with 'w' occurring once$"):
+        apply_move(p, RemovePair("w"))
     # pattern must start with the generator, exponent +1
     r = ACPresentation(("x", "y"), (parse_word("y x"), gen("y")))
     with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import pytest
 
 from ribbonknots.constructions import (
     AdmissibilityError,
+    KnotModuleSpec,
     cyclic_module,
     lift_glnz,
+    matrix_module,
     parse_module_spec,
     realize,
     realize_cyclic,
@@ -14,9 +16,6 @@ from ribbonknots.constructions import (
     realize_sum,
     realize_trotter,
     sum_module,
-    taction_module,
-    tminus1_module,
-    trotter_module,
 )
 from ribbonknots.fox import alexander_polynomial
 from ribbonknots.intlinalg import matrix, parse_matrix
@@ -36,21 +35,21 @@ def test_admissibility_checks():
     with pytest.raises(AdmissibilityError):
         cyclic_module(from_coeffs([1, 1]))  # augmentation 2
     with pytest.raises(AdmissibilityError):
-        trotter_module(matrix([[1]]))  # det(M - I) = 0
+        matrix_module("trotter", matrix([[1]]))  # det(M - I) = 0
     with pytest.raises(AdmissibilityError):
-        trotter_module(matrix([[0]]))  # det(M) = 0
+        matrix_module("trotter", matrix([[0]]))  # det(M) = 0
     with pytest.raises(AdmissibilityError):
-        tminus1_module(matrix([[2]]))
+        matrix_module("tminus1", matrix([[2]]))
     with pytest.raises(AdmissibilityError):
-        taction_module(matrix([[1]]))  # det(T - I) = 0
+        matrix_module("taction", matrix([[1]]))  # det(T - I) = 0
     with pytest.raises(AdmissibilityError):
         sum_module([])
 
 
 def test_presentation_matrices():
-    spec = trotter_module(matrix([[2]]))
+    spec = matrix_module("trotter", matrix([[2]]))
     assert spec.presentation_matrix().entries[0][0] == laurent({0: -1, 1: 2})
-    spec = taction_module(matrix([[0, 1], [-1, 1]]))
+    spec = matrix_module("taction", matrix([[0, 1], [-1, 1]]))
     m = spec.presentation_matrix()
     assert m.entries[0][1] == laurent({0: -1})
     spec = cyclic_module(from_coeffs([1, -1, 1]))
@@ -141,6 +140,8 @@ def test_lift_glnz_abelianization_and_inverse():
     for bad in ([[2]], [[1, 2], [2, 4]], [[0, 1], [0, 1]]):
         with pytest.raises(ValueError, match="not unimodular"):
             lift_glnz(matrix(bad))
+    with pytest.raises(ValueError, match=r"^only square matrices lie in GL\(n, Z\)$"):
+        lift_glnz(matrix([[1, 2]]))
 
 
 def test_lift_glnz_matches_reference(corpus):
@@ -176,13 +177,16 @@ def test_realize_dispatch():
     specs = [
         cyclic_module(from_coeffs([1, -1, 1])),
         sum_module([from_coeffs([1, -1, 1]), from_coeffs([2, -1])]),
-        trotter_module(matrix([[2, 1], [0, 2]])),
-        tminus1_module(matrix([[0, 1], [1, 1]])),
-        taction_module(matrix([[0, 1], [-1, 1]])),
+        matrix_module("trotter", matrix([[2, 1], [0, 2]])),
+        matrix_module("tminus1", matrix([[0, 1], [1, 1]])),
+        matrix_module("taction", matrix([[0, 1], [-1, 1]])),
     ]
     assert [s.kind for s in specs] == ["cyclic", "sum", "trotter", "tminus1", "taction"]
     for spec in specs:
         assert realize(spec).module_spec == spec
+    for f in (KnotModuleSpec.lambda_rows, realize):
+        with pytest.raises(ValueError, match="^unknown module kind 'bogus'$"):
+            f(KnotModuleSpec("bogus"))
 
 
 def test_parse_module_spec(tmp_path):
@@ -196,5 +200,8 @@ def test_parse_module_spec(tmp_path):
     assert len(spec.polys) == 2
     with pytest.raises(ValueError):
         parse_module_spec("module bogus x\n", read)
+    for line in ("module cyclic", "modul cyclic poly 0 1 -1 1"):
+        with pytest.raises(ValueError, match=f"^bad module line '{line}'$"):
+            parse_module_spec(line + "\n", read)
     with pytest.raises(ValueError):
         parse_module_spec("", read)

@@ -41,6 +41,8 @@ def test_overflow_is_a_value():
     assert t.limit == 50
     with pytest.raises(ValueError):
         act(t, 0, "x")
+    with pytest.raises(ValueError, match="^max_cosets must be >= 1$"):
+        todd_coxeter(free, (), 0)
 
 
 def test_action_consistency():

@@ -7,12 +7,10 @@ from ribbonknots import covers, presentations, words
 from ribbonknots.constructions import (
     KnotModuleSpec,
     cyclic_module,
+    matrix_module,
     parse_module_spec,
     realize_cyclic,
     realize_trotter,
-    taction_module,
-    tminus1_module,
-    trotter_module,
 )
 from ribbonknots.covers import (
     cover_homology,
@@ -71,8 +69,10 @@ def test_module_oracle_matches_by_hand():
     assert module_cover_homology(spec, 2) == AbelianGroupInvariants(1, (3,))
     assert module_cover_homology(spec, 3) == AbelianGroupInvariants(1, (2, 2))
     assert module_cover_homology(spec, 6) == AbelianGroupInvariants(3)
-    spec = trotter_module(matrix([[2]]))
+    spec = matrix_module("trotter", matrix([[2]]))
     assert module_cover_homology(spec, 3) == AbelianGroupInvariants(1, (7,))
+    with pytest.raises(ValueError, match="^cover order must be >= 1$"):
+        module_cover_homology(spec, 0)
 
 
 def test_compare_realization_agrees():
@@ -115,10 +115,10 @@ def test_weights_must_map_onto_the_cyclic_group():
 
 
 @pytest.mark.parametrize("spec, want", [
-    (trotter_module(matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])),
+    (matrix_module("trotter", matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])),
      {3: (2, 266), 64: (1261, 9349868816554519625331753120911942387163825692761235298095)}),
-    (tminus1_module(matrix([[0, 1], [1, 1]])), {3: (4, 4), 64: (10610209857723, 53051049288615)}),
-    (taction_module(matrix([[0, 1], [-1, 1]])), {3: (2, 2), 64: (3,)}),
+    (matrix_module("tminus1", matrix([[0, 1], [1, 1]])), {3: (4, 4), 64: (10610209857723, 53051049288615)}),
+    (matrix_module("taction", matrix([[0, 1], [-1, 1]])), {3: (2, 2), 64: (3,)}),
 ], ids=["trotter", "tminus1", "taction"])
 def test_module_side_of_a_pencil_builds_no_laurent_polynomial(spec, want, monkeypatch):
     # The module side reads the spec's sparse rows over Z[t, 1/t]: no grid

@@ -45,6 +45,7 @@ INPUTS = {
     "short.mat": "2 2\n1 0\n",
     "negative.mat": "0 -2\n",
     "nopoly.module": "module cyclic 0 1 -1 1\n",
+    "short.module": "module cyclic\n",
     "intro.tz": "intro\n",
     "elim.tz": "elim u t z 0\n",
 }
@@ -127,6 +128,9 @@ def _cases() -> dict[str, list[str]]:
     cases["err-matrix-negative"] = ["realize", "trotter", "-m", "negative.mat"]
     cases["err-module-line"] = [
         "covers", "spun_trefoil.pres", "-N", "2", "--module", "nopoly.module"
+    ]
+    cases["err-module-short"] = [
+        "covers", "spun_trefoil.pres", "-N", "2", "--module", "short.module"
     ]
     cases["err-ragged-matrix"] = ["realize", "lemma4", "-m", "ragged.mat"]
     cases["err-bad-word"] = ["alex", "badword.pres"]

@@ -125,6 +125,10 @@ def test_invariants_validation():
 
 def test_matrix_file_roundtrip():
     m = matrix([[1, -2], [0, 7]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        matrix([[1], [1, 2]])
+    with pytest.raises(ValueError, match="^empty matrix needs an explicit column count$"):
+        matrix([])
     assert parse_matrix("2 2\n1 -2\n0 7\n") == m
     assert parse_matrix("# c\n2 2\n1 -2 # tail\n0 7\n") == m
     with pytest.raises(ValueError):

@@ -135,6 +135,8 @@ def test_det_lambda_diagonal_30():
 
 def test_det_lambda_empty_matrix_is_one():
     assert det_lambda(matrix([], cols=0)) == ONE
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        det_lambda(matrix([[ONE, ONE]]))
 
 
 def test_poly_line_roundtrip():

@@ -106,6 +106,12 @@ def test_weight_vector_takes_a_cokernel_only_where_a_pivot_is_not_a_unit(monkeyp
     assert weight_vector(expanded_cyclic_form(5))[:2] == (1, 1) and not calls
     assert weight_vector(parse_presentation("gens a b\nrel a^2 b^-2\nrel a b^-1")) == (1, 1)
     assert len(calls) == 1
+    # The first row drops a's vector with value -2, so the Euclid pass
+    # cannot show H1 = Z; yet it is (a = 0 by a^-2 and a^3, then c = 0),
+    # which only the cokernel shows: the fallback stays.
+    p = parse_presentation("gens a b c\nrel a^-2\nrel b^-1 c b\nrel b^3 c^7 b^-3 a^3")
+    assert weight_vector(p) == (0, 1, 0)
+    assert len(calls) == 2
 
 
 def lines_executed(f, *args) -> int:
@@ -240,6 +246,8 @@ def test_expand_length1():
     assert log.is_tree
     assert all(len(e.label) <= 1 for e in log.edges)
     assert abelianization(q) == abelianization(TREFOIL)
+    with pytest.raises(ValueError, match=r"^not a Wirtinger presentation: relator 0 \(x y\)"):
+        expand_length1(parse_presentation("gens x y\nrel x y\nrel y"))
 
 
 def test_expand_handles_negative_single_letter_labels():
@@ -334,7 +342,7 @@ def test_dot_export():
 
 def test_tietze_script_parsing():
     steps = parse_tietze_script("intro d a b\nelim d a b 2\n# comment\n")
-    assert steps[0].kind == "intro" and steps[1].relator_index == 2
+    assert steps[0].func is introduce_generator and steps[1].keywords["relator_index"] == 2
     p = apply_tietze_script(TREFOIL, steps[:1])
     assert "d" in p.generators
     with pytest.raises(ValueError):
@@ -343,6 +351,7 @@ def test_tietze_script_parsing():
         parse_tietze_script("elim d\n")
     # An empty word is the identity: eliminate a generator set to 1.
     (step,) = parse_tietze_script("elim t 1\n")
-    assert step.word == IDENTITY and step.relator_index == 1
+    assert step.func is eliminate_generator
+    assert step.keywords == {"target": "t", "replacement": IDENTITY, "relator_index": 1}
     p = parse_presentation("gens t u\nrel u^-1 t u t u^-1 t^-1\nrel t")
     assert apply_tietze_script(p, [step]) == parse_presentation("gens u\nrel u^-1")

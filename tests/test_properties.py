@@ -6,8 +6,8 @@ reduced products, its removal plan against the Word-level planner, and
 the lemma that lets it skip joins that cancel nothing), of the
 flat-table Todd-Coxeter enumeration against its union-find one, of the
 one-pass Alexander matrix, of the Alexander polynomial under Tietze
-moves, of the sparse cokernel invariants (on
-matrices mostly of units, too) against sympy and against their
+moves, of those moves written as a script and parsed back, of the
+sparse cokernel invariants (on matrices mostly of units, too) against sympy and against their
 full-rescan reference, pivot for pivot, of the group side of cover
 homology against the rewritten cover presentation and against every
 column of the Fox matrix less the cover's vertices, of the module side
@@ -71,10 +71,12 @@ from ribbonknots.presentations import (  # noqa: E402
     LOG,
     Presentation,
     _match_wirtinger,
+    apply_tietze_script,
     expand_length1,
     exponent_rows,
     introduce_generator,
     is_wirtinger,
+    parse_tietze_script,
     weight_vector,
 )
 from ribbonknots.words import (  # noqa: E402
@@ -1121,6 +1123,30 @@ def test_alexander_polynomial_is_a_tietze_invariant(case):
     p, q, alpha = case
     assert eq_up_to_unit(alexander_polynomial(p), alpha)
     assert eq_up_to_unit(alexander_polynomial(q), alpha)
+
+
+SPUN = realize_cyclic(from_coeffs([1, -1, 1])).wirtinger_presentation
+SPUN_S1 = introduce_generator(SPUN, "s1", IDENTITY)
+
+
+@PROPERTY
+@given(tietze_moves())
+@example((SPUN, introduce_generator(SPUN_S1, "s2", IDENTITY), None))
+@example((SPUN, introduce_generator(SPUN_S1, "s2", product(gen("s1"), gen("t", -1))), None))
+def test_tietze_script_text_round_trip(case):
+    # The introductions that built q, written as script text, rebuild q
+    # from the form they started on; each one's elimination, in reverse
+    # and naming the relator it appended, gives that form back.  An
+    # empty word is 1.
+    _, q, _ = case
+    k = sum(g.startswith("s") for g in q.generators)
+    n, r = len(q.generators) - k, len(q.relators) - k
+    start = Presentation(q.generators[:n], q.relators[:r])
+    intros = [(s, inverse(product(gen(s, -1), rel))) for s, rel in zip(q.generators[n:], q.relators[r:])]
+    script = "".join(f"intro {s} {w}\n" for s, w in intros)
+    assert apply_tietze_script(start, parse_tietze_script(script)) == q
+    script += "".join(f"elim {s} {w} {r + i}\n" for i, (s, w) in reversed(list(enumerate(intros))))
+    assert apply_tietze_script(start, parse_tietze_script(script)) == start
 
 
 def runs(nonzero=False):
