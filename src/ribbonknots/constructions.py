@@ -102,6 +102,8 @@ def sum_module(polys: Sequence[LaurentPoly]) -> KnotModuleSpec:
 def matrix_module(kind: str, m: Matrix) -> KnotModuleSpec:
     """Spec of ``kind``, a key of ``_PENCILS``, when ``m`` is square and
     det(m) and det(m + c I) are nonzero for trotter and +-1 for the others."""
+    if kind not in _PENCILS:
+        raise ValueError(f"unknown module kind {kind!r}")
     if m.rows != m.cols or m.rows == 0:
         raise AdmissibilityError(f"matrix must be square and nonempty, got {m.rows}x{m.cols}")
     _, _, labels, c = _PENCILS[kind]

@@ -2,8 +2,9 @@
 
 Used to certify triviality of killed-meridian quotients and for small
 index sanity checks.  Enumeration is deterministic: cosets are defined
-in scan order, relators are scanned in presentation order, and
-coincidences are processed immediately.
+in scan order, each with its entries for the letters of one-letter
+relators already pointing to itself, relators are scanned in
+presentation order, and coincidences are processed immediately.
 
 The table is flat: ``rows[c][x]`` is the coset ``c . x`` or ``-1``,
 where letter ``x = 2*g`` is generator ``g`` and ``x ^ 1`` its inverse.
@@ -52,7 +53,8 @@ def todd_coxeter(
 
     HLT order: scan the subgroup words at coset 0, then each live coset
     in turn through every relator with Holt's SCANANDFILL, defining
-    cosets as needed, then fill its undefined entries.
+    cosets as needed, then fill its undefined entries.  A one-letter
+    relator g^+-1 fixes each coset as it is defined: c.g = c.g^-1 = c.
 
     Returns a closed table with the exact index, or an overflow value
     once a coset beyond the ``max_cosets``-th would have to be defined.
@@ -72,7 +74,11 @@ def todd_coxeter(
     subgroup_letters = [_letters(w, gen_index) for w in subgroup]
 
     n_letters = 2 * len(gens)
-    rows: list[list[int]] = [[-1] * n_letters]
+    loops = {word[0] ^ d for word in relator_letters if len(word) == 1 for d in (0, 1)}
+
+    def new_row(c: int) -> list[int]:
+        return [c if x in loops else -1 for x in range(n_letters)]
+    rows: list[list[int]] = [new_row(0)]
     rep: list[int] = [0]
     overflow = CosetTable(gens, False, 0, max_cosets)
 
@@ -116,7 +122,7 @@ def todd_coxeter(
         if len(rows) >= max_cosets:
             return False
         c = len(rows)
-        rows.append([-1] * n_letters)
+        rows.append(new_row(c))
         rep.append(c)
         rows[f][x] = c
         rows[c][x ^ 1] = f

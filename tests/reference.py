@@ -26,7 +26,8 @@ another way:
   ``Word`` relators that tries ``removal_plan_reference`` on every new
   state, against the packed-letter ``acmoves.ac_trivialize_search``;
 * ``todd_coxeter_reference``, coset enumeration on a union-find table,
-  against the flat-table ``cosets.todd_coxeter``;
+  against the flat-table ``cosets.todd_coxeter``; both define each new
+  coset looping on the letters of one-letter relators;
 * ``act`` and ``trace``, the action of words on a closed coset table;
 * ``cokernel_invariants_reference``, the sparse elimination that
   rescans every nonzero for each pivot, against the incremental pivot
@@ -490,9 +491,10 @@ def ac_trivialize_search_reference(
 class _UnionFindTable:
     """Coset action table with union-find coincidence handling."""
 
-    def __init__(self, n_letters: int, limit: int) -> None:
+    def __init__(self, n_letters: int, limit: int, loops: frozenset[int]) -> None:
         self.n_letters = n_letters
         self.limit = limit
+        self.loops = loops  # letters whose entry at every new coset is the coset
         self.rows: list[list[Optional[int]]] = []
         self.rep: list[int] = []
 
@@ -505,9 +507,10 @@ class _UnionFindTable:
     def new_coset(self) -> Optional[int]:
         if len(self.rows) >= self.limit:
             return None
-        self.rows.append([None] * self.n_letters)
-        self.rep.append(len(self.rows) - 1)
-        return len(self.rows) - 1
+        c = len(self.rows)
+        self.rows.append([c if x in self.loops else None for x in range(self.n_letters)])
+        self.rep.append(c)
+        return c
 
     def get(self, a: int, letter: int) -> Optional[int]:
         v = self.rows[self.find(a)][letter]
@@ -571,7 +574,8 @@ def todd_coxeter_reference(
     """HLT enumeration on a union-find table that reads every entry
     through ``find`` and restarts each scan after every definition:
     the enumerator ``cosets.todd_coxeter`` replaced, which must define
-    the same cosets in the same order."""
+    the same cosets in the same order.  Both make each new coset loop
+    on the letters of one-letter relators."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     gens = p.generators
@@ -583,7 +587,8 @@ def todd_coxeter_reference(
     relator_letters = [_letters(r, gen_index) for r in p.relators]
     subgroup_letters = [_letters(w, gen_index) for w in subgroup]
 
-    table = _UnionFindTable(2 * len(gens), max_cosets)
+    loops = frozenset(w[0] ^ d for w in relator_letters if len(w) == 1 for d in (0, 1))
+    table = _UnionFindTable(2 * len(gens), max_cosets, loops)
     table.new_coset()
     overflow = CosetTable(gens, False, 0, max_cosets)
 

@@ -187,6 +187,8 @@ def test_realize_dispatch():
     for f in (KnotModuleSpec.lambda_rows, realize):
         with pytest.raises(ValueError, match="^unknown module kind 'bogus'$"):
             f(KnotModuleSpec("bogus"))
+    with pytest.raises(ValueError, match="^unknown module kind 'bogus'$"):
+        matrix_module("bogus", matrix([[2]]))
 
 
 def test_parse_module_spec(tmp_path):

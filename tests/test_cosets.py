@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ribbonknots.constructions import realize_cyclic
-from ribbonknots.cosets import todd_coxeter, weight_one_certificate
+from ribbonknots.cosets import MAX_COSETS, todd_coxeter, weight_one_certificate
 from ribbonknots.laurent import from_coeffs
 from ribbonknots.presentations import Presentation, parse_presentation
 from ribbonknots.words import gen, parse_word
@@ -95,15 +95,20 @@ def test_corpus_matches_union_find_reference(name, corpus):
             assert todd_coxeter(q, subgroup, limit) == todd_coxeter_reference(q, subgroup, limit)
 
 
+def killed_wirtinger_form(rng: random.Random, n: int) -> Presentation:
+    """The Wirtinger form of alpha = 1 + (t - 1) beta for a random beta of
+    n terms, with the meridian t killed by a relator."""
+    beta = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    alpha = [1 - beta[0]] + [beta[i - 1] - beta[i] for i in range(1, len(beta))] + [beta[-1]]
+    p = realize_cyclic(from_coeffs(alpha)).wirtinger_presentation
+    return Presentation(p.generators, p.relators + (gen("t"),))
+
+
 def test_killed_wirtinger_forms_match_union_find_reference():
-    # Wirtinger forms of alpha = 1 + (t - 1) beta for random beta, t killed.
     rng = random.Random(2027)
     closed = 0
     for _ in range(12):
-        beta = [rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 25))]
-        alpha = [1 - beta[0]] + [beta[i - 1] - beta[i] for i in range(1, len(beta))] + [beta[-1]]
-        p = realize_cyclic(from_coeffs(alpha)).wirtinger_presentation
-        q = Presentation(p.generators, p.relators + (gen("t"),))
+        q = killed_wirtinger_form(rng, rng.randint(1, 25))
         for limit in (10, 60, 300, 2000):
             table = todd_coxeter(q, (), limit)
             assert table == todd_coxeter_reference(q, (), limit)
@@ -113,7 +118,7 @@ def test_killed_wirtinger_forms_match_union_find_reference():
 
 @pytest.mark.parametrize(
     "text, subgroup, least, index",
-    [(SPUN_KILLED, "", 9, 1), (A5, "b", 28, 20), (A5, "", 82, 60)],
+    [(SPUN_KILLED, "", 2, 1), (A5, "b", 28, 20), (A5, "", 82, 60)],
 )
 def test_least_closing_limit(text, subgroup, least, index):
     # max_cosets bounds the cosets defined, merged ones included, so the
@@ -125,3 +130,30 @@ def test_least_closing_limit(text, subgroup, least, index):
     assert table == todd_coxeter_reference(p, sub, least)
     below = todd_coxeter(p, sub, least - 1)
     assert not below.closed and below == todd_coxeter_reference(p, sub, least - 1)
+
+
+def least_closing_limit(p: Presentation) -> int:
+    """The least ``max_cosets`` at which the enumeration of ``p`` closes.
+    Under a limit it runs as the unbounded enumeration does until it
+    would define one coset too many, so closing is monotone in the limit."""
+    lo, hi = 1, MAX_COSETS
+    assert todd_coxeter(p, (), hi).closed
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if todd_coxeter(p, (), mid).closed else (mid + 1, hi)
+    return lo
+
+
+def test_killed_meridians_close_within_a_few_cosets(corpus):
+    # The killing relator t fixes every coset as it is defined, so no scan
+    # defines t-edges that a coincidence folds back.  Cosets defined to
+    # reach index 1, where each new coset has no loops: 9-13 on the four
+    # realized corpus cases and 81 on yoshikawa; 49-4,721 on the forms of
+    # 25-413 letters below.
+    for name in ("spun_trefoil", "trotter_2", "lemma4_companion", "lemma3_companion", "yoshikawa"):
+        p = parse_presentation((corpus / f"{name}.pres").read_text())
+        assert least_closing_limit(Presentation(p.generators, p.relators + (gen("t"),))) <= 8, name
+    rng = random.Random(2027)
+    for n in (5, 10, 20, 40, 60):
+        for _ in range(3):
+            assert least_closing_limit(killed_wirtinger_form(rng, n)) <= 32, n

@@ -4,7 +4,8 @@ packed-letter AC search against its Word-based reference (its least
 rotation against every slice, its direct conjugation against two
 reduced products, its removal plan against the Word-level planner, and
 the lemma that lets it skip joins that cancel nothing), of the
-flat-table Todd-Coxeter enumeration against its union-find one, of the
+flat-table Todd-Coxeter enumeration against its union-find one and of
+its index against sympy's, of the
 one-pass Alexander matrix, of the Alexander polynomial under Tietze
 moves, of those moves written as a script and parsed back, of the
 sparse cokernel invariants (on matrices mostly of units, too) against sympy and against their
@@ -390,6 +391,41 @@ def test_killing_by_substitution_matches_appending_the_generator(case, pick):
         assert appended.n_cosets == substituted.n_cosets
     trivial = substituted.closed and substituted.n_cosets == 1
     assert weight_one_certificate(p, g, budget) == ("certified" if trivial else "inconclusive")
+
+
+@st.composite
+def enumerations_with_loops(draw):
+    """Small enumerations whose relators may include one-letter ones,
+    which fix every coset as it is defined, in any position."""
+    gens = GENS[: draw(st.integers(1, 3))]
+    rels = draw(st.lists(words(gens, max_size=6), max_size=3))
+    rels += [gen(g, e) for g, e in draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                                                 max_size=2))]
+    subgroup = draw(st.lists(words(gens, max_size=5), max_size=2))
+    return Presentation(gens, tuple(draw(st.permutations(rels)))), tuple(subgroup), draw(st.integers(1, 300))
+
+
+@settings(PROPERTY, max_examples=200)  # about 3 s in all; sympy runs on the half that close
+@given(enumerations_with_loops())
+def test_todd_coxeter_index_matches_sympy(case):
+    # The union-find reference makes new cosets loop on the same letters,
+    # so the index is checked against an enumerator that does not.
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    table = todd_coxeter(*case)
+    if not table.closed:
+        return
+    p, subgroup, _ = case
+    free, *xs = free_group(",".join(p.generators))
+    letters = dict(zip(p.generators, xs))
+    spell = lambda w: prod((letters[g] ** e for g, e in w.syllables), start=free.identity)
+    oracle = coset_enumeration_r(FpGroup(free, [spell(r) for r in p.relators]), [spell(w) for w in subgroup],
+                                 max_cosets=100_000)
+    oracle.compress()
+    assert table.n_cosets == len(oracle.table)
 
 
 def conjugation_relators():
