@@ -69,10 +69,11 @@ def _read(path: str) -> str:
         raise CLIError(f"cannot read {path}: {exc}")
 
 
-def _load_presentation(path: str):
+def _load(path: str, parse):
+    """``parse`` of the file's text; a ValueError, decode errors included, names the file."""
     try:
-        return parse_presentation(_read(path))
-    except ValueError as exc:
+        return parse(_read(path))
+    except ValueError as exc:  # AdmissibilityError included
         raise CLIError(f"{path}: {exc}")
 
 
@@ -82,10 +83,7 @@ def _load_module_spec(path: str) -> constructions.KnotModuleSpec:
     def read_file(rel: str) -> str:
         return _read(str(base / rel))
 
-    try:
-        return constructions.parse_module_spec(_read(path), read_file)
-    except ValueError as exc:  # AdmissibilityError included
-        raise CLIError(f"{path}: {exc}")
+    return _load(path, lambda text: constructions.parse_module_spec(text, read_file))
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -224,13 +222,13 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_alex(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     print(format_poly_line(fox.alexander_polynomial(p)))
     return EXIT_OK
 
 
 def _cmd_covers(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     orders = _parse_orders(args.orders)
     spec = _load_module_spec(args.module) if args.module else None
     weights = weight_vector(p)
@@ -249,7 +247,7 @@ def _cmd_covers(args) -> int:
 
 
 def _cmd_tc(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     subgroup = [parse_word(part) for part in args.subgroup.split(";") if part.strip()]
     table = todd_coxeter(p, subgroup, args.max_cosets)
     if table.closed:
@@ -260,7 +258,7 @@ def _cmd_tc(args) -> int:
 
 
 def _cmd_ac_search(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     killed = acmoves.kill_meridian(p, args.kill)
     outcome = acmoves.ac_trivialize_search(killed, args.max_len, args.max_depth, args.max_nodes)
     if isinstance(outcome, acmoves.Found):
@@ -273,7 +271,7 @@ def _cmd_ac_search(args) -> int:
 
 
 def _cmd_lot(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     log = is_wirtinger(p)
     if isinstance(log, NotWirtinger):
         print(f"not a Wirtinger presentation: {log.reason}", file=sys.stderr)
@@ -284,14 +282,14 @@ def _cmd_lot(args) -> int:
 
 
 def _cmd_tietze(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     steps = parse_tietze_script(_read(args.script))
     sys.stdout.write(format_presentation(apply_tietze_script(p, steps)))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    p = _load_presentation(args.presentation)
+    p = _load(args.presentation, parse_presentation)
     spec = _load_module_spec(args.module)
     orders = _parse_orders(args.orders)
     if args.meridian not in p.generators:

@@ -14,8 +14,8 @@ deficiency-1 presentation (plus a Wirtinger rewriting where one exists):
   realized as a free-by-cyclic group (no Wirtinger form claimed).
 
 Every Wirtinger form is a star LOT at the meridian ``t``, built by
-``_wirtinger``; the lemma-4 and lemma-3 primaries are HNN presentations
-built by ``_hnn``.
+``_wirtinger``; every HNN relator of the Trotter, lemma-4 and lemma-3
+primaries comes from ``_hnn``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,6 @@ class RealizationResult:
     primary_presentation: Presentation
     wirtinger_presentation: Optional[Presentation]
     module_spec: KnotModuleSpec
-    fg_commutator: Optional[bool] = None
 
     def verification_presentation(self) -> Presentation:
         return self.wirtinger_presentation or self.primary_presentation
@@ -136,7 +135,7 @@ def realize_cyclic(alpha: LaurentPoly) -> RealizationResult:
     the one-relator Wirtinger rewriting ``< t, u | u = W t W^-1 >``
     obtained from ``u = x t``.
     """
-    return _realize_summands(cyclic_module(alpha), [("x", "u")])
+    return _realize_summands(cyclic_module(alpha))
 
 
 def realize_sum(polys: Sequence[LaurentPoly]) -> RealizationResult:
@@ -145,17 +144,16 @@ def realize_sum(polys: Sequence[LaurentPoly]) -> RealizationResult:
     One generator ``u<k>`` and one Wirtinger relator per summand; the
     primary presentation uses commutator generators ``x<k>``.
     """
-    spec = sum_module(polys)
-    names = [(f"x{k}", f"u{k}") for k in range(1, len(spec.polys) + 1)]
-    return _realize_summands(spec, names)
+    return _realize_summands(sum_module(polys))
 
 
-def _realize_summands(
-    spec: KnotModuleSpec, names: Sequence[tuple[str, str]]
-) -> RealizationResult:
-    """One cyclic summand per polynomial of ``spec``, named ``(x, u)``:
-    the relator of :func:`realize_cyclic` and its Wirtinger rewriting."""
-    xs = [x for x, _ in names]
+def _realize_summands(spec: KnotModuleSpec) -> RealizationResult:
+    """One cyclic summand per polynomial of ``spec``: the relator of
+    :func:`realize_cyclic` and its Wirtinger rewriting, on generators
+    ``x`` and ``u`` for a ``cyclic`` spec and ``x<k>`` and ``u<k>`` for
+    the k-th summand of a ``sum``."""
+    tags = [""] if spec.kind == "cyclic" else range(1, len(spec.polys) + 1)
+    xs, us = [f"x{k}" for k in tags], [f"u{k}" for k in tags]
     ws = []
     for alpha, x in zip(spec.polys, xs):
         beta = (alpha - ONE) // from_coeffs([-1, 1])
@@ -166,11 +164,7 @@ def _realize_summands(
         product(gen(x, -1), w, gen("t"), inverse(w), gen("t", -1)) for x, w in zip(xs, ws)
     )
     primary = Presentation(("t", *xs), primary_rels)
-    wirtinger = _wirtinger(xs, [u for _, u in names], ws)
-    # Finitely generated commutator subgroup needs extremal coefficients
-    # of alpha equal to +-1.
-    fg_all = all(abs(a.coeffs[0]) == 1 and abs(a.coeffs[-1]) == 1 for a in spec.polys)
-    return RealizationResult(primary, wirtinger, spec, fg_commutator=fg_all)
+    return RealizationResult(primary, _wirtinger(xs, us, ws), spec)
 
 
 def _wirtinger(xs: Sequence[str], ss: Sequence[str], words: Sequence[Word]) -> Presentation:
@@ -188,11 +182,10 @@ def _wirtinger(xs: Sequence[str], ss: Sequence[str], words: Sequence[Word]) -> P
     return Presentation(("t", *ss), tuple(rels))
 
 
-def _hnn(xs: Sequence[str], images: Sequence[Word]) -> Presentation:
-    """``< t, xs | t x_i t^-1 = images[i] >``."""
-    return Presentation(("t", *xs), tuple(
-        product(gen("t"), gen(x), gen("t", -1), inverse(img)) for x, img in zip(xs, images)
-    ))
+def _hnn(xs: Sequence[str], images: Sequence[Word]) -> tuple[Word, ...]:
+    """The HNN relators ``t x_i t^-1 images[i]^-1``, in the order of ``xs``."""
+    return tuple(product(gen("t"), gen(x), gen("t", -1), inverse(img))
+                 for x, img in zip(xs, images))
 
 
 def realize_trotter(m: Matrix) -> RealizationResult:
@@ -200,7 +193,7 @@ def realize_trotter(m: Matrix) -> RealizationResult:
 
     Primary presentation (an HNN extension of a free group):
     ``< t, x_1..x_r, y_1..y_r | y_i = prod_j x_j^(m_ij),
-    t y_i t^-1 y_i^-1 = x_i^-1 >``.  The Wirtinger rewriting sets
+    t y_i t^-1 = x_i^-1 y_i >``.  The Wirtinger rewriting sets
     ``s_i = y_i t y_i^-1``, so ``x_i = s_i t^-1`` and each relator says
     ``s_i = Y_i t Y_i^-1`` with ``Y_i = prod_j (s_j t^-1)^(m_ij)``.
     """
@@ -210,11 +203,8 @@ def realize_trotter(m: Matrix) -> RealizationResult:
     ys = [f"y{i}" for i in range(1, r + 1)]
     ss = [f"s{i}" for i in range(1, r + 1)]
     prod_x = [normalize((xs[j], m[i, j]) for j in range(r)) for i in range(r)]
-    primary_rels = [product(gen(ys[i], -1), prod_x[i]) for i in range(r)]
-    for i in range(r):
-        primary_rels.append(
-            product(gen("t"), gen(ys[i]), gen("t", -1), gen(ys[i], -1), gen(xs[i]))
-        )
+    primary_rels = [product(gen(y, -1), w) for y, w in zip(ys, prod_x)]
+    primary_rels += _hnn(ys, [product(gen(x, -1), gen(y)) for x, y in zip(xs, ys)])
     primary = Presentation(("t", *xs, *ys), tuple(primary_rels))
     return RealizationResult(primary, _wirtinger(xs, ss, prod_x), spec)
 
@@ -299,7 +289,7 @@ def realize_lemma4(m: Matrix) -> RealizationResult:
     mu, nu = lift_glnz(m)
     xs = [f"x{i}" for i in range(1, r + 1)]
     ss = [f"s{i}" for i in range(1, r + 1)]
-    primary = _hnn(xs, [product(gen(x), w) for x, w in zip(xs, mu)])
+    primary = Presentation(("t", *xs), _hnn(xs, [product(gen(x), w) for x, w in zip(xs, mu)]))
     wirtinger = _wirtinger(xs, ss, [inverse(w) for w in nu])
     return RealizationResult(primary, wirtinger, spec)
 
@@ -313,8 +303,8 @@ def realize_lemma3_group(t_matrix: Matrix) -> RealizationResult:
     spec = matrix_module("taction", t_matrix)
     r = t_matrix.rows
     tau, _ = lift_glnz(t_matrix)
-    primary = _hnn([f"x{i}" for i in range(1, r + 1)], tau)
-    return RealizationResult(primary, None, spec)
+    xs = [f"x{i}" for i in range(1, r + 1)]
+    return RealizationResult(Presentation(("t", *xs), _hnn(xs, tau)), None, spec)
 
 
 def parse_module_spec(text: str, read_file) -> KnotModuleSpec:

@@ -1,3 +1,4 @@
+import locale
 import os
 import subprocess
 import sys
@@ -286,6 +287,29 @@ def test_exit_code_3_on_bad_input(capsys, tmp_path):
     assert code == 3 and "error:" in err
     code, _, err = run(capsys, "covers", str(tmp_path / "missing.pres"), "-N", "x")
     assert code == 3
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="the messages name the 'utf-8' codec")
+def test_decode_errors_exit_3_with_one_line(capsys, corpus, tmp_path, monkeypatch):
+    # A presentation's and a module spec's decode error name the file the
+    # user gave, the module's nested matrix included; a matrix's and a
+    # script's carry no prefix.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pres").write_bytes(b"gens t\n\xff\n")
+    (tmp_path / "bad.mat").write_bytes(b"1 1\n\xff\n")
+    (tmp_path / "bad.module").write_bytes(b"module trotter bad.mat\n")
+    (tmp_path / "bad.tz").write_bytes(b"elim \xff\n")
+    pres = str(corpus / "spun_trefoil.pres")
+    codec = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+    cases = [
+        (("alex", "bad.pres"), "bad.pres: " + codec.format(7)),
+        (("covers", pres, "-N", "2", "--module", "bad.module"), "bad.module: " + codec.format(4)),
+        (("realize", "trotter", "-m", "bad.mat"), codec.format(4)),
+        (("tietze", pres, "--script", "bad.tz"), codec.format(5)),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n"), argv
 
 
 # For each subcommand, a library call it makes, patched through the name

@@ -58,17 +58,11 @@ def test_presentation_matrices():
 
 def test_cyclic_realization_shape():
     res = realize_cyclic(from_coeffs([1, -1, 1]))
-    assert res.fg_commutator is True
     w = res.wirtinger_presentation
     assert len(w.generators) == 2 and len(w.relators) == 1
     assert str(w.relators[0]) == "u^-1 t u t u^-1 t^-1"
     assert isinstance(is_wirtinger(w), LOG)
     assert eq_up_to_unit(alexander_polynomial(w), from_coeffs([1, -1, 1]))
-
-
-def test_cyclic_fg_flag():
-    assert realize_cyclic(from_coeffs([2, -3, 2])).fg_commutator is False
-    assert realize_cyclic(from_coeffs([1, -1, 1])).fg_commutator is True
 
 
 def test_trotter_realization():

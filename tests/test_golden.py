@@ -74,6 +74,8 @@ def _cases() -> dict[str, list[str]]:
     cases["realize-cyclic-non-fg"] = ["realize", "cyclic", "--coeffs", "2,-3,2", "--dot", "out.dot"]
     cases["realize-cyclic-negative"] = ["realize", "cyclic", "--coeffs=-1,1,1"]
     cases["realize-sum-negative"] = ["realize", "sum", "--coeffs=-1,1,1;3,-4,2;1"]
+    # One summand: generators x1 and u1, where cyclic names them x and u.
+    cases["realize-sum-one"] = ["realize", "sum", "--coeffs", "1,-1,1", "--emit", "both"]
     for name in PRES:
         cases[f"alex-{name}"] = ["alex", f"{name}.pres"]
         cases[f"lot-{name}"] = ["lot", f"{name}.pres"]
